@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import BestResponseEngine
-from .equilibrium import EquilibriumSet, find_equilibria, scan_fixed_points
+from .equilibrium import DEDUP_TOL, EquilibriumSet, find_equilibria, scan_fixed_points
 from .errors import InvariantViolation
-from .primitives import LQParams, ModelPrimitives, build_lq
+from .primitives import ModelPrimitives, build_lq
 from .rootfind import solve_increasing_to
 
 LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")
@@ -58,10 +58,16 @@ def perturb_model(model: ModelPrimitives, parameter: str,
     if model.lq is None:
         raise ValueError("structural perturbations need an LQ model; "
                          "only delta_mu can be perturbed for custom primitives")
-    kwargs = dataclasses.asdict(model.lq)
-    kwargs[parameter] = kwargs[parameter] * (1.0 + rel_step)
-    return build_lq(LQParams(**kwargs), model.mu_star, model.beta_star,
-                    model.mu_hat, model.beta_lo, model.beta_hi)
+    return _with_lq_value(model, parameter,
+                          getattr(model.lq, parameter) * (1.0 + rel_step))
+
+
+def _with_lq_value(model: ModelPrimitives, parameter: str,
+                   value: float) -> ModelPrimitives:
+    """Rebuild an LQ model with one raw parameter set to ``value``."""
+    params = dataclasses.replace(model.lq, **{parameter: value})
+    return build_lq(params, model.mu_star, model.beta_star, model.mu_hat,
+                    model.beta_lo, model.beta_hi)
 
 
 @dataclass(frozen=True)
@@ -217,26 +223,6 @@ def disparity_report(model: ModelPrimitives, delta_m: float, delta_w: float,
 # -- first-order misspecification ----------------------------------------
 
 
-def fom_assessment(model: ModelPrimitives, beta: float,
-                   engine: BestResponseEngine | None = None) -> float:
-    """Assessment when the evaluator believes productivity is beta but
-    knows effort is chosen under the truth: argmax v_e(a(h, beta_star), beta) - kappa(h)."""
-    if model.lq is not None and (engine is None or engine._closed):
-        lq = model.lq
-        num = lq.lambda1 * beta * model.beta_star
-        return num / (lq.lambda2 * model.beta_star ** 2 + lq.kappa * lq.c)
-    eng = engine if engine is not None else BestResponseEngine(model)
-    from .rootfind import fd1, solve_decreasing
-
-    def foc(h):
-        a = eng.effort(h, model.beta_star)
-        da_dh, _ = eng.effort_sensitivities(h, model.beta_star)
-        v_a = fd1(lambda x: model.v_e(x, beta), a, lo=0.0)
-        return v_a * da_dh - fd1(model.assess_cost, h, lo=0.0, hi=1.0)
-
-    return solve_decreasing(foc, 1e-12, 1.0 - 1e-12)
-
-
 def _fom_belief_map(model: ModelPrimitives, eng: BestResponseEngine,
                     frozen_assessment: bool):
     """Belief map under first-order misspecification.
@@ -250,7 +236,7 @@ def _fom_belief_map(model: ModelPrimitives, eng: BestResponseEngine,
 
     def psi_f(beta: float) -> float:
         h = (eng.assessment(beta) if frozen_assessment
-             else fom_assessment(m, beta, eng))
+             else eng.first_order_assessment(beta))
         a0 = float(eng.effort(h, m.beta_star))
         target = m.r(a0, m.beta_star) - m.delta_mu
         if m.r(a0, m.beta_lo) >= target:
@@ -294,10 +280,10 @@ def first_order_comparison(model: ModelPrimitives,
         raise InvariantViolation("no self-confirming equilibrium in the base model")
     beta_ours = min(sces, key=lambda p: abs(p.beta_hat - m.beta_star)).beta_hat
 
-    psi_f = _fom_belief_map(m, eng, frozen_assessment)
+    psi_f = np.vectorize(_fom_belief_map(m, eng, frozen_assessment), otypes=[float])
     roots = scan_fixed_points(psi_f, m.beta_lo, m.beta_hi)
     interior = [b for b, _ in roots
-                if m.beta_lo + 1e-9 < b < m.beta_hi - 1e-9]
+                if m.beta_lo + DEDUP_TOL < b < m.beta_hi - DEDUP_TOL]
     if not interior:
         raise InvariantViolation("no self-confirming equilibrium in the "
                                  "first-order-misspecification variant")

@@ -1,25 +1,50 @@
 """Best responses: agent effort, effective effort, and evaluator assessment.
 
-LQ models use closed forms (vectorized over numpy arrays); general
-primitives are solved from their first-order conditions by bracketed
-Brent iteration.  The evaluator's condition uses the implicit-function
-expression for the effort slope rather than differencing the solved
-effort map, so root tolerances do not stack.
+This is the one module that knows the closed forms of the linear-quadratic
+(LQ) specialization.  Every operation that has one keeps it next to its
+numeric path in a single ``BestResponseEngine`` method; callers never
+branch on the model type.  General primitives (and LQ models built with
+``force_numeric``) are solved from their first-order conditions by
+bracketed Brent iteration.  The evaluator's condition uses the
+implicit-function expression for the effort slope rather than differencing
+the solved effort map, so root tolerances do not stack.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import InvariantViolation, NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import fd1, fd2, solve_decreasing
+from .rootfind import (RTOL, XTOL, fd1, fd2, solve_decreasing,
+                       solve_increasing_to)
 
 H_EDGE = 1e-12  # open-interval margin for assessment brackets
+# relative step for differencing an assessment solve: its ~1e-11 error over
+# a 1e-4 step leaves ~2e-6 relative gradient error, over 1e-3 about 2e-7
+SOLVE_REL_STEP = 1e-3
+
+
+def _elementwise(fn, x):
+    """Apply a scalar solver to a scalar (float out) or to each array entry."""
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(float(v)) for v in x.ravel()]).reshape(x.shape)
 
 
 class BestResponseEngine:
     """Optimal behavior maps for a fixed model.
+
+    The only owner of the LQ closed forms.  Methods with one (vectorized
+    over numpy arrays): ``effort``, ``effective_effort``,
+    ``effort_sensitivities``, ``r_partials``, ``best_fit``,
+    ``assessment``, ``assessment_multigroup``, ``certainty_equivalent``,
+    ``first_order_assessment`` and ``assessment_gradient``.  Every
+    assessment without one goes through a single numeric solve.
 
     Pure and reentrant: no mutable state beyond cached constants, so one
     engine can be shared across threads.  ``force_numeric`` routes LQ
@@ -27,11 +52,8 @@ class BestResponseEngine:
     closed forms).
     """
 
-    def __init__(self, model: ModelPrimitives, root_tol: float = 1e-10,
-                 max_iter: int = 200, force_numeric: bool = False):
+    def __init__(self, model: ModelPrimitives, force_numeric: bool = False):
         self.model = model
-        self.root_tol = root_tol
-        self.max_iter = max_iter
         self._closed = model.lq is not None and not force_numeric
         if model.lq is not None and model.lq.lambda2 > 0.0:
             # beyond lambda1/lambda2 the evaluator's marginal value of
@@ -88,33 +110,74 @@ class BestResponseEngine:
                 "second-order condition failed: c'' - h r_aa <= 0")
         return r_a / denom, h * r_ab / denom
 
+    def r_partials(self, h: float, beta: float) -> tuple[float, float]:
+        """(dR/dh, dR/dbeta) of effective effort at (h, beta)."""
+        if self._closed:
+            c = self.model.lq.c
+            return beta * beta / c, 2.0 * h * beta / c
+        r_h = fd1(lambda hh: self.effective_effort(hh, beta), h, lo=0.0, hi=1.0)
+        r_b = fd1(lambda bb: self.effective_effort(h, bb), beta, lo=0.0)
+        return r_h, r_b
+
+    def best_fit(self, h, beta_star: float, delta_mu: float, clamp: bool = True):
+        """Productivity x solving R(h, x) = R(h, beta_star) - delta_mu.
+
+        ``beta_star`` is the caller's truth, not the engine model's: one
+        engine serves every group of a population.  With ``clamp`` the
+        divergence minimizer on the support (the root projected onto it);
+        without, the root on [0, inf), nan if none.  Vectorized over h.
+        """
+        m = self.model
+        if self._closed:
+            val = beta_star ** 2 - delta_mu * m.lq.c / h
+            if clamp:
+                out = np.minimum(np.sqrt(np.maximum(val, m.beta_lo ** 2)), m.beta_hi)
+            else:
+                out = np.where(val >= 0.0, np.sqrt(np.maximum(val, 0.0)), np.nan)
+            return float(out) if out.ndim == 0 else out
+
+        def fit(hh: float) -> float:
+            target = self.effective_effort(hh, beta_star) - delta_mu
+            if clamp:
+                if self.effective_effort(hh, m.beta_lo) >= target:
+                    return m.beta_lo
+                if self.effective_effort(hh, m.beta_hi) <= target:
+                    return m.beta_hi
+                return brentq(lambda x: self.effective_effort(hh, x) - target,
+                              m.beta_lo, m.beta_hi, xtol=XTOL, rtol=RTOL)
+            if target <= 0.0:
+                return 0.0 if target == 0.0 else math.nan
+            root = solve_increasing_to(lambda x: self.effective_effort(hh, x),
+                                       target, 0.0, max(m.beta_hi, beta_star),
+                                       expand=True, max_hi=1e9 * m.beta_hi)
+            return math.nan if root is None else root
+
+        return _elementwise(fit, h)
+
     # -- evaluator ------------------------------------------------------
 
-    def evaluator_value(self, h, beta):
-        """V_E(h, beta) = v_e(a(h, beta), beta)."""
-        if self._closed:
-            lq = self.model.lq
-            a = h * beta / lq.c
-            return lq.lambda1 * beta * a - 0.5 * lq.lambda2 * lq.c * a * a
-        return self.model.v_e(self.effort(h, beta), float(beta))
-
-    def _dv_dh(self, h: float, beta: float) -> float:
-        """Marginal evaluator value of assessment, dV_E/dh."""
+    def _dv_dh(self, h: float, beta: float, belief: float | None = None) -> float:
+        """Marginal evaluator value of assessment, dV_E/dh, at productivity
+        beta when effort responds to ``belief`` (default: beta itself)."""
         m = self.model
-        a = self._effort_numeric(h, beta)
-        da_dh, _ = self.effort_sensitivities(h, beta)
+        b_a = beta if belief is None else belief
+        a = self._effort_numeric(h, b_a)
+        da_dh, _ = self.effort_sensitivities(h, b_a)
         v_a = fd1(lambda x: m.v_e(x, beta), a, lo=0.0)
         return v_a * da_dh
+
+    def _closed_assessment(self, s):
+        """LQ optimal assessment for a belief with E[beta^2] = s."""
+        lq = self.model.lq
+        return lq.lambda1 * s / (lq.lambda2 * s + lq.kappa * lq.c)
 
     def assessment(self, beta):
         """Evaluator's optimal h given a degenerate belief at beta."""
         if self._closed:
-            lq = self.model.lq
-            b2 = beta * beta
-            h = lq.lambda1 * b2 / (lq.lambda2 * b2 + lq.kappa * lq.c)
+            h = self._closed_assessment(beta * beta)
             self._require_interior(h, beta)
             return h
-        return self._assessment_numeric([(1.0, float(beta))])
+        return _elementwise(lambda b: self._interior_assessment([(1.0, b)]), beta)
 
     def assessment_multigroup(self, betas, weights):
         """Optimal shared h for a weighted population of productivities."""
@@ -127,33 +190,86 @@ class BestResponseEngine:
         if np.any(betas <= 0.0):
             raise ValueError("all productivities must be positive")
         if self._closed:
-            lq = self.model.lq
-            s = float(np.dot(weights, betas ** 2))
-            h = lq.lambda1 * s / (lq.lambda2 * s + lq.kappa * lq.c)
+            h = self._closed_assessment(float(np.dot(weights, betas ** 2)))
             self._require_interior(h, betas)
             return h
-        return self._assessment_numeric(list(zip(weights.tolist(), betas.tolist())))
+        return self._interior_assessment(list(zip(weights.tolist(), betas.tolist())))
 
-    def _assessment_numeric(self, weighted: list[tuple[float, float]]) -> float:
+    def certainty_equivalent(self, s):
+        """Optimal h at the certainty-equivalent productivity sqrt(s), for a
+        belief with mean s of beta^2.  Exact for LQ primitives only, whose
+        evaluator condition is linear in beta^2.
+
+        Learning calls it with the closed form only; the numeric branch
+        (``force_numeric``) is the reference the tests compare it against.
+        """
+        if self._closed:
+            return self._closed_assessment(s)
+        return self.assessment(np.sqrt(s))
+
+    def first_order_assessment(self, beta: float) -> float:
+        """Assessment under first-order misspecification: the evaluator
+        believes productivity is beta but knows effort is chosen under the
+        truth, argmax_h v_e(a(h, beta_star), beta) - kappa(h)."""
+        m = self.model
+        if self._closed:
+            lq = m.lq
+            num = lq.lambda1 * beta * m.beta_star
+            return num / (lq.lambda2 * m.beta_star ** 2 + lq.kappa * lq.c)
+        return self._assessment_numeric([(1.0, float(beta))], belief=m.beta_star)
+
+    def assessment_gradient(self, betas, weights) -> np.ndarray:
+        """Gradient of the shared assessment in the productivities."""
+        betas = np.asarray(betas, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if self._closed:
+            lq = self.model.lq
+            s = float(np.dot(weights, betas ** 2))
+            denom = (lq.lambda2 * s + lq.kappa * lq.c) ** 2
+            return lq.lambda1 * lq.kappa * lq.c * 2.0 * weights * betas / denom
+        out = np.empty(betas.size)
+        for j in range(betas.size):
+            def h_of(bj, j=j):
+                b = betas.copy()
+                b[j] = bj
+                return self.assessment_multigroup(b, weights)
+            out[j] = fd1(h_of, float(betas[j]), lo=self.model.beta_lo,
+                         rel_step=SOLVE_REL_STEP)
+        return out
+
+    def _interior_assessment(self, weighted: list[tuple[float, float]]) -> float:
+        """Numeric optimal assessment; no bracket means no interior optimum."""
+        try:
+            return self._assessment_numeric(weighted)
+        except NumericalError as exc:
+            raise InvariantViolation(
+                f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
+
+    def _assessment_numeric(self, weighted: list[tuple[float, float]],
+                            belief: float | None = None) -> float:
+        """Root in h of sum_i w_i dV_E/dh(h, beta_i) - kappa'(h); raises
+        NumericalError when it cannot be bracketed.  A fixed ``belief`` for
+        effort (first-order misspecification) lifts the lambda1/lambda2 cap."""
         m = self.model
         if all(b <= 0.0 for _, b in weighted):
             return 0.0
 
         def foc(h):
-            marginal = sum(w * self._dv_dh(h, b) for w, b in weighted if b > 0.0)
+            marginal = sum(w * self._dv_dh(h, b, belief) for w, b in weighted if b > 0.0)
             return marginal - fd1(m.assess_cost, h, lo=0.0, hi=1.0)
 
-        hi = self._h_cap - H_EDGE
-        try:
-            h = solve_decreasing(foc, H_EDGE, hi)
-        except NumericalError as exc:
-            raise InvariantViolation(
-                f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
+        cap = self._h_cap if belief is None else 1.0
+        h = solve_decreasing(foc, H_EDGE, cap - H_EDGE)
         self._require_interior(h, [b for _, b in weighted])
         return h
 
     def _require_interior(self, h, beta) -> None:
-        if np.any(np.asarray(h) <= 0.0) or np.any(np.asarray(h) >= 1.0):
+        h_arr = np.asarray(h)
+        bad = (h_arr <= 0.0) | (h_arr >= 1.0)
+        if np.any(bad):
+            if h_arr.ndim:  # report the first offending entry of an array
+                i = int(np.argmax(bad))
+                h, beta = float(h_arr.flat[i]), float(np.asarray(beta).flat[i])
             raise InvariantViolation(
                 f"assessment {h!r} at beta={beta!r} is not interior to (0, 1); "
                 "primitives violate the interiority assumption")

@@ -25,8 +25,8 @@ from .analysis import comparative_statics, disparity_report, perturb_model
 from .config import RunConfig, load_config
 from .equilibrium import find_equilibria, psi_tilde
 from .errors import ConfigError, InvariantViolation, NumericalError
-from .learning import (TruncNormalPrior, limiting_ode,
-                       monte_carlo_convergence, phase_field, simulate)
+from .learning import (TruncNormalPrior, monte_carlo_convergence,
+                       phase_field, simulate, transform)
 from .multigroup import (color_blind_equilibria, color_sighted_equilibrium,
                          eigen_check, simulate_multigroup)
 from .primitives import check_assumptions
@@ -124,9 +124,7 @@ def cmd_solve(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_phase(args, cfg: RunConfig, writer: _Writer) -> int:
-    model = cfg.model()
-    field = phase_field(model, grid=args.grid)
-    ode = limiting_ode(model)
+    field = phase_field(cfg.model(), grid=args.grid)
     rows = []
     for i, xi in enumerate(field.xi):
         for j, m in enumerate(field.m):
@@ -138,7 +136,7 @@ def cmd_phase(args, cfg: RunConfig, writer: _Writer) -> int:
         "steady_states": [
             {"m": s.m, "xi": s.xi, "kind": s.kind, "beta": s.beta,
              "eigenvalues": list(s.eigenvalues)}
-            for s in ode.steady_states
+            for s in field.steady_states
         ],
     })
     return 0
@@ -156,9 +154,9 @@ def _prior_from_args(args) -> TruncNormalPrior | None:
 def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
     if args.horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    model = cfg.model()
+    tm = transform(cfg.model())
     prior = _prior_from_args(args)
-    report = monte_carlo_convergence(model, runs=args.runs,
+    report = monte_carlo_convergence(tm, runs=args.runs,
                                      horizon=args.horizon, seed=args.seed,
                                      radius=args.radius, prior=prior)
     writer.json("convergence.json", {
@@ -173,7 +171,7 @@ def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
             for s in report.steady_states
         ],
     })
-    traj = simulate(model, horizon=args.horizon, seed=args.seed, run=0,
+    traj = simulate(tm, horizon=args.horizon, seed=args.seed, run=0,
                     prior=prior, stride=args.stride)
     writer.csv("trajectory_000.csv", ["n", "m", "xi", "h", "x"],
                zip(traj.periods, traj.m, traj.xi, traj.h, traj.x))

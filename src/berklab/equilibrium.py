@@ -17,10 +17,9 @@ from scipy.optimize import brentq
 from .best_response import BestResponseEngine
 from .errors import NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import solve_increasing_to
+from .rootfind import RTOL, XTOL
 
 SCE_KL_TOL = 1e-12
-RESIDUAL_TOL = 1e-8
 DEDUP_TOL = 1e-9
 CORNER_TOL = 1e-12
 TANGENCY_SLOPE_TOL = 1e-3
@@ -89,60 +88,27 @@ def kl_root(model: ModelPrimitives, h: float, delta_mu: float | None = None,
     Solves R(h, x) = R(h, beta_star) - delta_mu on [0, inf).  Searching
     below the support relies on the primitives being defined there.
     """
-    eng = _engine(model, engine)
-    m = model
-    dm = m.delta_mu if delta_mu is None else delta_mu
-    if m.lq is not None and eng._closed:
-        val = m.beta_star ** 2 - dm * m.lq.c / h
-        return float(np.sqrt(val)) if val >= 0.0 else None
-    target = eng.effective_effort(h, m.beta_star) - dm
-    if target < 0.0:
-        return None
-    if target == 0.0:
-        return 0.0
-    return solve_increasing_to(lambda x: eng.effective_effort(h, x), target,
-                               0.0, max(m.beta_hi, m.beta_star), expand=True,
-                               max_hi=1e9 * m.beta_hi)
+    dm = model.delta_mu if delta_mu is None else delta_mu
+    root = _engine(model, engine).best_fit(h, model.beta_star, dm, clamp=False)
+    return None if np.isnan(root) else float(root)
 
 
 def kl_minimizer(model: ModelPrimitives, h: float, delta_mu: float | None = None,
                  engine: BestResponseEngine | None = None) -> float:
     """Divergence-minimizing productivity on the support, given assessment h."""
-    eng = _engine(model, engine)
-    m = model
-    dm = m.delta_mu if delta_mu is None else delta_mu
-    if m.lq is not None and eng._closed:
-        val = m.beta_star ** 2 - dm * m.lq.c / h
-        lo2 = m.beta_lo ** 2
-        return float(min(np.sqrt(max(val, lo2)), m.beta_hi))
-    target = eng.effective_effort(h, m.beta_star) - dm
-    if eng.effective_effort(h, m.beta_lo) >= target:
-        return m.beta_lo
-    if eng.effective_effort(h, m.beta_hi) <= target:
-        return m.beta_hi
-    return brentq(lambda x: eng.effective_effort(h, x) - target,
-                  m.beta_lo, m.beta_hi, xtol=1e-14, rtol=8.9e-16)
+    dm = model.delta_mu if delta_mu is None else delta_mu
+    return float(_engine(model, engine).best_fit(h, model.beta_star, dm))
 
 
 def psi_tilde(model: ModelPrimitives, beta,
               engine: BestResponseEngine | None = None):
     """Belief map: best-fit productivity under the optimal assessment at beta.
 
-    Accepts scalars or arrays (arrays take the closed-form LQ path).
+    Accepts scalars or arrays; the engine evaluates arrays in one
+    vectorized pass where it has a closed form.
     """
     eng = _engine(model, engine)
-    m = model
-    if m.lq is not None and eng._closed:
-        beta_arr = np.asarray(beta, dtype=float)
-        lq = m.lq
-        b2 = beta_arr ** 2
-        h = lq.lambda1 * b2 / (lq.lambda2 * b2 + lq.kappa * lq.c)
-        val = m.beta_star ** 2 - m.delta_mu * lq.c / h
-        out = np.minimum(np.sqrt(np.maximum(val, m.beta_lo ** 2)), m.beta_hi)
-        return float(out) if np.isscalar(beta) or out.ndim == 0 else out
-    if np.ndim(beta) > 0:
-        return np.array([psi_tilde(m, float(b), eng) for b in np.asarray(beta)])
-    return kl_minimizer(m, eng.assessment(float(beta)), engine=eng)
+    return eng.best_fit(eng.assessment(beta), model.beta_star, model.delta_mu)
 
 
 def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float,
@@ -157,11 +123,11 @@ def _classify_interior(d_lo: float, d_hi: float) -> str:
     return "stable" if d_lo > 0.0 > d_hi else "unstable"
 
 
-def _make_point(model, eng, beta_hat: float, psi_fn) -> EquilibriumPoint:
+def _make_point(model, eng, beta_hat: float, stability: str) -> EquilibriumPoint:
     h_hat = float(eng.assessment(beta_hat))
     kl = float(kl_divergence(model, h_hat, beta_hat, engine=eng))
-    residual = abs(float(psi_fn(beta_hat)) - beta_hat)
-    return EquilibriumPoint(beta_hat=beta_hat, h_hat=h_hat, stability="",
+    residual = abs(float(psi_tilde(model, beta_hat, eng)) - beta_hat)
+    return EquilibriumPoint(beta_hat=beta_hat, h_hat=h_hat, stability=stability,
                             is_sce=kl <= SCE_KL_TOL, kl=kl, residual=residual)
 
 
@@ -169,111 +135,77 @@ def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
                     engine: BestResponseEngine | None = None) -> EquilibriumSet:
     """Enumerate all fixed points of the belief map with stability labels.
 
-    Scans a uniform grid for sign changes of psi_tilde(beta) - beta,
-    polishes each bracket with Brent's method, and labels stability by the
-    crossing direction; support endpoints are equilibria when the map
-    pins there, stable when the map pushes into the corner.
+    The fixed points come from ``scan_fixed_points`` on the belief map;
+    each is annotated with its assessment and divergence, and the scan's
+    resolution limits are reported as warnings.
     """
     eng = _engine(model, engine)
     m = model
     if m.delta_mu == 0.0:
         # the true productivity fits exactly for every assessment
-        pt = _make_point(m, eng, m.beta_star, lambda b: psi_tilde(m, b, eng))
-        pt = EquilibriumPoint(beta_hat=pt.beta_hat, h_hat=pt.h_hat,
-                              stability="stable", is_sce=True, kl=pt.kl,
-                              residual=pt.residual)
+        pt = _make_point(m, eng, m.beta_star, "stable")
         return EquilibriumSet(points=(pt,), delta_mu=0.0)
 
-    grid = np.linspace(m.beta_lo, m.beta_hi, grid_points)
-    step = grid[1] - grid[0]
-    psi_vals = psi_tilde(m, grid, eng)
-    d = np.asarray(psi_vals) - grid
-
-    notes: list[str] = []
-    roots: list[tuple[float, str]] = []
-
-    # support endpoints: the projected map can pin there exactly
-    if abs(d[0]) <= CORNER_TOL:
-        stab = "stable" if d[1] < 0.0 else "unstable"
-        roots.append((float(grid[0]), stab))
-    if abs(d[-1]) <= CORNER_TOL:
-        stab = "stable" if d[-2] > 0.0 else "unstable"
-        roots.append((float(grid[-1]), stab))
+    def psi(beta):
+        return psi_tilde(m, beta, eng)
 
     def dfun(b):
-        return float(psi_tilde(m, float(b), eng)) - float(b)
+        return float(psi(float(b))) - float(b)
 
-    # interior grid nodes can land exactly on the diagonal
-    for i in range(1, grid_points - 1):
-        if (abs(d[i]) <= CORNER_TOL and abs(d[i - 1]) > CORNER_TOL
-                and abs(d[i + 1]) > CORNER_TOL):
-            roots.append((float(grid[i]), _classify_interior(d[i - 1], d[i + 1])))
-    for i in range(grid_points - 1):
-        lo_val, hi_val = d[i], d[i + 1]
-        if abs(lo_val) <= CORNER_TOL or abs(hi_val) <= CORNER_TOL:
-            continue  # nodal roots handled above
-        if lo_val * hi_val < 0.0:
-            root = brentq(dfun, float(grid[i]), float(grid[i + 1]),
-                          xtol=1e-14, rtol=8.9e-16)
-            roots.append((float(root), _classify_interior(lo_val, hi_val)))
+    roots = scan_fixed_points(psi, m.beta_lo, m.beta_hi, grid_points)
+    if not roots:
+        raise NumericalError("no fixed point found; the belief map should "
+                             "always admit one on a compact support")
+    grid = np.linspace(m.beta_lo, m.beta_hi, grid_points)
+    step = grid[1] - grid[0]
 
-    # dedupe and order by descending belief
-    roots.sort(key=lambda t: t[0])
-    merged: list[tuple[float, str]] = []
-    for beta_hat, stab in roots:
-        if merged and abs(beta_hat - merged[-1][0]) < DEDUP_TOL:
-            continue
-        merged.append((beta_hat, stab))
-    for (b1, _), (b2, _) in zip(merged, merged[1:]):
+    notes: list[str] = []
+    ascending = [b for b, _ in reversed(roots)]
+    for b1, b2 in zip(ascending, ascending[1:]):
         if b2 - b1 < 2.0 * step:
             notes.append(f"roots at {b1:.9g} and {b2:.9g} are closer than twice "
                          "the grid step; refine the grid")
-
-    points = []
-    for beta_hat, stab in sorted(merged, key=lambda t: -t[0]):
-        pt = _make_point(m, eng, beta_hat, lambda b: psi_tilde(m, b, eng))
+    eps = step / 8.0
+    for beta_hat, _ in roots:
         if m.beta_lo + DEDUP_TOL < beta_hat < m.beta_hi - DEDUP_TOL:
-            eps = step / 8.0
             slope = (dfun(beta_hat + eps) - dfun(beta_hat - eps)) / (2.0 * eps) + 1.0
             if abs(slope - 1.0) < TANGENCY_SLOPE_TOL:
                 notes.append(f"near-tangent crossing at {beta_hat:.9g} "
                              f"(slope {slope:.6g}); stability label unreliable")
-        points.append(EquilibriumPoint(beta_hat=pt.beta_hat, h_hat=pt.h_hat,
-                                       stability=stab, is_sce=pt.is_sce,
-                                       kl=pt.kl, residual=pt.residual))
-
-    if not points:
-        raise NumericalError("no fixed point found; the belief map should "
-                             "always admit one on a compact support")
-    return EquilibriumSet(points=tuple(points), delta_mu=m.delta_mu,
-                          warnings=tuple(notes))
+    points = tuple(_make_point(m, eng, b, stab) for b, stab in roots)
+    return EquilibriumSet(points=points, delta_mu=m.delta_mu, warnings=tuple(notes))
 
 
 def scan_fixed_points(fn, lo: float, hi: float, grid_points: int = DEFAULT_GRID):
-    """Generic fixed-point scan for a map of [lo, hi] into itself.
+    """Fixed points of a map of [lo, hi] into itself, with stability labels.
 
-    Returns (root, stability) pairs ordered by descending root; shared by
-    the first-order-misspecification variant.
+    ``fn`` is called once on the whole grid (an array) and on scalars while
+    polishing.  Scans a uniform grid for sign changes of fn(b) - b,
+    polishes each bracket with Brent's method, and labels stability by the
+    crossing direction; endpoints are fixed points when the map pins there,
+    stable when it pushes into the corner.  Returns (root, stability) pairs
+    ordered by descending root.
     """
     grid = np.linspace(lo, hi, grid_points)
-    d = np.array([fn(float(b)) - float(b) for b in grid])
+    d = np.asarray(fn(grid), dtype=float) - grid
+
+    def dfun(b):
+        return float(fn(float(b))) - float(b)
+
+    near, far = np.abs(d) <= CORNER_TOL, np.abs(d) > CORNER_TOL
     roots: list[tuple[float, str]] = []
-    if abs(d[0]) <= CORNER_TOL:
+    if near[0]:
         roots.append((float(grid[0]), "stable" if d[1] < 0.0 else "unstable"))
-    if abs(d[-1]) <= CORNER_TOL:
+    if near[-1]:
         roots.append((float(grid[-1]), "stable" if d[-2] > 0.0 else "unstable"))
-    for i in range(1, grid_points - 1):
-        if (abs(d[i]) <= CORNER_TOL and abs(d[i - 1]) > CORNER_TOL
-                and abs(d[i + 1]) > CORNER_TOL):
-            roots.append((float(grid[i]), _classify_interior(d[i - 1], d[i + 1])))
-    for i in range(grid_points - 1):
-        if abs(d[i]) <= CORNER_TOL or abs(d[i + 1]) <= CORNER_TOL:
-            continue
-        if d[i] * d[i + 1] < 0.0:
-            root = brentq(lambda b: fn(float(b)) - float(b),
-                          float(grid[i]), float(grid[i + 1]),
-                          xtol=1e-14, rtol=8.9e-16)
-            roots.append((float(root), _classify_interior(d[i], d[i + 1])))
+    # interior grid nodes can land exactly on the diagonal
+    for i in np.flatnonzero(near[1:-1] & far[:-2] & far[2:]) + 1:
+        roots.append((float(grid[i]), _classify_interior(d[i - 1], d[i + 1])))
+    # sign changes between nodes that are not roots themselves
+    for i in np.flatnonzero(~near[:-1] & ~near[1:] & (d[:-1] * d[1:] < 0.0)):
+        root = brentq(dfun, float(grid[i]), float(grid[i + 1]),
+                      xtol=XTOL, rtol=RTOL)
+        roots.append((float(root), _classify_interior(d[i], d[i + 1])))
     out: list[tuple[float, str]] = []
     for beta_hat, stab in sorted(roots, key=lambda t: t[0]):
         if out and abs(beta_hat - out[-1][0]) < DEDUP_TOL:

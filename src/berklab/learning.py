@@ -21,10 +21,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .best_response import BestResponseEngine
-from .equilibrium import DEFAULT_GRID, find_equilibria
+from .equilibrium import DEDUP_TOL, DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import fd1, solve_decreasing
 from .truncnorm import trunc_mean, trunc_pdf
 
 CHUNK = 8192
@@ -60,7 +59,7 @@ class TransformedModel:
     m_hi: float
     h_lo: float
     h_hi: float
-    is_lq: bool
+    ce_exact: bool  # the posterior mean of g1 pins the assessment
     recon_error: float
     engine: BestResponseEngine
 
@@ -105,11 +104,15 @@ def transform(model: ModelPrimitives, grid: int = 64,
         raise NumericalError(
             f"factorization reconstruction error {err:.3e} exceeds {tol:.1e}; "
             "the multiplicative structure does not hold for these primitives")
+    # LQ assessment depends on a belief only through E[beta^2], which is the
+    # posterior mean of g1 exactly when g1 is beta^2
+    square = bool(np.max(np.abs(_vec(fac.g1, betas) - betas * betas)) <= tol)
     return TransformedModel(
         model=model, g1=fac.g1, g2=fac.g2, g3=fac.g3, g1_inv=fac.g1_inv,
         m_lo=float(fac.g1(model.beta_lo)), m_hi=float(fac.g1(model.beta_hi)),
-        h_lo=h_lo, h_hi=h_hi, is_lq=model.lq is not None, recon_error=err,
-        engine=eng)
+        h_lo=h_lo, h_hi=h_hi,
+        ce_exact=model.lq is not None and square,
+        recon_error=err, engine=eng)
 
 
 def _as_transformed(model) -> TransformedModel:
@@ -249,11 +252,9 @@ def _shared_assessment(tm: TransformedModel, alphas: np.ndarray,
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     s = np.atleast_2d(np.asarray(s, dtype=float))
-    if tm.is_lq:
-        lq = tm.model.lq
+    if tm.ce_exact:
         nu = _posterior_means(tm, m, s)
-        nu_bar = nu @ alphas
-        return lq.lambda1 * nu_bar / (lq.lambda2 * nu_bar + lq.kappa * lq.c)
+        return tm.engine.certainty_equivalent(nu @ alphas)
     return np.array([_quadrature_assessment(tm, alphas, m[k], s[k])
                      for k in range(m.shape[0])])
 
@@ -291,24 +292,17 @@ def _group_quadrature(tm: TransformedModel, m: float, s: float, nodes: int):
 
 
 def _quadrature_assessment(tm: TransformedModel, alphas, m_vec, s_vec) -> float:
-    """General-primitives path: maximize the posterior-expected value by FOC."""
-    eng = tm.engine
-    kap = tm.model.assess_cost
+    """Assessment under the posteriors themselves: the engine's numeric
+    assessment solve over quadrature nodes, refined until it settles."""
     prev = None
     nodes = QUAD_NODES
     while True:
         groups = [_group_quadrature(tm, float(mj), float(sj), nodes)
                   for mj, sj in zip(m_vec, s_vec)]
-        betas = [[float(tm.g1_inv(p)) for p in pts] for pts, _ in groups]
-
-        def foc(h):
-            total = 0.0
-            for alpha, (pts, wts), bs in zip(alphas, groups, betas):
-                total += alpha * sum(w * eng._dv_dh(h, b)
-                                     for w, b in zip(wts, bs))
-            return total - fd1(kap, h, lo=0.0, hi=1.0)
-
-        h = solve_decreasing(foc, 1e-12, 1.0 - 1e-12)
+        weighted = [(float(alpha * w), float(tm.g1_inv(p)))
+                    for alpha, (pts, wts) in zip(alphas, groups)
+                    for p, w in zip(pts, wts)]
+        h = tm.engine._assessment_numeric(weighted)
         if prev is not None and abs(h - prev) <= QUAD_RTOL:
             return h
         if nodes >= QUAD_NODES_MAX:
@@ -535,11 +529,10 @@ def limiting_ode(model, grid_points: int = DEFAULT_GRID) -> OdeSystem:
         return float(tm.psi_unconstrained(tm.steady_assessment(mt)))
 
     states = []
-    tol = 1e-9
     for p in eqs.points:
         h = float(tm.engine.assessment(p.beta_hat))
         info = float(tm.fisher(h))
-        if mdl.beta_lo + tol < p.beta_hat < mdl.beta_hi - tol:
+        if mdl.beta_lo + DEDUP_TOL < p.beta_hat < mdl.beta_hi - DEDUP_TOL:
             m_hat = float(tm.g1(p.beta_hat))
             step = 1e-6 * max(1.0, abs(m_hat))
             lo = max(tm.m_lo, m_hat - step)
@@ -548,7 +541,7 @@ def limiting_ode(model, grid_points: int = DEFAULT_GRID) -> OdeSystem:
             eig = (slope - 1.0, -1.0)
             kind = "sink" if eig[0] < 0.0 else "saddle"
         else:
-            edge = tm.m_lo if p.beta_hat <= mdl.beta_lo + tol else tm.m_hi
+            edge = tm.m_lo if p.beta_hat <= mdl.beta_lo + DEDUP_TOL else tm.m_hi
             m_hat = psi_breve(edge)
             eig = (-1.0, -1.0)
             kind = "sink"
@@ -564,6 +557,7 @@ class PhaseField:
     f1: np.ndarray
     f2: np.ndarray
     nullcline: np.ndarray
+    steady_states: tuple[SteadyState, ...]
 
 
 def phase_field(model, m_values=None, xi_values=None, grid: int = 200,
@@ -593,7 +587,8 @@ def phase_field(model, m_values=None, xi_values=None, grid: int = 200,
         null[jm] = info
         f1[:, jm] = info * (psi - mv) / xi_values
         f2[:, jm] = info - xi_values
-    return PhaseField(m=m_values, xi=xi_values, f1=f1, f2=f2, nullcline=null)
+    return PhaseField(m=m_values, xi=xi_values, f1=f1, f2=f2, nullcline=null,
+                      steady_states=ode.steady_states)
 
 
 # -- Monte Carlo ------------------------------------------------------------

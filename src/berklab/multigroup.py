@@ -16,18 +16,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .analysis import LQ_PARAMETERS, _with_lq_value
 from .best_response import BestResponseEngine
-from .equilibrium import EquilibriumSet, find_equilibria, kl_divergence, kl_minimizer
+from .equilibrium import (SCE_KL_TOL, EquilibriumSet, find_equilibria,
+                          kl_divergence, kl_minimizer)
 from .errors import NumericalError
 from .learning import (TransformedModel, TruncNormalPrior,
                        _as_transformed, _run_engine)
 from .primitives import ModelPrimitives
-from .rootfind import fd1
 
-SCE_KL_TOL = 1e-12
 FIXED_POINT_TOL = 1e-10
 MAX_ITER = 500
-LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")
 
 
 @dataclass(frozen=True)
@@ -111,44 +110,13 @@ class MultigroupEquilibrium:
                     and np.all(self.beta_hat <= self.domain_hi + 1e-12))
 
 
-def _r_partials(eng: BestResponseEngine, h: float, beta: float):
-    """(dR/dh, dR/dbeta) of effective effort."""
-    model = eng.model
-    if model.lq is not None and eng._closed:
-        c = model.lq.c
-        return beta * beta / c, 2.0 * h * beta / c
-    r_h = fd1(lambda hh: eng.effective_effort(hh, beta), h, lo=0.0, hi=1.0)
-    r_b = fd1(lambda bb: eng.effective_effort(h, bb), beta, lo=0.0)
-    return r_h, r_b
-
-
-def _grad_h(pop: GroupPopulation, eng: BestResponseEngine,
-            betas: np.ndarray) -> np.ndarray:
-    """Gradient of the shared assessment in the group beliefs."""
-    model = pop.model
-    alphas = np.asarray(pop.alphas)
-    if model.lq is not None and eng._closed:
-        lq = model.lq
-        s = float(np.dot(alphas, betas ** 2))
-        denom = (lq.lambda2 * s + lq.kappa * lq.c) ** 2
-        return lq.lambda1 * lq.kappa * lq.c * 2.0 * alphas * betas / denom
-    out = np.empty(pop.size)
-    for j in range(pop.size):
-        def h_of(bj, j=j):
-            b = betas.copy()
-            b[j] = bj
-            return eng.assessment_multigroup(b, alphas)
-        out[j] = fd1(h_of, float(betas[j]), lo=model.beta_lo)
-    return out
-
-
 def _g_factors(pop: GroupPopulation, eng: BestResponseEngine, h: float,
                betas: np.ndarray) -> np.ndarray:
     """Per-group factors g_j = (R_h(h, b*_j) - R_h(h, psi_j)) / R_b(h, psi_j)."""
     out = np.empty(pop.size)
     for j in range(pop.size):
-        rh_star, _ = _r_partials(eng, h, pop.beta_stars[j])
-        rh_psi, rb_psi = _r_partials(eng, h, float(betas[j]))
+        rh_star, _ = eng.r_partials(h, pop.beta_stars[j])
+        rh_psi, rb_psi = eng.r_partials(h, float(betas[j]))
         out[j] = (rh_star - rh_psi) / rb_psi
     return out
 
@@ -188,7 +156,7 @@ def color_sighted_equilibrium(pop: GroupPopulation, tol: float = FIXED_POINT_TOL
                          delta_mu=pop.deltas[j], engine=eng)
             for j in range(pop.size)])
         step_mod = float(np.linalg.norm(_g_factors(pop, eng, h, nxt))
-                         * np.linalg.norm(_grad_h(pop, eng, nxt)))
+                         * np.linalg.norm(eng.assessment_gradient(nxt, alphas)))
         modulus = max(modulus, step_mod)
         if step_mod >= 1.0 and damping == 1.0:
             warnings.warn(f"contraction modulus {step_mod:.3g} >= 1; "
@@ -207,7 +175,7 @@ def color_sighted_equilibrium(pop: GroupPopulation, tol: float = FIXED_POINT_TOL
 
     h = float(eng.assessment_multigroup(betas, alphas))
     g = _g_factors(pop, eng, h, betas)
-    gh = _grad_h(pop, eng, betas)
+    gh = eng.assessment_gradient(betas, alphas)
     shift = float(gh @ g)
     eigs = np.full(pop.size, -1.0)
     eigs[0] = -1.0 + shift
@@ -260,22 +228,25 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
         j = int(parameter[6:])
         if not 0 <= j < pop.size:
             raise ValueError(f"group index out of range in {parameter!r}")
-        _, rb = _r_partials(eng, eq.h_hat, float(eq.beta_hat[j]))
+        _, rb = eng.r_partials(eq.h_hat, float(eq.beta_hat[j]))
         dpsi = np.zeros(pop.size)
         dpsi[j] = -1.0 / rb
         return amplify @ dpsi
 
     if parameter in LQ_PARAMETERS:
-        from .analysis import perturb_model
-        alphas = np.asarray(pop.alphas)
-        step = 1e-6
-        h_up = BestResponseEngine(perturb_model(model, parameter, step)) \
-            .assessment_multigroup(eq.beta_hat, alphas)
-        h_dn = BestResponseEngine(perturb_model(model, parameter, -step)) \
-            .assessment_multigroup(eq.beta_hat, alphas)
+        if model.lq is None:
+            raise ValueError("structural sensitivities need an LQ model")
+        # absolute step in the raw parameter, one-sided where LQParams ends
+        # its domain (delta in [0, 1]); a zero value still gets a step
         raw = getattr(model.lq, parameter)
-        dh_dp = (h_up - h_dn) / (2.0 * step * raw)
-        return dh_dp / (1.0 - s) * g
+        step = 1e-6 * (abs(raw) or 1.0)
+        lo, hi = raw - step, raw + step
+        if parameter == "delta":
+            lo, hi = max(lo, 0.0), min(hi, 1.0)
+        alphas = np.asarray(pop.alphas)
+        h_lo, h_hi = (BestResponseEngine(_with_lq_value(model, parameter, v))
+                      .assessment_multigroup(eq.beta_hat, alphas) for v in (lo, hi))
+        return (h_hi - h_lo) / (hi - lo) / (1.0 - s) * g
 
     raise ValueError(f"unknown parameter {parameter!r}")
 

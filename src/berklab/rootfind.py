@@ -14,6 +14,7 @@ from .errors import NumericalError
 
 REL_STEP = 1e-4  # relative step for first derivatives (five-point rule)
 REL_STEP2 = 1e-3  # relative step for second derivatives (five-point rule)
+XTOL, RTOL = 1e-14, 8.9e-16  # Brent's method: absolute and relative root tolerance
 
 
 def fd1(f: Callable[[float], float], x: float, lo: float | None = None,
@@ -69,7 +70,7 @@ def solve_decreasing(f: Callable[[float], float], lo: float, hi: float,
             if abs(f_hi) < 1e-13:
                 return hi
             raise NumericalError(f"no bracket: no sign change on [{lo}, {hi}]")
-    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    return brentq(f, lo, hi, xtol=XTOL, rtol=RTOL, maxiter=200)
 
 
 def solve_increasing_to(f: Callable[[float], float], target: float, lo: float,
@@ -86,4 +87,4 @@ def solve_increasing_to(f: Callable[[float], float], target: float, lo: float,
     elif f(hi) < target:
         return None
     return brentq(lambda x: f(x) - target, lo, hi,
-                  xtol=1e-14, rtol=8.9e-16, maxiter=200)
+                  xtol=XTOL, rtol=RTOL, maxiter=200)

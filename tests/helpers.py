@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import brentq
 
 from berklab import LQParams, ModelPrimitives, build_lq
 
@@ -17,6 +18,28 @@ from berklab import LQParams, ModelPrimitives, build_lq
 def lq_assessment(lq: LQParams, beta: float) -> float:
     b2 = beta * beta
     return lq.lambda1 * b2 / (lq.lambda2 * b2 + lq.kappa * lq.c)
+
+
+def power_assessment_gradient(gamma: float, c_scale: float, kappa_scale: float,
+                              lambda1: float, lambda2: float, betas: np.ndarray,
+                              weights: np.ndarray) -> np.ndarray:
+    """Exact gradient of the shared assessment for ``build_power`` primitives.
+
+    With a = (h beta / c)^p, p = 1/(gamma-1), the first-order condition
+    reduces to (lambda1 - lambda2 h) h^(p-2) = kappa c^p / (p S), where
+    S = sum_j w_j beta_j^q and q = gamma/(gamma-1); the implicit function
+    theorem then gives dh/dbeta_j = dh/dS * w_j q beta_j^(q-1).
+    """
+    p, q = 1.0 / (gamma - 1.0), gamma / (gamma - 1.0)
+    s = float(np.dot(weights, betas ** q))
+    k = kappa_scale * c_scale ** p / (p * s)
+    hi = min(1.0, lambda1 / lambda2) if lambda2 > 0.0 else 1.0
+    h = brentq(lambda x: (lambda1 - lambda2 * x) * x ** (p - 2.0) - k,
+               1e-12, hi - 1e-12, xtol=1e-16, rtol=8.9e-16)
+    dg_dh = (-lambda2 * h ** (p - 2.0)
+             + (lambda1 - lambda2 * h) * (p - 2.0) * h ** (p - 3.0))
+    dh_ds = -k / (s * dg_dh)
+    return dh_ds * weights * q * betas ** (q - 1.0)
 
 
 def lq_psi(model: ModelPrimitives, beta: float) -> float:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berklab import (BestResponseEngine, InvariantViolation, LQParams,
-                     build_lq, build_power)
+                     NumericalError, build_lq, build_power)
 
-from helpers import lq_assessment, random_lq_instance
+from helpers import lq_assessment, power_assessment_gradient, random_lq_instance
 
 
 @pytest.fixture
@@ -171,3 +171,80 @@ def test_assessment_interior_property(c, kappa_mult, lambda_e, lambda_a, beta):
     h = BestResponseEngine(m).assessment(beta)
     assert 0.0 < h < 1.0
     assert h == pytest.approx(lq_assessment(m.lq, beta), rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.floats(0.5, 2.0), kappa_mult=st.floats(1.1, 3.0),
+       lambda_e=st.floats(0.5, 1.5), lambda_a=st.floats(0.0, 1.0),
+       h=st.floats(0.2, 0.9), beta=st.floats(0.6, 2.9),
+       beta2=st.floats(0.6, 2.9), weight=st.floats(0.1, 0.9),
+       delta_mu=st.floats(-1.5, 1.5))
+def test_engine_operations_match_numeric_property(c, kappa_mult, lambda_e,
+                                                  lambda_a, h, beta, beta2,
+                                                  weight, delta_mu):
+    # same admissible family as the interior property above: h(beta_hi) < 1
+    kappa = kappa_mult * max(0.5, lambda_e * 3.0 ** 2 / c)
+    m = build_lq(LQParams(c=c, kappa=kappa, lambda_e=lambda_e,
+                          lambda_a=lambda_a),
+                 0.0, 2.0, 0.0, 0.5, 3.0)
+    closed = BestResponseEngine(m)
+    numeric = BestResponseEngine(m, force_numeric=True)
+
+    assert numeric.best_fit(h, 2.0, delta_mu) == pytest.approx(
+        closed.best_fit(h, 2.0, delta_mu), rel=1e-8)
+    root = closed.best_fit(h, 2.0, delta_mu, clamp=False)
+    if root >= 0.1:  # away from the no-root boundary, where sqrt is ill-conditioned
+        assert numeric.best_fit(h, 2.0, delta_mu, clamp=False) == pytest.approx(
+            root, rel=1e-8)
+    assert numeric.first_order_assessment(beta) == pytest.approx(
+        closed.first_order_assessment(beta), rel=1e-8)
+    assert numeric.certainty_equivalent(beta * beta) == pytest.approx(
+        closed.certainty_equivalent(beta * beta), rel=1e-8)
+    for got, want in zip(numeric.r_partials(h, beta), closed.r_partials(h, beta)):
+        assert got == pytest.approx(want, rel=1e-6)
+    # norm-wise: a small component carries the numeric solve's noise / step
+    betas, weights = np.array([beta, beta2]), np.array([weight, 1.0 - weight])
+    want = closed.assessment_gradient(betas, weights)
+    got = numeric.assessment_gradient(betas, weights)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_only_the_engine_knows_the_lq_closed_forms():
+    import re
+    from pathlib import Path
+
+    import berklab
+
+    pattern = re.compile(r"_closed|is_lq|\blq\.(c|kappa|lambda1|lambda2)\b")
+    src = Path(berklab.__file__).parent
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "best_response.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []
+
+
+@settings(max_examples=15, deadline=None)
+@given(gamma=st.floats(2.5, 4.0), beta=st.floats(0.6, 2.9),
+       beta2=st.floats(0.6, 2.9), weight=st.floats(0.1, 0.9))
+@example(gamma=2.7260363963845937, beta=0.6424971626744002,
+         beta2=2.746564605541006, weight=0.3888651181692232)  # 2.2e-6 at step 1e-4
+def test_numeric_assessment_gradient_matches_power_oracle(gamma, beta, beta2,
+                                                         weight):
+    # general primitives: the gradient differences the numeric assessment
+    # solve, whose ~1e-11 error the step must not amplify past 1e-6
+    m = build_power(gamma, 1.0, 6.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
+    betas, weights = np.array([beta, beta2]), np.array([weight, 1.0 - weight])
+    want = power_assessment_gradient(gamma, 1.0, 6.0, 1.0, 0.5, betas, weights)
+    got = BestResponseEngine(m).assessment_gradient(betas, weights)
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_first_order_assessment_without_bracket_is_numerical():
+    # effort read under the truth: h = 5 * 3 * 2 / 1 leaves (0, 1), so the
+    # first-order condition has no sign change there
+    m = build_lq(LQParams(c=1.0, kappa=1.0, lambda_e=5.0, lambda_a=0.0),
+                 0.0, 2.0, 0.0, 0.5, 3.0)
+    with pytest.raises(NumericalError, match="no bracket"):
+        BestResponseEngine(m, force_numeric=True).first_order_assessment(3.0)

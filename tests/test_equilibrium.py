@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from berklab import (BestResponseEngine, find_equilibria, kl_divergence,
-                     kl_minimizer, kl_root, market_belief, psi_tilde)
+from berklab import (BestResponseEngine, InvariantViolation, LQParams,
+                     build_lq, find_equilibria, kl_divergence, kl_minimizer,
+                     kl_root, market_belief, psi_tilde)
 
 from helpers import (dense_scan_equilibria, lq_oracle_equilibria,
                      random_lq_instance)
@@ -182,3 +183,16 @@ class TestMarketBelief:
     def test_closed_form(self, lq_unit):
         assert market_belief(lq_unit, 0.8, -0.5) == \
             pytest.approx(math.sqrt(4.625))
+
+
+def test_belief_map_rejects_non_interior_assessment_on_both_paths():
+    # h = 5 beta^2 leaves (0, 1) above beta = 0.45: the closed form is held
+    # to the interiority assumption that the numeric solve checks
+    m = build_lq(LQParams(c=1.0, kappa=1.0, lambda_e=5.0, lambda_a=0.0),
+                 0.0, 2.0, 0.5, 0.3, 3.0)
+    betas = np.linspace(m.beta_lo, m.beta_hi, 5)
+    for eng in (BestResponseEngine(m), BestResponseEngine(m, force_numeric=True)):
+        with pytest.raises(InvariantViolation, match="not interior"):
+            psi_tilde(m, betas, engine=eng)
+    with pytest.raises(InvariantViolation, match="not interior"):
+        find_equilibria(m)

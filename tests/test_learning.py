@@ -338,3 +338,19 @@ class TestShadowing:
             sim = np.array([traj.m[start + k], traj.xi[start + k]])
             worst = max(worst, float(np.linalg.norm(sim - theta)))
         assert worst < 0.05
+
+
+def test_certainty_equivalent_shortcut_needs_square_g1():
+    # an LQ model certified with g1 = 2 beta^2: the posterior mean of g1 is
+    # not E[beta^2], so the assessment must come from the posterior itself
+    params = LQParams(c=1.0, kappa=1.0, lambda_e=1.0, lambda_a=1.0)
+    model = build_lq(params, 0.0, 2.0, -0.5, 0.5, 3.0)
+    fac = Factorization(g1=lambda b: 2.0 * b * b, g2=lambda h: h / 2.0,
+                        g3=lambda h: 0.0 * h, g1_inv=lambda x: np.sqrt(x / 2.0))
+    scaled = transform(dataclasses.replace(model, factorization=fac))
+    default = transform(model)
+    assert default.ce_exact and not scaled.ce_exact
+    want = evaluator_step(default, LearningState(n=10**6, m=4.0, xi=1.0))
+    assert want == pytest.approx(0.8, abs=1e-8)
+    got = evaluator_step(scaled, LearningState(n=10**6, m=fac.g1(2.0), xi=1.0))
+    assert got == pytest.approx(want, abs=1e-8)

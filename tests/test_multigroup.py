@@ -308,3 +308,28 @@ class TestLearningMultigroup:
         rep = monte_carlo_multigroup(pop_small, runs=100, horizon=100_000,
                                      seed=19, prior=priors, radius=0.05)
         assert rep.fraction_within >= 0.9
+
+
+def test_sensitivity_to_zero_valued_lq_parameter():
+    # the shipped two-group config has delta = 0, at the edge of [0, 1]
+    from pathlib import Path
+
+    from berklab.config import load_config
+
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                      / "two_groups.ini")
+    pop = cfg.population()
+    assert pop.model.lq.delta == 0.0
+    eq = color_sighted_equilibrium(pop)
+    grad = sensitivity(pop, eq, "delta")
+    assert np.all(np.isfinite(grad))
+
+    step = 1e-5
+    lq = LQParams(c=cfg.lq.c, kappa=cfg.lq.kappa, lambda_e=cfg.lq.lambda_e,
+                  lambda_a=cfg.lq.lambda_a, delta=step)
+    model = build_lq(lq, cfg.mu_star, cfg.beta_star, cfg.mu_hat,
+                     cfg.beta_lo, cfg.beta_hi)
+    shifted = GroupPopulation(model=model, alphas=pop.alphas,
+                              deltas=pop.deltas, beta_stars=pop.beta_stars)
+    fd = (color_sighted_equilibrium(shifted).beta_hat - eq.beta_hat) / step
+    np.testing.assert_allclose(grad, fd, rtol=1e-3)
