@@ -26,7 +26,7 @@ from .config import RunConfig, load_config
 from .equilibrium import find_equilibria, psi_tilde
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .learning import (TruncNormalPrior, monte_carlo_convergence,
-                       phase_field, simulate, transform)
+                       phase_field, transform)
 from .multigroup import (color_blind_equilibria, color_sighted_equilibrium,
                          eigen_check, simulate_multigroup)
 from .primitives import check_assumptions
@@ -148,17 +148,26 @@ def _prior_from_args(args) -> TruncNormalPrior | None:
     if args.prior_sd is None or args.prior_center is None:
         raise ConfigError("--prior-center and --prior-sd must be given "
                           "together")
+    if not args.prior_sd > 0.0:
+        raise ConfigError("--prior-sd must be positive")
     return TruncNormalPrior(mean=args.prior_center, sd=args.prior_sd)
 
 
+def _require_positive(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1")
+
+
 def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
-    if args.horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    _require_positive(args, "horizon", "runs", "stride")
     tm = transform(cfg.model())
     prior = _prior_from_args(args)
     report = monte_carlo_convergence(tm, runs=args.runs,
                                      horizon=args.horizon, seed=args.seed,
-                                     radius=args.radius, prior=prior)
+                                     radius=args.radius, prior=prior,
+                                     stride=args.stride)
     writer.json("convergence.json", {
         "runs": report.runs, "horizon": report.horizon,
         "radius": report.radius, "seed": report.seed,
@@ -171,14 +180,16 @@ def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
             for s in report.steady_states
         ],
     })
-    traj = simulate(tm, horizon=args.horizon, seed=args.seed, run=0,
-                    prior=prior, stride=args.stride)
+    traj = report.trajectory
     writer.csv("trajectory_000.csv", ["n", "m", "xi", "h", "x"],
                zip(traj.periods, traj.m, traj.xi, traj.h, traj.x))
     return 0
 
 
 def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
+    if args.horizon < 0:
+        raise ConfigError("horizon must be >= 0")
+    _require_positive(args, "stride")
     pop = cfg.population()
     eq = color_sighted_equilibrium(pop)
     eigen = eigen_check(eq)
@@ -202,7 +213,7 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
     writer.json("multigroup.json", payload)
     if args.horizon:
         traj = simulate_multigroup(pop, horizon=args.horizon, seed=args.seed,
-                                   stride=args.stride)
+                                   stride=args.stride, equilibrium=eq)
         header = (["n", "h"] + [f"m_{j}" for j in range(pop.size)]
                   + [f"xi_{j}" for j in range(pop.size)]
                   + [f"x_{j}" for j in range(pop.size)])

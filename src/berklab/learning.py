@@ -232,7 +232,8 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
         if prior is not None:
             s += prior.precision
             m = (prior.precision * prior.mean + state.n * state.xi * state.m) / s
-    h = _shared_assessment(tm, np.array([1.0]), np.array([m]), np.array([s]))
+    rule = _assessment_rule(tm, np.array([1.0]))
+    h = rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float))
     return float(np.clip(h[0], tm.h_lo, tm.h_hi))
 
 
@@ -244,19 +245,35 @@ def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray) -> np.n
     return np.where(s > 0.0, nu, mid)
 
 
-def _shared_assessment(tm: TransformedModel, alphas: np.ndarray,
-                       m, s) -> np.ndarray:
+def _assessment_rule(tm: TransformedModel, alphas: np.ndarray):
     """Optimal common assessment for population posteriors, vectorized over runs.
 
-    ``m`` and ``s`` have shape (runs, groups); returns shape (runs,).
+    Returns a map from ``m`` and ``s`` of shape (runs, groups) to shape
+    (runs,); which branch applies is decided here, once per simulation.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    s = np.atleast_2d(np.asarray(s, dtype=float))
     if tm.ce_exact:
-        nu = _posterior_means(tm, m, s)
-        return tm.engine.certainty_equivalent(nu @ alphas)
-    return np.array([_quadrature_assessment(tm, alphas, m[k], s[k])
-                     for k in range(m.shape[0])])
+        ce = tm.engine.certainty_equivalent
+
+        def rule(m, s):
+            return ce(_posterior_means(tm, m, s) @ alphas)
+    else:
+        def rule(m, s):
+            return np.array([_quadrature_assessment(tm, alphas, m[k], s[k])
+                             for k in range(m.shape[0])])
+    return rule
+
+
+def _array_map(f, shape):
+    """``f`` itself if it maps float arrays of ``shape`` elementwise, else a
+    wrapper applying it entry by entry; decided once per simulation."""
+    try:
+        out = f(np.ones(shape))
+        if (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == shape):
+            return f
+    except (TypeError, ValueError):
+        pass
+    return lambda x: _vec(f, x)
 
 
 def _group_quadrature(tm: TransformedModel, m: float, s: float, nodes: int):
@@ -341,13 +358,23 @@ def _run_engine(tm: TransformedModel, alphas: np.ndarray,
                 mu_stars: np.ndarray, runs: int, horizon: int, seed: int,
                 prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
                 zero_noise: bool = False, clip_noise: bool = False,
-                record_stride: int = 0, record_run: int = 0) -> _RunResult:
-    """Advance all runs in lockstep for ``horizon`` periods."""
+                record_stride: int = 0, record_run: int = 0,
+                first_run: int = 0) -> _RunResult:
+    """Advance runs ``first_run .. first_run + runs - 1`` in lockstep for
+    ``horizon`` periods; ``record_run`` indexes into that batch."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     groups = len(alphas)
-    bstar_t = np.array([float(tm.g1(b)) for b in beta_stars])
-    mu_hats = mu_stars + deltas
+    # loop invariants, as (1, groups) rows against (runs, groups) state
+    bstar_t = np.array([[float(tm.g1(b)) for b in beta_stars]])
+    mu_star_row = mu_stars[None, :]
+    mu_hat_row = (mu_stars + deltas)[None, :]
+    assess = _assessment_rule(tm, alphas)
+    g2 = _array_map(tm.g2, (runs,))
+    g3 = _array_map(tm.g3, (runs,))
+    h_lo, h_hi = tm.h_lo, tm.h_hi
 
     m = np.zeros((runs, groups))
     s = np.zeros((runs, groups))
@@ -357,7 +384,7 @@ def _run_engine(tm: TransformedModel, alphas: np.ndarray,
                 m[:, j] = pj.mean
                 s[:, j] = pj.precision
 
-    gens = [[noise_stream(seed, k, j) for j in range(groups)]
+    gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
             for k in range(runs)]
 
     rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
@@ -369,22 +396,21 @@ def _run_engine(tm: TransformedModel, alphas: np.ndarray,
         for k in range(runs):
             for j in range(groups):
                 eps[:, k, j] = gens[k][j].standard_normal(block)
+        if zero_noise:
+            eps[:] = 0.0
         for t in range(block):
             n += 1
             e = eps[t]
-            if zero_noise:
-                e = np.zeros_like(e)
-            elif clip_noise:
+            if clip_noise:
                 bound = math.sqrt(2.0 * math.log(max(n, 2)))
                 e = np.clip(e, -bound, bound)
-            h = _shared_assessment(tm, alphas, m, s)
-            h = np.clip(h, tm.h_lo, tm.h_hi)
-            g2h = _vec(tm.g2, h)
-            g3h = _vec(tm.g3, h)
+            h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
+            g2h = g2(h)
+            g3c = g3(h)[:, None]
             info = g2h * g2h * h
-            r_star = bstar_t[None, :] * g2h[:, None] + g3h[:, None]
-            x = mu_stars[None, :] + r_star + e / np.sqrt(h)[:, None]
-            contrib = (x - mu_hats[None, :] - g3h[:, None]) * (h * g2h)[:, None]
+            r_star = bstar_t * g2h[:, None] + g3c
+            x = mu_star_row + r_star + e / np.sqrt(h)[:, None]
+            contrib = (x - mu_hat_row - g3c) * (h * g2h)[:, None]
             s_new = s + info[:, None]
             m = (s * m + contrib) / s_new
             s = s_new
@@ -410,7 +436,11 @@ def _single_group_args(tm: TransformedModel):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Thinned samples of one learning path plus its terminal classification."""
+    """Thinned samples of one learning path plus its terminal classification.
+
+    ``batch_m`` holds the terminal modes of every run simulated in lockstep
+    with this one (runs ``run``, ``run + 1``, ...), this path's first.
+    """
 
     periods: np.ndarray
     m: np.ndarray
@@ -421,32 +451,39 @@ class Trajectory:
     steady_states: tuple
     nearest_index: int
     nearest_distance: float
+    batch_m: np.ndarray
 
 
 def simulate(model, horizon: int, seed: int, run: int = 0,
              prior: Optional[TruncNormalPrior] = None,
              stride: Optional[int] = None, zero_noise: bool = False,
              clip_noise: bool = False,
-             grid_points: int = DEFAULT_GRID) -> Trajectory:
+             grid_points: int = DEFAULT_GRID, runs: int = 1) -> Trajectory:
     """Simulate one learning path and classify its terminal belief.
 
     Per period: the evaluator best-responds to the posterior, an outcome is
     drawn under the truth, and the exact truncated-normal recursion updates
     (m, xi).  Distances are measured between support-projected modes, i.e.
-    in belief space.
+    in belief space.  Runs ``run + 1 .. run + runs - 1`` advance in lockstep
+    with it (their terminal modes land in ``batch_m``); each run's noise
+    stream depends on (seed, run) alone, so every path is the same however
+    it is batched.  ``stride`` thins the recorded path: every stride-th
+    period plus the first and the last.
     """
     tm = _as_transformed(model)
     alphas, bstars, deltas, mus = _single_group_args(tm)
     if stride is None:
         stride = max(1, horizon // 1000)
-    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=run + 1,
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=runs,
                       horizon=horizon, seed=seed,
                       prior=[prior], zero_noise=zero_noise,
                       clip_noise=clip_noise, record_stride=stride,
-                      record_run=run)
+                      first_run=run)
     ode = limiting_ode(tm, grid_points=grid_points)
-    m_term = float(res.m[run, 0])
-    xi_term = float(res.s[run, 0]) / horizon
+    m_term = float(res.m[0, 0])
+    xi_term = float(res.s[0, 0]) / horizon
     proj = np.clip(m_term, tm.m_lo, tm.m_hi)
     dists = [abs(proj - np.clip(ss.m, tm.m_lo, tm.m_hi))
              for ss in ode.steady_states]
@@ -456,7 +493,8 @@ def simulate(model, horizon: int, seed: int, run: int = 0,
                       terminal=LearningState(n=horizon, m=m_term, xi=xi_term,
                                              seed=seed, run=run),
                       steady_states=ode.steady_states,
-                      nearest_index=idx, nearest_distance=float(dists[idx]))
+                      nearest_index=idx, nearest_distance=float(dists[idx]),
+                      batch_m=res.m[:, 0])
 
 
 # -- limiting ODE -----------------------------------------------------------
@@ -596,7 +634,8 @@ def phase_field(model, m_values=None, xi_values=None, grid: int = 200,
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Terminal classification frequencies over independent runs."""
+    """Terminal classification frequencies over independent runs, plus the
+    thinned path of run 0."""
 
     steady_states: tuple[SteadyState, ...]
     counts: tuple[int, ...]
@@ -605,6 +644,7 @@ class ConvergenceReport:
     horizon: int
     radius: float
     seed: int
+    trajectory: Trajectory
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -625,29 +665,30 @@ def monte_carlo_convergence(model, runs: int, horizon: int, seed: int,
                             radius: float = DEFAULT_RADIUS,
                             prior: Optional[TruncNormalPrior] = None,
                             zero_noise: bool = False,
-                            grid_points: int = DEFAULT_GRID) -> ConvergenceReport:
+                            grid_points: int = DEFAULT_GRID,
+                            stride: Optional[int] = None) -> ConvergenceReport:
     """Run independent learning paths and classify their terminal beliefs.
 
     Each terminal mode is projected onto the support and assigned to the
     nearest steady state within ``radius`` (transformed units); runs
-    farther than that from every steady state count as unclassified.
+    farther than that from every steady state count as unclassified.  All
+    runs go through one lockstep ``simulate`` pass, which also records run
+    0's path (``stride`` as in ``simulate``).
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     tm = _as_transformed(model)
-    alphas, bstars, deltas, mus = _single_group_args(tm)
-    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=runs,
-                      horizon=horizon, seed=seed, prior=[prior],
-                      zero_noise=zero_noise)
-    ode = limiting_ode(tm, grid_points=grid_points)
-    targets = np.array([np.clip(ss.m, tm.m_lo, tm.m_hi)
-                        for ss in ode.steady_states])
-    proj = np.clip(res.m[:, 0], tm.m_lo, tm.m_hi)
+    traj = simulate(tm, horizon=horizon, seed=seed, run=0, prior=prior,
+                    stride=stride, zero_noise=zero_noise,
+                    grid_points=grid_points, runs=runs)
+    steady = traj.steady_states
+    targets = np.array([np.clip(ss.m, tm.m_lo, tm.m_hi) for ss in steady])
+    proj = np.clip(traj.batch_m, tm.m_lo, tm.m_hi)
     dists = np.abs(proj[:, None] - targets[None, :])
     nearest = np.argmin(dists, axis=1)
     within = dists[np.arange(runs), nearest] <= radius
-    counts = [int(np.sum((nearest == i) & within))
-              for i in range(len(ode.steady_states))]
-    return ConvergenceReport(steady_states=ode.steady_states,
-                             counts=tuple(counts),
+    counts = [int(np.sum((nearest == i) & within)) for i in range(len(steady))]
+    return ConvergenceReport(steady_states=steady, counts=tuple(counts),
                              unclassified=int(np.sum(~within)),
                              runs=runs, horizon=horizon, radius=radius,
-                             seed=seed)
+                             seed=seed, trajectory=traj)

@@ -311,31 +311,37 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                         run: int = 0,
                         prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
                         stride: Optional[int] = None,
-                        zero_noise: bool = False) -> MultigroupTrajectory:
+                        zero_noise: bool = False,
+                        equilibrium: Optional[MultigroupEquilibrium] = None
+                        ) -> MultigroupTrajectory:
     """Simulate the shared-assessment learning process for all groups.
 
     Each period the evaluator maximizes the population-weighted expected
     value under the groups' independent posteriors; outcomes are drawn
     independently per group.  With one group this reduces exactly (same
-    noise streams, same arithmetic) to the single-agent simulator.
+    noise streams, same arithmetic) to the single-agent simulator.  The
+    terminal beliefs are compared with ``equilibrium``, the population's
+    color-sighted equilibrium (solved here when not given).
     """
     tm = _as_transformed(pop.model)
     alphas, bstars, deltas, mus = _pop_engine_args(pop, tm)
     if stride is None:
         stride = max(1, horizon // 1000)
-    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=run + 1,
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=1,
                       horizon=horizon, seed=seed, prior=prior,
                       zero_noise=zero_noise, record_stride=stride,
-                      record_run=run)
-    eq = color_sighted_equilibrium(pop)
+                      first_run=run)
+    eq = color_sighted_equilibrium(pop) if equilibrium is None else equilibrium
     eq_m = np.array([float(tm.g1(b)) for b in eq.beta_hat])
-    term_m = res.m[run]
+    term_m = res.m[0]
     dist = float(np.max(np.abs(np.clip(term_m, tm.m_lo, tm.m_hi)
                                - np.clip(eq_m, tm.m_lo, tm.m_hi))))
     return MultigroupTrajectory(periods=res.rec_n, m=res.rec_m, xi=res.rec_xi,
                                 h=res.rec_h, x=res.rec_x,
                                 terminal_m=term_m,
-                                terminal_xi=res.s[run] / horizon,
+                                terminal_xi=res.s[0] / horizon,
                                 equilibrium_m=eq_m,
                                 distance_to_equilibrium=dist)
 

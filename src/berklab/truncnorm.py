@@ -17,14 +17,45 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+# Past INTERIOR_SIGMAS standard deviations inside the support the mean sits
+# sigma * ratio above the (reflected) mode, with 0 <= ratio < 5e-32 (that is
+# sqrt(2/pi) exp(-12^2 / 2) over a denominator of at least 0.99).  Half an
+# ulp of the mode is at least 2^-54 |mode|, so whenever |mode| exceeds
+# _ULP_GUARD * sigma the two-branch formula rounds back to the mode itself
+# and the fast path returns the same bits without evaluating it.
+INTERIOR_SIGMAS = 12.0
+_ULP_GUARD = 1e-14
+
+
 def trunc_mean(m, sigma, lo: float, hi: float):
     """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m."""
     m = np.asarray(m, dtype=float)
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), m.shape)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != m.shape:
+        sigma = np.broadcast_to(sigma, m.shape)
     mid = 0.5 * (lo + hi)
     # reflect so the mode sits at or below the midpoint
     flip = m > mid
     mm = np.where(flip, lo + hi - m, m)
+    inside = mm - lo > INTERIOR_SIGMAS * sigma
+    if lo < 0.0:  # for lo >= 0 the mode already exceeds 12 sigma
+        inside &= np.abs(mm) > _ULP_GUARD * sigma
+    n_inside = np.count_nonzero(inside)
+    if n_inside == inside.size:
+        out = mm
+    elif n_inside == 0:
+        out = mm + sigma * _tail_ratio(mm, sigma, lo, hi)
+    else:
+        edge = ~inside
+        out = mm.copy()
+        out[edge] += sigma[edge] * _tail_ratio(mm[edge], sigma[edge], lo, hi)
+    out = np.where(flip, lo + hi - out, out)
+    out = np.clip(out, lo, hi)
+    return out if out.ndim else float(out)
+
+
+def _tail_ratio(mm, sigma, lo: float, hi: float):
+    """(mean - mode) / sigma for reflected modes mm <= (lo + hi) / 2."""
     u = (lo - mm) / (sigma * _SQRT2)
     w = (hi - mm) / (sigma * _SQRT2)
 
@@ -41,11 +72,7 @@ def trunc_mean(m, sigma, lo: float, hi: float):
         safe_d = np.where(den_d > 0.0, den_d, 1.0)
         ratio_near = 0.5 * _SQRT_2_OVER_PI * num_d / safe_d
 
-    ratio = np.where(u >= 0.0, ratio_far, ratio_near)
-    out = mm + sigma * ratio
-    out = np.where(flip, lo + hi - out, out)
-    out = np.clip(out, lo, hi)
-    return out if out.ndim else float(out)
+    return np.where(u >= 0.0, ratio_far, ratio_near)
 
 
 def log_mass(m, sigma, lo: float, hi: float):

@@ -11,8 +11,31 @@ import math
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import erfc, erfcx
 
 from berklab import LQParams, ModelPrimitives, build_lq
+
+
+def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
+    """Truncated-normal mean by the erfc/erfcx two-branch formula on every
+    element, with no interior shortcut: the reference the package's fast
+    path must reproduce bit for bit."""
+    m = np.asarray(m, dtype=float)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), m.shape)
+    flip = m > 0.5 * (lo + hi)
+    mm = np.where(flip, lo + hi - m, m)
+    u = (lo - mm) / (sigma * math.sqrt(2.0))
+    w = (hi - mm) / (sigma * math.sqrt(2.0))
+    c = math.sqrt(2.0 / math.pi)
+    with np.errstate(over="ignore", under="ignore"):
+        decay = np.exp(u * u - w * w)
+        den_s = erfcx(np.maximum(u, 0.0)) - erfcx(w) * decay
+        ratio_far = c * (1.0 - decay) / np.where(den_s > 0.0, den_s, 1.0)
+        num_d = np.exp(-u * u) - np.exp(-w * w)
+        den_d = 0.5 * (erfc(u) - erfc(w))
+        ratio_near = 0.5 * c * num_d / np.where(den_d > 0.0, den_d, 1.0)
+    out = mm + sigma * np.where(u >= 0.0, ratio_far, ratio_near)
+    return np.clip(np.where(flip, lo + hi - out, out), lo, hi)
 
 
 def lq_assessment(lq: LQParams, beta: float) -> float:
