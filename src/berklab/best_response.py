@@ -95,11 +95,18 @@ class BestResponseEngine:
 
     def effort_sensitivities(self, h: float, beta: float) -> tuple[float, float]:
         """(da/dh, da/dbeta) from the implicit function theorem at a(h, beta)."""
+        return self._sensitivities_at(h, beta, None)
+
+    def _sensitivities_at(self, h: float, beta: float,
+                          a: float | None) -> tuple[float, float]:
+        """``effort_sensitivities`` at an effort ``a`` already solved for
+        (h, beta); None solves it here."""
         if self._closed:
             lq = self.model.lq
             return beta / lq.c, h / lq.c
         m = self.model
-        a = self._effort_numeric(h, beta)
+        if a is None:
+            a = self._effort_numeric(h, beta)
         r_a = fd1(lambda x: m.r(x, beta), a, lo=0.0)
         r_aa = fd2(lambda x: m.r(x, beta), a, lo=0.0)
         r_ab = fd1(lambda b: fd1(lambda x: m.r(x, b), a, lo=0.0), beta, lo=0.0)
@@ -162,7 +169,7 @@ class BestResponseEngine:
         m = self.model
         b_a = beta if belief is None else belief
         a = self._effort_numeric(h, b_a)
-        da_dh, _ = self.effort_sensitivities(h, b_a)
+        da_dh, _ = self._sensitivities_at(h, b_a, a)
         v_a = fd1(lambda x: m.v_e(x, beta), a, lo=0.0)
         return v_a * da_dh
 

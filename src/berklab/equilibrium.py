@@ -126,7 +126,9 @@ def _classify_interior(d_lo: float, d_hi: float) -> str:
 def _make_point(model, eng, beta_hat: float, stability: str) -> EquilibriumPoint:
     h_hat = float(eng.assessment(beta_hat))
     kl = float(kl_divergence(model, h_hat, beta_hat, engine=eng))
-    residual = abs(float(psi_tilde(model, beta_hat, eng)) - beta_hat)
+    # the belief map at beta_hat, reusing its assessment h_hat
+    fit = eng.best_fit(h_hat, model.beta_star, model.delta_mu)
+    residual = abs(float(fit) - beta_hat)
     return EquilibriumPoint(beta_hat=beta_hat, h_hat=h_hat, stability=stability,
                             is_sce=kl <= SCE_KL_TOL, kl=kl, residual=residual)
 

@@ -14,6 +14,7 @@ in transformed units.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -24,6 +25,7 @@ from .best_response import BestResponseEngine
 from .equilibrium import DEDUP_TOL, DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
+from .rootfind import XTOL, fd1
 from .truncnorm import trunc_mean, trunc_pdf
 
 CHUNK = 8192
@@ -33,6 +35,9 @@ QUAD_NODES_MAX = 512
 QUAD_RTOL = 1e-8
 WINDOW_SIGMAS = 8.0
 DEFAULT_RADIUS = 0.05
+TABLE_POINTS = (17, 33, 65)  # nested Chebyshev-Lobatto grids, per axis
+TABLE_RTOL = 1e-8  # table error allowed, relative to max |dV_E/dh| on the grid
+_SERIES_MAX_ITER = 100
 
 
 def _vec(f, x):
@@ -169,7 +174,7 @@ def posterior_exact_density(tm: TransformedModel, history, points,
         diff = resid0[None, :] - np.outer(b, g2h)
         return -0.5 * (diff * diff * hs[None, :]).sum(axis=1)
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = _gauss_legendre(quad_nodes)
     nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * weights
     lk_nodes = log_kernel(nodes)
@@ -220,7 +225,9 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
 
     Maximizes the posterior expectation of the evaluator's value net of
     assessment cost; ``state.n == 0`` means no data, in which case the
-    prior (uniform by default) is used.
+    prior (uniform by default) is used.  Off the LQ certainty-equivalent
+    shortcut, each call tabulates the evaluator's marginal value first
+    (see ``_foc_table``).
     """
     if state.n == 0:
         if prior is None:
@@ -249,7 +256,8 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray):
     """Optimal common assessment for population posteriors, vectorized over runs.
 
     Returns a map from ``m`` and ``s`` of shape (runs, groups) to shape
-    (runs,); which branch applies is decided here, once per simulation.
+    (runs,); which branch applies is decided here, once per simulation, and
+    the general branch tabulates the evaluator's marginal value once here.
     """
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
@@ -257,9 +265,10 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray):
         def rule(m, s):
             return ce(_posterior_means(tm, m, s) @ alphas)
     else:
+        table = _foc_table(tm)
+
         def rule(m, s):
-            return np.array([_quadrature_assessment(tm, alphas, m[k], s[k])
-                             for k in range(m.shape[0])])
+            return _quadrature_assessment(tm, table, alphas, m, s)
     return rule
 
 
@@ -276,10 +285,19 @@ def _array_map(f, shape):
     return lambda x: _vec(f, x)
 
 
+@functools.cache
+def _gauss_legendre(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _group_quadrature(tm: TransformedModel, m: float, s: float, nodes: int):
     """Normalized quadrature nodes/weights against one group's posterior."""
     lo, hi = tm.m_lo, tm.m_hi
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     if s <= 0.0:
         lo_w, hi_w = lo, hi
         pdf = np.full(nodes, 1.0)
@@ -308,25 +326,184 @@ def _group_quadrature(tm: TransformedModel, m: float, s: float, nodes: int):
     return pts, raw / total
 
 
-def _quadrature_assessment(tm: TransformedModel, alphas, m_vec, s_vec) -> float:
-    """Assessment under the posteriors themselves: the engine's numeric
-    assessment solve over quadrature nodes, refined until it settles."""
+# -- tabulated first-order condition ------------------------------------------
+
+
+def _lobatto(n: int):
+    """Angles theta_j = pi j / (n - 1) of the Chebyshev-Lobatto points
+    cos(theta_j), and the matrix taking values there to Chebyshev
+    coefficients (a discrete cosine transform)."""
+    theta = np.pi * np.arange(n) / (n - 1)
+    to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / (n - 1))
+    to_coef[:, [0, -1]] *= 0.5
+    to_coef[[0, -1], :] *= 0.5
+    return theta, to_coef
+
+
+def _cheb_basis(theta, n: int):
+    """T_k(cos theta) = cos(k theta) for k < n, one row per angle."""
+    return np.cos(np.multiply.outer(theta, np.arange(n)))
+
+
+@dataclass(frozen=True)
+class _FocTable:
+    """The evaluator's first-order integrand on [h_lo, h_hi] x [beta_lo,
+    beta_hi] as a Chebyshev series, dV_E/dh(h, beta) - kappa'(h) =
+    sum_kl coef[k, l] T_k(x) T_l(y) with x = (h_mid - h) / h_half and
+    y = (b_mid - beta) / b_half: the angle arccos(x) runs from 0 at h_lo
+    to pi at h_hi, and likewise in beta."""
+
+    coef: np.ndarray
+    h_lo: float
+    h_hi: float
+    b_mid: float
+    b_half: float
+
+    def expected_series(self, betas, weights) -> np.ndarray:
+        """Coefficients in h of sum_i w_i (dV_E/dh(h, beta_i) - kappa'(h))."""
+        y = np.clip((self.b_mid - betas) / self.b_half, -1.0, 1.0)
+        return self.coef @ (weights @ _cheb_basis(np.arccos(y), self.coef.shape[1]))
+
+    def roots(self, series) -> np.ndarray:
+        """The h in [h_lo, h_hi] where each row of ``series`` (a first-order
+        condition, decreasing in h) vanishes; without a sign change there, the
+        edge the clip of an outside root would give."""
+        # T_k(1) = 1 at h_lo, T_k(-1) = (-1)^k at h_hi; sums along rows keep
+        # each run's result independent of the others in the batch
+        f_lo = series.sum(axis=1)
+        f_hi = series[:, ::2].sum(axis=1) - series[:, 1::2].sum(axis=1)
+        h = np.where(f_lo <= 0.0, self.h_lo, self.h_hi)
+        open_ = np.flatnonzero((f_lo > 0.0) & (f_hi < 0.0))
+        if open_.size:
+            half = 0.5 * (self.h_hi - self.h_lo)
+            u = _bracketed_roots(series[open_], f_lo[open_], f_hi[open_],
+                                 XTOL / half)
+            h[open_] = 0.5 * (self.h_lo + self.h_hi) + half * u
+        return h
+
+
+def _bracketed_roots(c, f_lo, f_hi, tol: float) -> np.ndarray:
+    """Root in (-1, 1) of f(u) = sum_k c_k T_k(-u) for each row of ``c``,
+    with f(-1) = ``f_lo`` > 0 > ``f_hi`` = f(1): Newton steps inside the
+    shrinking bracket, bisection when a step leaves it, until a step or the
+    bracket is below ``tol``."""
+    k = np.arange(c.shape[1])
+    out = np.empty(c.shape[0])
+    ids = np.arange(c.shape[0])
+    a, b = np.full(ids.size, -1.0), np.ones(ids.size)
+    u = -1.0 + 2.0 * f_lo / (f_lo - f_hi)
+    for _ in range(_SERIES_MAX_ITER):
+        theta = np.arccos(-u)
+        kt = np.multiply.outer(theta, k)
+        f = (np.cos(kt) * c).sum(axis=1)
+        pos = f > 0.0
+        a, b = np.where(pos, u, a), np.where(pos, b, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            df = -(np.sin(kt) * (k * c)).sum(axis=1) / np.sin(theta)
+            step = np.where(f == 0.0, 0.0, f / df)
+        newton = u - step
+        converged = np.abs(step) <= tol
+        nxt = np.where(converged | ((newton > a) & (newton < b)), newton,
+                       0.5 * (a + b))
+        done = converged | (b - a <= tol)
+        out[ids[done]] = nxt[done]
+        if done.all():
+            return out
+        keep = ~done
+        ids, c, a, b, u = ids[keep], c[keep], a[keep], b[keep], nxt[keep]
+    raise NumericalError(
+        f"tabulated assessment root did not settle in {_SERIES_MAX_ITER} steps")
+
+
+def _foc_table(tm: TransformedModel) -> _FocTable:
+    """Tabulate the first-order integrand on nested Chebyshev-Lobatto grids.
+
+    Each level reuses the values of the one before (its points are every
+    other point of the next).  A level is accepted once it matches direct
+    solves at fixed off-grid points within ``TABLE_RTOL`` of the largest
+    marginal value; NumericalError when the finest level still misses.
+    """
+    eng, mdl = tm.engine, tm.model
+    h_mid, h_half = 0.5 * (tm.h_lo + tm.h_hi), 0.5 * (tm.h_hi - tm.h_lo)
+    b_mid = 0.5 * (mdl.beta_lo + mdl.beta_hi)
+    b_half = 0.5 * (mdl.beta_hi - mdl.beta_lo)
+
+    def h_at(theta):
+        return h_mid - h_half * math.cos(theta)
+
+    def b_at(theta):
+        return b_mid - b_half * math.cos(theta)
+
+    def kappa_d(h):
+        return fd1(mdl.assess_cost, h, lo=0.0, hi=1.0)
+
+    # check angles: odd multiples of pi / 128, on none of the nested grids
+    check_theta = np.pi * np.arange(3, 128, 16) / 128.0
+    check = np.array([[eng._dv_dh(h, b_at(t)) - kappa_d(h) for t in check_theta]
+                      for h in map(h_at, check_theta)])
+    dv = None
+    for n in TABLE_POINTS:
+        theta, to_coef = _lobatto(n)
+        hs = [h_at(t) for t in theta]
+        bs = [b_at(t) for t in theta]
+        grid = np.empty((n, n))
+        if dv is not None:
+            grid[::2, ::2] = dv
+        for i, h in enumerate(hs):
+            for j, b in enumerate(bs):
+                if dv is None or i % 2 or j % 2:
+                    grid[i, j] = eng._dv_dh(h, b)
+        dv = grid
+        kd = np.array([kappa_d(h) for h in hs])
+        coef = to_coef @ (dv - kd[:, None]) @ to_coef.T
+        basis = _cheb_basis(check_theta, n)
+        err = float(np.max(np.abs(basis @ coef @ basis.T - check)))
+        if err <= TABLE_RTOL * float(np.max(np.abs(dv))):
+            return _FocTable(coef=coef, h_lo=tm.h_lo, h_hi=tm.h_hi,
+                             b_mid=b_mid, b_half=b_half)
+    raise NumericalError(
+        f"tabulated marginal value misses direct solves by {err:.3e} with "
+        f"{TABLE_POINTS[-1]} points per axis (tolerance {TABLE_RTOL:g} "
+        "relative); dV_E/dh is not smooth enough on the assessment range")
+
+
+def _table_assessments(tm: TransformedModel, table: _FocTable, alphas,
+                       m: np.ndarray, s: np.ndarray, nodes: int) -> np.ndarray:
+    """Assessment under each run's posteriors (rows of ``m``, ``s``) with
+    ``nodes`` quadrature nodes per group, from the tabulated condition."""
+    series = np.empty((m.shape[0], table.coef.shape[0]))
+    for k in range(m.shape[0]):
+        betas, weights = [], []
+        for alpha, mj, sj in zip(alphas, m[k], s[k]):
+            pts, wts = _group_quadrature(tm, float(mj), float(sj), nodes)
+            betas.append(_vec(tm.g1_inv, pts))
+            weights.append(alpha * wts)
+        series[k] = table.expected_series(np.concatenate(betas),
+                                          np.concatenate(weights))
+    return table.roots(series)
+
+
+def _quadrature_assessment(tm: TransformedModel, table: _FocTable, alphas,
+                           m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Assessment under the posteriors themselves, per run: the tabulated
+    first-order condition over quadrature nodes, refined until it settles."""
+    h = np.empty(m.shape[0])
+    todo = np.arange(m.shape[0])
     prev = None
     nodes = QUAD_NODES
     while True:
-        groups = [_group_quadrature(tm, float(mj), float(sj), nodes)
-                  for mj, sj in zip(m_vec, s_vec)]
-        weighted = [(float(alpha * w), float(tm.g1_inv(p)))
-                    for alpha, (pts, wts) in zip(alphas, groups)
-                    for p, w in zip(pts, wts)]
-        h = tm.engine._assessment_numeric(weighted)
-        if prev is not None and abs(h - prev) <= QUAD_RTOL:
-            return h
+        cur = _table_assessments(tm, table, alphas, m[todo], s[todo], nodes)
+        if prev is not None:
+            done = np.abs(cur - prev) <= QUAD_RTOL
+            h[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
+            if not todo.size:
+                return h
         if nodes >= QUAD_NODES_MAX:
             raise NumericalError(
                 f"assessment quadrature did not settle below {QUAD_RTOL:g} "
                 f"with {nodes} nodes")
-        prev, nodes = h, 2 * nodes
+        prev, nodes = cur, 2 * nodes
 
 
 # -- simulation engine ------------------------------------------------------
@@ -568,7 +745,7 @@ def limiting_ode(model, grid_points: int = DEFAULT_GRID) -> OdeSystem:
 
     states = []
     for p in eqs.points:
-        h = float(tm.engine.assessment(p.beta_hat))
+        h = p.h_hat
         info = float(tm.fisher(h))
         if mdl.beta_lo + DEDUP_TOL < p.beta_hat < mdl.beta_hi - DEDUP_TOL:
             m_hat = float(tm.g1(p.beta_hat))

@@ -54,25 +54,54 @@ def trunc_mean(m, sigma, lo: float, hi: float):
     return out if out.ndim else float(out)
 
 
+def _by_branch(u, w, far, near):
+    """``far(u, w)`` where u >= 0 and ``near(u, w)`` elsewhere, each
+    evaluated only on the elements it applies to."""
+    is_far = u >= 0.0
+    n_far = np.count_nonzero(is_far)
+    if n_far == is_far.size:
+        return far(u, w)
+    if n_far == 0:
+        return near(u, w)
+    is_near = ~is_far
+    out = np.empty(u.shape)
+    out[is_far] = far(u[is_far], w[is_far])
+    out[is_near] = near(u[is_near], w[is_near])
+    return out
+
+
+def _ratio_far(u, w):
+    # hazard-style form, safe when both tail arguments are large positive
+    with np.errstate(over="ignore", under="ignore"):
+        decay = np.exp(u * u - w * w)  # <= 1 since |u| <= w after reflection
+        den = erfcx(u) - erfcx(w) * decay
+        return _SQRT_2_OVER_PI * (1.0 - decay) / np.where(den > 0.0, den, 1.0)
+
+
+def _ratio_near(u, w):
+    with np.errstate(over="ignore", under="ignore"):
+        num = np.exp(-u * u) - np.exp(-w * w)
+        den = 0.5 * (erfc(u) - erfc(w))
+        return 0.5 * _SQRT_2_OVER_PI * num / np.where(den > 0.0, den, 1.0)
+
+
 def _tail_ratio(mm, sigma, lo: float, hi: float):
     """(mean - mode) / sigma for reflected modes mm <= (lo + hi) / 2."""
     u = (lo - mm) / (sigma * _SQRT2)
     w = (hi - mm) / (sigma * _SQRT2)
+    return _by_branch(u, w, _ratio_far, _ratio_near)
 
-    # hazard-style form, safe when both tail arguments are large positive
+
+def _log_mass_far(u, w):
     with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(u * u - w * w)  # <= 1 since |u| <= w after reflection
-        num_s = 1.0 - decay
-        den_s = erfcx(np.maximum(u, 0.0)) - erfcx(w) * decay
-        safe = np.where(den_s > 0.0, den_s, 1.0)
-        ratio_far = _SQRT_2_OVER_PI * num_s / safe
+        decay = np.exp(u * u - w * w)
+        return np.log(0.5) - u * u + np.log(
+            np.maximum(erfcx(u) - erfcx(w) * decay, 1e-300))
 
-        num_d = np.exp(-u * u) - np.exp(-w * w)
-        den_d = 0.5 * (erfc(u) - erfc(w))
-        safe_d = np.where(den_d > 0.0, den_d, 1.0)
-        ratio_near = 0.5 * _SQRT_2_OVER_PI * num_d / safe_d
 
-    return np.where(u >= 0.0, ratio_far, ratio_near)
+def _log_mass_near(u, w):
+    with np.errstate(over="ignore", under="ignore"):
+        return np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
 
 
 def log_mass(m, sigma, lo: float, hi: float):
@@ -83,12 +112,7 @@ def log_mass(m, sigma, lo: float, hi: float):
     mm = np.where(m > mid, lo + hi - m, m)
     u = (lo - mm) / (sigma * _SQRT2)
     w = (hi - mm) / (sigma * _SQRT2)
-    with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(u * u - w * w)
-        far = np.log(0.5) - u * u + np.log(
-            np.maximum(erfcx(np.maximum(u, 0.0)) - erfcx(w) * decay, 1e-300))
-        near = np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
-    out = np.where(u >= 0.0, far, near)
+    out = _by_branch(u, w, _log_mass_far, _log_mass_near)
     return out if out.ndim else float(out)
 
 

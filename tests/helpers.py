@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 from scipy.special import erfc, erfcx
 
 from berklab import LQParams, ModelPrimitives, build_lq
+from berklab.learning import _group_quadrature
 
 
 def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
@@ -36,6 +37,37 @@ def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
         ratio_near = 0.5 * c * num_d / np.where(den_d > 0.0, den_d, 1.0)
     out = mm + sigma * np.where(u >= 0.0, ratio_far, ratio_near)
     return np.clip(np.where(flip, lo + hi - out, out), lo, hi)
+
+
+def log_mass_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
+    """log P(lo <= X <= hi) by evaluating both the erfcx and the erfc form
+    on every element and picking per element: the reference the package's
+    one-branch evaluation must reproduce bit for bit."""
+    m = np.asarray(m, dtype=float)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), m.shape)
+    mm = np.where(m > 0.5 * (lo + hi), lo + hi - m, m)
+    u = (lo - mm) / (sigma * math.sqrt(2.0))
+    w = (hi - mm) / (sigma * math.sqrt(2.0))
+    with np.errstate(over="ignore", under="ignore"):
+        decay = np.exp(u * u - w * w)
+        far = np.log(0.5) - u * u + np.log(
+            np.maximum(erfcx(np.maximum(u, 0.0)) - erfcx(w) * decay, 1e-300))
+        near = np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
+    return np.where(u >= 0.0, far, near)
+
+
+def direct_quadrature_assessment(tm, alphas, m_vec, s_vec, nodes: int) -> float:
+    """Assessment under group posteriors (modes ``m_vec``, precisions
+    ``s_vec``) by a direct effort solve at every quadrature node: the
+    engine's numeric first-order solve over the learning step's nodes,
+    clipped to the assessment range as the learning step clips it."""
+    weighted = []
+    for alpha, mj, sj in zip(alphas, m_vec, s_vec):
+        pts, wts = _group_quadrature(tm, float(mj), float(sj), nodes)
+        weighted += [(float(alpha * w), float(tm.g1_inv(float(p))))
+                     for p, w in zip(pts, wts)]
+    h = tm.engine._assessment_numeric(weighted)
+    return min(max(h, tm.h_lo), tm.h_hi)
 
 
 def lq_assessment(lq: LQParams, beta: float) -> float:
