@@ -95,10 +95,8 @@ def comparative_statics(model: ModelPrimitives, parameter: str,
         shift = "none"
     else:
         betas = np.linspace(model.beta_lo, model.beta_hi, grid_points)
-        h0 = np.array([BestResponseEngine(model).assessment(float(b))
-                       for b in betas])
-        h1 = np.array([BestResponseEngine(perturbed).assessment(float(b))
-                       for b in betas])
+        h0 = BestResponseEngine(model).assessment(betas)
+        h1 = BestResponseEngine(perturbed).assessment(betas)
         if np.all(h1 > h0):
             shift = "up"
         elif np.all(h1 < h0):

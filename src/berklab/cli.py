@@ -25,8 +25,8 @@ from .analysis import comparative_statics, disparity_report, perturb_model
 from .config import RunConfig, load_config
 from .equilibrium import find_equilibria, psi_tilde
 from .errors import ConfigError, InvariantViolation, NumericalError
-from .learning import (TruncNormalPrior, monte_carlo_convergence,
-                       phase_field, transform)
+from .learning import (DEFAULT_RADIUS, TruncNormalPrior,
+                       monte_carlo_convergence, phase_field, transform)
 from .multigroup import (color_blind_equilibria, color_sighted_equilibrium,
                          eigen_check, simulate_multigroup)
 from .primitives import check_assumptions
@@ -114,6 +114,7 @@ def _eq_payload(eqs) -> dict:
 
 
 def cmd_solve(args, cfg: RunConfig, writer: _Writer) -> int:
+    _require_positive(args, "grid")
     model = cfg.model()
     eqs = find_equilibria(model)
     writer.json("equilibria.json", _eq_payload(eqs))
@@ -124,6 +125,7 @@ def cmd_solve(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_phase(args, cfg: RunConfig, writer: _Writer) -> int:
+    _require_positive(args, "grid")
     field = phase_field(cfg.model(), grid=args.grid)
     rows = []
     for i, xi in enumerate(field.xi):
@@ -162,6 +164,8 @@ def _require_positive(args, *names):
 
 def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
     _require_positive(args, "horizon", "runs", "stride")
+    if not args.radius >= 0.0:
+        raise ConfigError("radius must be >= 0")
     tm = transform(cfg.model())
     prior = _prior_from_args(args)
     report = monte_carlo_convergence(tm, runs=args.runs,
@@ -225,7 +229,15 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_compare(args, cfg: RunConfig, writer: _Writer) -> int:
+    _require_positive(args, "sweep_points")
     model = cfg.model()
+    for flag, rel in (("step", args.step), ("sweep_span", args.sweep_span)):
+        for signed in (rel, -rel):
+            try:
+                perturb_model(model, args.param, signed)
+            except ValueError as exc:
+                raise ConfigError(f"{flag} {rel:g} moves {args.param} outside "
+                                  f"its domain: {exc}") from exc
     up = comparative_statics(model, args.param, rel_step=args.step)
     down = comparative_statics(model, args.param, rel_step=-args.step)
 
@@ -276,6 +288,7 @@ def cmd_disparity(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_check(args, cfg: RunConfig, writer: _Writer) -> int:
+    _require_positive(args, "grid")
     model = cfg.model()
     report = check_assumptions(model, n_h=args.grid, n_beta=args.grid)
     writer.json("assumptions.json", {
@@ -323,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--radius", type=float, default=0.05)
+    p.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
     p.add_argument("--stride", type=int, default=None)
     p.add_argument("--prior-center", type=float, default=None)
     p.add_argument("--prior-sd", type=float, default=None)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .best_response import BestResponseEngine
+from .best_response import BestResponseEngine, _elementwise
 from .equilibrium import DEDUP_TOL, DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
@@ -40,20 +40,11 @@ TABLE_RTOL = 1e-8  # table error allowed, relative to max |dV_E/dh| on the grid
 _SERIES_MAX_ITER = 100
 
 
-def _vec(f, x):
-    """Apply a scalar-or-array callable to an array."""
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape == np.shape(x):
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([f(float(v)) for v in np.asarray(x).ravel()]).reshape(np.shape(x))
-
-
 @dataclass(frozen=True)
 class TransformedModel:
-    """Certified factorization of effective effort plus derived constants."""
+    """Certified factorization of effective effort plus derived constants;
+    ``g1``, ``g2``, ``g3`` and ``g1_inv`` accept scalars and arrays alike.
+    The one owner of support projection, the ODE drift and belief distances."""
 
     model: ModelPrimitives
     g1: Callable
@@ -68,19 +59,25 @@ class TransformedModel:
     recon_error: float
     engine: BestResponseEngine
 
-    def fisher(self, h):
-        g2h = _vec(self.g2, h) if np.ndim(h) else float(self.g2(h))
-        return g2h * g2h * h
+    def _project(self, m):
+        return np.clip(m, self.m_lo, self.m_hi)
 
-    def psi_unconstrained(self, h, delta_mu: float | None = None):
-        """Best-fit transformed productivity at assessment h (always exists)."""
-        dm = self.model.delta_mu if delta_mu is None else delta_mu
-        g2h = _vec(self.g2, h) if np.ndim(h) else float(self.g2(h))
-        return self.g1(self.model.beta_star) - dm / g2h
+    def drift_terms(self, m):
+        """Fisher information I(h) and unconstrained best-fit transformed
+        productivity at the assessment h of the support-projected mode m;
+        elementwise over arrays.  The ODE drift is (I (psi - m) / xi, I - xi).
+        """
+        h = self.engine.assessment(self.g1_inv(self._project(m)))
+        g2h = self.g2(h)
+        return g2h * g2h * h, self.g1(self.model.beta_star) - self.model.delta_mu / g2h
 
-    def steady_assessment(self, m_proj):
-        """Assessment map evaluated at the belief g1_inv(m_proj)."""
-        return self.engine.assessment(self.g1_inv(m_proj))
+    def distances(self, modes, targets) -> np.ndarray:
+        """Max-norm over groups between support-projected modes: rows of
+        ``modes`` (runs, groups) against rows of ``targets`` (k, groups),
+        shape (runs, k)."""
+        diff = (self._project(np.asarray(modes, dtype=float))[:, None, :]
+                - self._project(np.asarray(targets, dtype=float))[None, :, :])
+        return np.abs(diff).max(axis=2)
 
 
 def transform(model: ModelPrimitives, grid: int = 64,
@@ -100,9 +97,25 @@ def transform(model: ModelPrimitives, grid: int = 64,
     h_lo, h_hi = eng.assessment_bounds()
     hs = np.linspace(h_lo, h_hi, grid)
     betas = np.linspace(model.beta_lo, model.beta_hi, grid)
+
+    def array_form(f, points):
+        # decided once here, so that every consumer may pass arrays
+        try:
+            out = f(points)
+            if (isinstance(out, np.ndarray) and out.dtype == np.float64
+                    and out.shape == points.shape):
+                return f
+        except (TypeError, ValueError):
+            pass
+        return functools.partial(_elementwise, f)
+
+    g1, g2, g3 = (array_form(fac.g1, betas), array_form(fac.g2, hs),
+                  array_form(fac.g3, hs))
+    g1_betas = g1(betas)
+    g1_inv = array_form(fac.g1_inv, g1_betas)
     err = 0.0
     for h in hs:
-        rec = _vec(fac.g1, betas) * float(fac.g2(h)) + float(fac.g3(h))
+        rec = g1_betas * float(fac.g2(h)) + float(fac.g3(h))
         direct = np.array([eng.effective_effort(float(h), float(b)) for b in betas])
         err = max(err, float(np.max(np.abs(rec - direct))))
     if err > tol:
@@ -111,9 +124,9 @@ def transform(model: ModelPrimitives, grid: int = 64,
             "the multiplicative structure does not hold for these primitives")
     # LQ assessment depends on a belief only through E[beta^2], which is the
     # posterior mean of g1 exactly when g1 is beta^2
-    square = bool(np.max(np.abs(_vec(fac.g1, betas) - betas * betas)) <= tol)
+    square = bool(np.max(np.abs(g1_betas - betas * betas)) <= tol)
     return TransformedModel(
-        model=model, g1=fac.g1, g2=fac.g2, g3=fac.g3, g1_inv=fac.g1_inv,
+        model=model, g1=g1, g2=g2, g3=g3, g1_inv=g1_inv,
         m_lo=float(fac.g1(model.beta_lo)), m_hi=float(fac.g1(model.beta_hi)),
         h_lo=h_lo, h_hi=h_hi,
         ce_exact=model.lq is not None and square,
@@ -126,7 +139,8 @@ def _as_transformed(model) -> TransformedModel:
 
 def fisher_information(tm: TransformedModel, h: float):
     """Per-period informativeness of the outcome: I(h) = g2(h)^2 h."""
-    return tm.fisher(h)
+    g2h = tm.g2(h)
+    return g2h * g2h * h
 
 
 # -- exact posterior -------------------------------------------------------
@@ -141,8 +155,8 @@ def posterior_params(tm: TransformedModel, history) -> tuple[float, float]:
     """
     hs = np.asarray([h for h, _ in history], dtype=float)
     xs = np.asarray([x for _, x in history], dtype=float)
-    g2h = _vec(tm.g2, hs)
-    g3h = _vec(tm.g3, hs)
+    g2h = tm.g2(hs)
+    g3h = tm.g3(hs)
     info = g2h * g2h * hs
     total = float(info.sum())
     if total <= 0.0:
@@ -166,8 +180,8 @@ def posterior_exact_density(tm: TransformedModel, history, points,
         return out if np.ndim(points) else float(out[0])
     hs = np.asarray([h for h, _ in history], dtype=float)
     xs = np.asarray([x for _, x in history], dtype=float)
-    g2h = _vec(tm.g2, hs)
-    g3h = _vec(tm.g3, hs)
+    g2h = tm.g2(hs)
+    g3h = tm.g3(hs)
     resid0 = xs - tm.model.mu_hat - g3h
 
     def log_kernel(b):
@@ -270,19 +284,6 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray):
         def rule(m, s):
             return _quadrature_assessment(tm, table, alphas, m, s)
     return rule
-
-
-def _array_map(f, shape):
-    """``f`` itself if it maps float arrays of ``shape`` elementwise, else a
-    wrapper applying it entry by entry; decided once per simulation."""
-    try:
-        out = f(np.ones(shape))
-        if (isinstance(out, np.ndarray) and out.dtype == np.float64
-                and out.shape == shape):
-            return f
-    except (TypeError, ValueError):
-        pass
-    return lambda x: _vec(f, x)
 
 
 @functools.cache
@@ -476,7 +477,7 @@ def _table_assessments(tm: TransformedModel, table: _FocTable, alphas,
         betas, weights = [], []
         for alpha, mj, sj in zip(alphas, m[k], s[k]):
             pts, wts = _group_quadrature(tm, float(mj), float(sj), nodes)
-            betas.append(_vec(tm.g1_inv, pts))
+            betas.append(tm.g1_inv(pts))
             weights.append(alpha * wts)
         series[k] = table.expected_series(np.concatenate(betas),
                                           np.concatenate(weights))
@@ -530,27 +531,28 @@ class _RunResult:
     rec_x: np.ndarray
 
 
-def _run_engine(tm: TransformedModel, alphas: np.ndarray,
-                beta_stars: np.ndarray, deltas: np.ndarray,
-                mu_stars: np.ndarray, runs: int, horizon: int, seed: int,
+def _run_engine(tm: TransformedModel, alphas: Sequence[float],
+                beta_stars: Sequence[float], deltas: Sequence[float],
+                mu_stars: Sequence[float], runs: int, horizon: int, seed: int,
                 prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
                 zero_noise: bool = False, clip_noise: bool = False,
                 record_stride: int = 0, record_run: int = 0,
                 first_run: int = 0) -> _RunResult:
     """Advance runs ``first_run .. first_run + runs - 1`` in lockstep for
-    ``horizon`` periods; ``record_run`` indexes into that batch."""
+    ``horizon`` periods; ``record_run`` indexes into that batch, and
+    ``prior`` has one entry (None: uniform) per group."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     groups = len(alphas)
+    if prior is not None and len(prior) != groups:
+        raise ValueError(f"prior has {len(prior)} entries for {groups} groups")
     # loop invariants, as (1, groups) rows against (runs, groups) state
     bstar_t = np.array([[float(tm.g1(b)) for b in beta_stars]])
-    mu_star_row = mu_stars[None, :]
-    mu_hat_row = (mu_stars + deltas)[None, :]
-    assess = _assessment_rule(tm, alphas)
-    g2 = _array_map(tm.g2, (runs,))
-    g3 = _array_map(tm.g3, (runs,))
+    mu_star_row = np.array([mu_stars], dtype=float)
+    mu_hat_row = mu_star_row + np.array([deltas], dtype=float)
+    assess = _assessment_rule(tm, np.asarray(alphas, dtype=float))
     h_lo, h_hi = tm.h_lo, tm.h_hi
 
     m = np.zeros((runs, groups))
@@ -582,8 +584,8 @@ def _run_engine(tm: TransformedModel, alphas: np.ndarray,
                 bound = math.sqrt(2.0 * math.log(max(n, 2)))
                 e = np.clip(e, -bound, bound)
             h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
-            g2h = g2(h)
-            g3c = g3(h)[:, None]
+            g2h = tm.g2(h)
+            g3c = tm.g3(h)[:, None]
             info = g2h * g2h * h
             r_star = bstar_t * g2h[:, None] + g3c
             x = mu_star_row + r_star + e / np.sqrt(h)[:, None]
@@ -607,8 +609,16 @@ def _run_engine(tm: TransformedModel, alphas: np.ndarray,
 
 def _single_group_args(tm: TransformedModel):
     mdl = tm.model
-    return (np.array([1.0]), np.array([mdl.beta_star]),
-            np.array([mdl.delta_mu]), np.array([mdl.mu_star]))
+    return (1.0,), (mdl.beta_star,), (mdl.delta_mu,), (mdl.mu_star,)
+
+
+def _record_stride(stride: Optional[int], horizon: int) -> int:
+    """The simulators' ``stride``: default about 1000 recorded periods."""
+    if stride is None:
+        return max(1, horizon // 1000)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    return stride
 
 
 @dataclass(frozen=True)
@@ -648,22 +658,16 @@ def simulate(model, horizon: int, seed: int, run: int = 0,
     period plus the first and the last.
     """
     tm = _as_transformed(model)
-    alphas, bstars, deltas, mus = _single_group_args(tm)
-    if stride is None:
-        stride = max(1, horizon // 1000)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=runs,
+    res = _run_engine(tm, *_single_group_args(tm), runs=runs,
                       horizon=horizon, seed=seed,
                       prior=[prior], zero_noise=zero_noise,
-                      clip_noise=clip_noise, record_stride=stride,
+                      clip_noise=clip_noise,
+                      record_stride=_record_stride(stride, horizon),
                       first_run=run)
     ode = limiting_ode(tm, grid_points=grid_points)
     m_term = float(res.m[0, 0])
     xi_term = float(res.s[0, 0]) / horizon
-    proj = np.clip(m_term, tm.m_lo, tm.m_hi)
-    dists = [abs(proj - np.clip(ss.m, tm.m_lo, tm.m_hi))
-             for ss in ode.steady_states]
+    dists = tm.distances(res.m[:1], [[ss.m] for ss in ode.steady_states])[0]
     idx = int(np.argmin(dists))
     return Trajectory(periods=res.rec_n, m=res.rec_m[:, 0], xi=res.rec_xi[:, 0],
                       h=res.rec_h, x=res.rec_x[:, 0],
@@ -699,19 +703,12 @@ class OdeSystem:
 
     def field(self, theta) -> np.ndarray:
         m, xi = float(theta[0]), float(theta[1])
-        mt = min(max(m, self.tm.m_lo), self.tm.m_hi)
-        h = float(self.tm.steady_assessment(mt))
-        info = float(self.tm.fisher(h))
-        psi = float(self.tm.psi_unconstrained(h))
+        info, psi = self.tm.drift_terms(m)
         return np.array([info * (psi - m) / xi, info - xi])
 
     def nullcline(self, m):
         """xi value with zero xi-drift at each m."""
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        out = np.empty_like(m)
-        for i, mi in enumerate(m):
-            mt = min(max(float(mi), self.tm.m_lo), self.tm.m_hi)
-            out[i] = float(self.tm.fisher(self.tm.steady_assessment(mt)))
+        out, _ = self.tm.drift_terms(np.atleast_1d(np.asarray(m, dtype=float)))
         return out if out.size > 1 else float(out[0])
 
     def integrate(self, theta0, total_time: float,
@@ -741,12 +738,11 @@ def limiting_ode(model, grid_points: int = DEFAULT_GRID) -> OdeSystem:
     eqs = find_equilibria(mdl, engine=tm.engine, grid_points=grid_points)
 
     def psi_breve(mt: float) -> float:
-        return float(tm.psi_unconstrained(tm.steady_assessment(mt)))
+        return float(tm.drift_terms(mt)[1])
 
     states = []
     for p in eqs.points:
-        h = p.h_hat
-        info = float(tm.fisher(h))
+        info = float(fisher_information(tm, p.h_hat))
         if mdl.beta_lo + DEDUP_TOL < p.beta_hat < mdl.beta_hi - DEDUP_TOL:
             m_hat = float(tm.g1(p.beta_hat))
             step = 1e-6 * max(1.0, abs(m_hat))
@@ -785,24 +781,16 @@ def phase_field(model, m_values=None, xi_values=None, grid: int = 200,
         span = tm.m_hi - lo
         m_values = np.linspace(lo - 0.05 * span, tm.m_hi + 0.05 * span, grid)
     if xi_values is None:
-        i_lo = float(tm.fisher(tm.h_lo))
-        i_hi = float(tm.fisher(tm.h_hi))
+        i_lo = float(fisher_information(tm, tm.h_lo))
+        i_hi = float(fisher_information(tm, tm.h_hi))
         pad = 0.2 * (i_hi - i_lo)
         xi_values = np.linspace(max(i_lo - pad, 1e-9 + 0.0), i_hi + pad, grid)
     m_values = np.asarray(m_values, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
-    f1 = np.empty((xi_values.size, m_values.size))
-    f2 = np.empty_like(f1)
-    null = np.empty(m_values.size)
-    for jm, mv in enumerate(m_values):
-        mt = min(max(float(mv), tm.m_lo), tm.m_hi)
-        h = float(tm.steady_assessment(mt))
-        info = float(tm.fisher(h))
-        psi = float(tm.psi_unconstrained(h))
-        null[jm] = info
-        f1[:, jm] = info * (psi - mv) / xi_values
-        f2[:, jm] = info - xi_values
-    return PhaseField(m=m_values, xi=xi_values, f1=f1, f2=f2, nullcline=null,
+    info, psi = tm.drift_terms(m_values)
+    xi_col = xi_values[:, None]
+    return PhaseField(m=m_values, xi=xi_values, f1=info * (psi - m_values) / xi_col,
+                      f2=info - xi_col, nullcline=info,
                       steady_states=ode.steady_states)
 
 
@@ -854,14 +842,14 @@ def monte_carlo_convergence(model, runs: int, horizon: int, seed: int,
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {radius!r}")
     tm = _as_transformed(model)
     traj = simulate(tm, horizon=horizon, seed=seed, run=0, prior=prior,
                     stride=stride, zero_noise=zero_noise,
                     grid_points=grid_points, runs=runs)
     steady = traj.steady_states
-    targets = np.array([np.clip(ss.m, tm.m_lo, tm.m_hi) for ss in steady])
-    proj = np.clip(traj.batch_m, tm.m_lo, tm.m_hi)
-    dists = np.abs(proj[:, None] - targets[None, :])
+    dists = tm.distances(traj.batch_m[:, None], [[ss.m] for ss in steady])
     nearest = np.argmin(dists, axis=1)
     within = dists[np.arange(runs), nearest] <= radius
     counts = [int(np.sum((nearest == i) & within)) for i in range(len(steady))]

@@ -21,8 +21,8 @@ from .best_response import BestResponseEngine
 from .equilibrium import (SCE_KL_TOL, EquilibriumSet, find_equilibria,
                           kl_divergence, kl_minimizer)
 from .errors import NumericalError
-from .learning import (TransformedModel, TruncNormalPrior,
-                       _as_transformed, _run_engine)
+from .learning import (DEFAULT_RADIUS, TruncNormalPrior, _as_transformed,
+                       _record_stride, _run_engine)
 from .primitives import ModelPrimitives
 
 FIXED_POINT_TOL = 1e-10
@@ -302,11 +302,6 @@ class MultigroupTrajectory:
     distance_to_equilibrium: float
 
 
-def _pop_engine_args(pop: GroupPopulation, tm: TransformedModel):
-    return (np.asarray(pop.alphas), np.asarray(pop.beta_stars),
-            np.asarray(pop.deltas), np.asarray(pop.mu_stars))
-
-
 def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                         run: int = 0,
                         prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
@@ -324,20 +319,15 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
     color-sighted equilibrium (solved here when not given).
     """
     tm = _as_transformed(pop.model)
-    alphas, bstars, deltas, mus = _pop_engine_args(pop, tm)
-    if stride is None:
-        stride = max(1, horizon // 1000)
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=1,
-                      horizon=horizon, seed=seed, prior=prior,
-                      zero_noise=zero_noise, record_stride=stride,
+    res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
+                      runs=1, horizon=horizon, seed=seed, prior=prior,
+                      zero_noise=zero_noise,
+                      record_stride=_record_stride(stride, horizon),
                       first_run=run)
     eq = color_sighted_equilibrium(pop) if equilibrium is None else equilibrium
     eq_m = np.array([float(tm.g1(b)) for b in eq.beta_hat])
     term_m = res.m[0]
-    dist = float(np.max(np.abs(np.clip(term_m, tm.m_lo, tm.m_hi)
-                               - np.clip(eq_m, tm.m_lo, tm.m_hi))))
+    dist = float(tm.distances(res.m, [eq_m])[0, 0])
     return MultigroupTrajectory(periods=res.rec_n, m=res.rec_m, xi=res.rec_xi,
                                 h=res.rec_h, x=res.rec_x,
                                 terminal_m=term_m,
@@ -361,18 +351,18 @@ class MultigroupConvergenceReport:
 
 
 def monte_carlo_multigroup(pop: GroupPopulation, runs: int, horizon: int,
-                           seed: int, radius: float = 0.05,
+                           seed: int, radius: float = DEFAULT_RADIUS,
                            prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None
                            ) -> MultigroupConvergenceReport:
     """Fraction of runs whose terminal belief vector lands near the equilibrium."""
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {radius!r}")
     tm = _as_transformed(pop.model)
-    alphas, bstars, deltas, mus = _pop_engine_args(pop, tm)
-    res = _run_engine(tm, alphas, bstars, deltas, mus, runs=runs,
-                      horizon=horizon, seed=seed, prior=prior)
+    res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
+                      runs=runs, horizon=horizon, seed=seed, prior=prior)
     eq = color_sighted_equilibrium(pop)
     eq_m = np.array([float(tm.g1(b)) for b in eq.beta_hat])
-    proj = np.clip(res.m, tm.m_lo, tm.m_hi)
-    dists = np.max(np.abs(proj - np.clip(eq_m, tm.m_lo, tm.m_hi)[None, :]), axis=1)
+    dists = tm.distances(res.m, [eq_m])[:, 0]
     return MultigroupConvergenceReport(equilibrium_m=eq_m, distances=dists,
                                        runs=runs, horizon=horizon,
                                        radius=radius, seed=seed)

@@ -74,6 +74,9 @@ class Factorization:
     ``g1`` and ``g2`` must be strictly increasing and strictly positive on
     the interiors of their domains; ``g1_inv`` inverts ``g1`` on the
     productivity support.  Learning simulations require this structure.
+
+    Each callable may be scalar-only: ``transform`` probes it once on a
+    grid and applies it entry by entry when it does not map arrays.
     """
 
     g1: Fn1

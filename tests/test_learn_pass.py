@@ -139,6 +139,7 @@ class TestValidation:
         (["--runs", "0"], "runs"), (["--runs", "-1"], "runs"),
         (["--stride", "0"], "stride"), (["--stride", "-3"], "stride"),
         (["--prior-center", "1", "--prior-sd", "0"], "prior-sd"),
+        (["--radius", "-1"], "radius"), (["--radius", "nan"], "radius"),
     ])
     def test_learn_rejects_out_of_range_flags(self, tmp_path, capsys, flags,
                                               word):
@@ -158,9 +159,43 @@ class TestValidation:
         assert code == 2
         assert word in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,word", [
+        (["solve", THREE_EQ, "--grid", "-5"], "grid"),
+        (["phase", THREE_EQ, "--grid", "-3"], "grid"),
+        (["check", THREE_EQ, "--grid", "0"], "grid"),
+        (["check", THREE_EQ, "--grid", "-2"], "grid"),
+        (["compare", THREE_EQ, "--param", "kappa", "--sweep-points", "-1"],
+         "sweep_points"),
+        (["compare", THREE_EQ, "--param", "kappa", "--step", "-2"], "step"),
+        (["compare", THREE_EQ, "--param", "c", "--sweep-span", "1.5"],
+         "sweep_span"),
+    ])
+    def test_commands_reject_out_of_range_counts_and_levers(self, tmp_path,
+                                                            capsys, argv, word):
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 2
+        assert word in capsys.readouterr().err
+
     def test_library_rejects_nonpositive_runs_and_stride(self, tm3):
         for runs in (0, -1):
             with pytest.raises(ValueError, match="runs"):
                 monte_carlo_convergence(tm3, runs=runs, horizon=10, seed=0)
         with pytest.raises(ValueError, match="stride"):
             simulate(tm3, horizon=10, seed=0, stride=0)
+
+    @pytest.mark.parametrize("radius", [-1.0, float("nan")])
+    def test_library_rejects_negative_or_nan_radius(self, tm3, radius):
+        with pytest.raises(ValueError, match="radius"):
+            monte_carlo_convergence(tm3, runs=2, horizon=10, seed=0,
+                                    radius=radius)
+        pop = load_config(GROUPS).population()
+        with pytest.raises(ValueError, match="radius"):
+            berklab.multigroup.monte_carlo_multigroup(pop, runs=2, horizon=10,
+                                                      seed=0, radius=radius)
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_prior_list_needs_one_entry_per_group(self, groups):
+        pop = load_config(GROUPS).population()
+        prior = [berklab.learning.TruncNormalPrior(mean=4.0, sd=0.5)] * groups
+        with pytest.raises(ValueError, match="prior"):
+            berklab.multigroup.simulate_multigroup(pop, horizon=10, seed=0,
+                                                   prior=prior)

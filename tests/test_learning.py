@@ -29,6 +29,34 @@ def tm_neg():
 
 
 class TestTransform:
+    def test_scalar_only_factorization_gives_the_array_bits(self, tm3):
+        # g3 returns a float for any input and math.sqrt refuses arrays:
+        # transform must apply both entry by entry
+        model = tm3.model
+        c = model.lq.c
+        fac = Factorization(g1=lambda b: b * b, g2=lambda h: h / c,
+                            g3=lambda h: 0.0, g1_inv=math.sqrt)
+        scalar = transform(dataclasses.replace(model, factorization=fac))
+        assert scalar.g1_inv is not math.sqrt and scalar.g2 is fac.g2
+
+        def bits(*arrays):
+            return [np.asarray(a).tobytes() for a in arrays]
+
+        a = simulate(tm3, horizon=300, seed=5, runs=3, stride=1)
+        b = simulate(scalar, horizon=300, seed=5, runs=3, stride=1)
+        assert (bits(a.m, a.xi, a.h, a.x, a.batch_m)
+                == bits(b.m, b.xi, b.h, b.x, b.batch_m))
+        a = monte_carlo_convergence(tm3, runs=4, horizon=500, seed=2)
+        b = monte_carlo_convergence(scalar, runs=4, horizon=500, seed=2)
+        assert (a.counts, a.unclassified) == (b.counts, b.unclassified)
+        assert bits(a.trajectory.batch_m) == bits(b.trajectory.batch_m)
+        a, b = phase_field(tm3, grid=15), phase_field(scalar, grid=15)
+        assert (bits(a.m, a.xi, a.f1, a.f2, a.nullcline)
+                == bits(b.m, b.xi, b.f1, b.f2, b.nullcline))
+        history = [(0.2 + 0.02 * k, 0.1 * k - 0.5) for k in range(20)]
+        assert (posterior_params(tm3, history)
+                == posterior_params(scalar, history))
+
     def test_lq_closed_factorization(self, tm3):
         assert tm3.g1(2.0) == pytest.approx(4.0)
         assert tm3.g2(0.5) == pytest.approx(0.5)
@@ -286,6 +314,15 @@ class TestPhaseField:
             assert f[1] == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(ode.field((sink.m, sink.xi))) < 1e-8
 
+    def test_grid_is_the_ode_field_bit_for_bit(self, tm3):
+        field = phase_field(tm3, grid=25)
+        ode = limiting_ode(tm3)
+        assert np.array_equal(field.nullcline, ode.nullcline(field.m))
+        for i, xi in enumerate(field.xi):
+            for j, m in enumerate(field.m):
+                f = ode.field((m, xi))
+                assert (field.f1[i, j], field.f2[i, j]) == (f[0], f[1])
+
     def test_saddle_line_separates_drift(self, tm3):
         ode = limiting_ode(tm3)
         saddle = ode.steady_states[1]
@@ -354,3 +391,49 @@ def test_certainty_equivalent_shortcut_needs_square_g1():
     assert want == pytest.approx(0.8, abs=1e-8)
     got = evaluator_step(scaled, LearningState(n=10**6, m=fac.g1(2.0), xi=1.0))
     assert got == pytest.approx(want, abs=1e-8)
+
+
+def test_each_learning_rule_has_one_owner():
+    # the array contract is decided in transform, and support projection
+    # of modes (clip or min(max(...)) against m_lo/m_hi) lives only in
+    # TransformedModel
+    import ast
+    import re
+    from pathlib import Path
+
+    import berklab
+
+    src = Path(berklab.__file__).parent
+    helpers = [f"{path.name}:{i}"
+               for path in sorted(src.glob("*.py"))
+               for i, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\b(_vec|_array_map)\b", line)]
+    assert helpers == []
+
+    def name(call):
+        f = call.func
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+    def projects(node):
+        if not isinstance(node, ast.Call):
+            return False
+        if name(node) == "clip":
+            args = node.args[1:]
+        elif name(node) in ("min", "minimum") and any(
+                isinstance(a, ast.Call) and name(a) in ("max", "maximum")
+                for a in node.args):
+            args = node.args
+        else:
+            return False
+        return any(isinstance(n, ast.Attribute) and n.attr in ("m_lo", "m_hi")
+                   for a in args for n in ast.walk(a))
+
+    offenders = []
+    for module in ("learning.py", "multigroup.py"):
+        tree = ast.parse((src / module).read_text())
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and top.name == "TransformedModel":
+                continue
+            offenders += [f"{module}:{n.lineno}" for n in ast.walk(top)
+                          if projects(n)]
+    assert offenders == []
