@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import BestResponseEngine
-from .equilibrium import DEDUP_TOL, EquilibriumSet, find_equilibria, scan_fixed_points
+from .chebyshev import certified_roots
+from .equilibrium import DEDUP_TOL, DEFAULT_GRID, EquilibriumSet, find_equilibria
 from .errors import InvariantViolation
 from .primitives import ModelPrimitives, build_lq
-from .rootfind import solve_increasing_to
 
 LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")
 PERTURBABLE = ("delta_mu",) + LQ_PARAMETERS
@@ -221,33 +221,6 @@ def disparity_report(model: ModelPrimitives, delta_m: float, delta_w: float,
 # -- first-order misspecification ----------------------------------------
 
 
-def _fom_belief_map(model: ModelPrimitives, eng: BestResponseEngine,
-                    frozen_assessment: bool):
-    """Belief map under first-order misspecification.
-
-    Perceived effective effort is r(a(h, beta_star), beta): effort is read
-    correctly, productivity is not.  ``frozen_assessment`` reuses the
-    baseline assessment map h(beta) instead of the second-order-belief
-    variant (diagnostic matching the fixed-assessment decomposition).
-    """
-    m = model
-
-    def psi_f(beta: float) -> float:
-        h = (eng.assessment(beta) if frozen_assessment
-             else eng.first_order_assessment(beta))
-        a0 = float(eng.effort(h, m.beta_star))
-        target = m.r(a0, m.beta_star) - m.delta_mu
-        if m.r(a0, m.beta_lo) >= target:
-            return m.beta_lo
-        if m.r(a0, m.beta_hi) <= target:
-            return m.beta_hi
-        root = solve_increasing_to(lambda x: m.r(a0, x), target,
-                                   m.beta_lo, m.beta_hi)
-        return float(root)
-
-    return psi_f
-
-
 @dataclass(frozen=True)
 class FirstOrderComparison:
     beta_ours: float
@@ -261,8 +234,10 @@ def first_order_comparison(model: ModelPrimitives,
                            frozen_assessment: bool = False) -> FirstOrderComparison:
     """Least-distorted SCE under our belief map vs first-order misspecification.
 
-    Near the truth the own-belief channel doubles up with the productivity
-    channel, so our least-distorted SCE is closer to beta_star; raises when
+    First-order SCEs are the interior roots of that variant's fit gap, by
+    ``certified_roots``.  Near the truth the own-belief channel doubles up
+    with the productivity channel, so our least-distorted SCE is closer to
+    beta_star; raises when
     that ordering fails (expected only for large misspecifications, for
     which a warning is emitted up front).
     """
@@ -278,9 +253,19 @@ def first_order_comparison(model: ModelPrimitives,
         raise InvariantViolation("no self-confirming equilibrium in the base model")
     beta_ours = min(sces, key=lambda p: abs(p.beta_hat - m.beta_star)).beta_hat
 
-    psi_f = np.vectorize(_fom_belief_map(m, eng, frozen_assessment), otypes=[float])
-    roots = scan_fixed_points(psi_f, m.beta_lo, m.beta_hi)
-    interior = [b for b, _ in roots
+    def gap_f(beta: float) -> float:
+        # effort is read under the truth, productivity is not; the frozen
+        # variant keeps the baseline assessment map
+        h = (eng.assessment(beta) if frozen_assessment
+             else eng.first_order_assessment(beta))
+        a0 = float(eng.effort(h, m.beta_star))
+        return m.delta_mu + m.r(a0, beta) - m.r(a0, m.beta_star)
+
+    found = certified_roots(gap_f, m.beta_lo, m.beta_hi, DEFAULT_GRID)
+    for b in found.near_tangent:
+        warnings.warn(f"first-order fit gap comes within its certified error "
+                      f"of zero at {b:.9g} without crossing")
+    interior = [b for b in found.roots
                 if m.beta_lo + DEDUP_TOL < b < m.beta_hi - DEDUP_TOL]
     if not interior:
         raise InvariantViolation("no self-confirming equilibrium in the "

@@ -17,6 +17,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
+from .chebyshev import Roots, certified_roots
 from .errors import InvariantViolation, NumericalError
 from .primitives import ModelPrimitives
 from .rootfind import (RTOL, XTOL, fd1, fd2, solve_decreasing,
@@ -43,8 +44,10 @@ class BestResponseEngine:
     over numpy arrays): ``effort``, ``effective_effort``,
     ``effort_sensitivities``, ``r_partials``, ``best_fit``,
     ``assessment``, ``assessment_multigroup``, ``certainty_equivalent``,
-    ``first_order_assessment`` and ``assessment_gradient``.  Every
-    assessment without one goes through a single numeric solve.
+    ``first_order_assessment`` and ``assessment_gradient``; also
+    ``interior_fixed_points``, whose quadratic replaces the certified
+    enumeration.  Every assessment without one goes through a single
+    numeric solve.
 
     Pure and reentrant: no mutable state beyond cached constants, so one
     engine can be shared across threads.  ``force_numeric`` routes LQ
@@ -160,6 +163,43 @@ class BestResponseEngine:
             return math.nan if root is None else root
 
         return _elementwise(fit, h)
+
+    def _fit_gap(self, h, beta, beta_star: float, delta_mu: float):
+        """delta_mu + R(h, beta) - R(h, beta_star): positive exactly when the
+        best fit at assessment h lies below beta."""
+        return (delta_mu + self.effective_effort(h, beta)
+                - self.effective_effort(h, beta_star))
+
+    def interior_fixed_points(self, beta_star: float, delta_mu: float,
+                              max_points: int) -> Roots:
+        """Sign changes of the fit gap G(beta) = ``_fit_gap(h(beta), beta)``,
+        where the belief map crosses the diagonal (stable where G rises),
+        with the map's slope at each.  LQ models solve the fixed-point
+        quadratic in x = beta^2; others run ``certified_roots`` on G with at
+        most ``max_points`` points, the slope being 1 - G'/R_beta."""
+        m = self.model
+
+        def gap(beta):
+            return self._fit_gap(self.assessment(beta), beta, beta_star, delta_mu)
+
+        if not self._closed:
+            found = certified_roots(gap, m.beta_lo, m.beta_hi, max_points)
+            r_b = [self.r_partials(self.assessment(b), b)[1] for b in found.roots]
+            return found._replace(slopes=1.0 - found.slopes / np.array(r_b))
+        lq = m.lq
+        # lambda1 x^2 - b x + c0 = 0, by the cancellation-free formula
+        b = lq.lambda1 * beta_star ** 2 - delta_mu * lq.c * lq.lambda2
+        c0 = delta_mu * lq.kappa * lq.c ** 2
+        disc = b * b - 4.0 * lq.lambda1 * c0
+        xs = np.empty(0)
+        if disc >= 0.0:
+            q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
+            xs = np.unique([q / lq.lambda1, c0 / q])
+            xs = xs[(xs > m.beta_lo ** 2) & (xs < m.beta_hi ** 2)]
+        slopes = c0 / (lq.lambda1 * xs * xs)
+        f_lo, f_hi = gap(np.array([m.beta_lo, m.beta_hi]))
+        return Roots(np.sqrt(xs), slopes < 1.0, slopes, np.empty(0),
+                     float(f_lo), float(f_hi))
 
     # -- evaluator ------------------------------------------------------
 

@@ -288,9 +288,11 @@ def cmd_disparity(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_check(args, cfg: RunConfig, writer: _Writer) -> int:
-    _require_positive(args, "grid")
     model = cfg.model()
-    report = check_assumptions(model, n_h=args.grid, n_beta=args.grid)
+    try:
+        report = check_assumptions(model, n_h=args.grid, n_beta=args.grid)
+    except ValueError as exc:
+        raise ConfigError(f"--grid {args.grid}: {exc}") from exc
     writer.json("assumptions.json", {
         "all_passed": report.all_passed,
         "grid": list(report.grid_shape),

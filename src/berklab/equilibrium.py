@@ -5,6 +5,13 @@ divergence-minimizing productivity fit; its fixed points are the
 equilibrium beliefs.  A fixed point is stable when the map crosses the
 diagonal from above, and self-confirming when the minimized divergence is
 zero (always true for interior fixed points).
+
+Interior fixed points are the sign changes of one smooth residual, the fit
+gap G(beta) = delta_mu + R(h(beta), beta) - R(h(beta), beta_star), whose
+square (times h/2) is the divergence: LQ models solve the fixed-point
+quadratic, others certify a Chebyshev series of G against direct
+evaluations and polish each sign change of the true G.  Near-tangent
+points are reported, never dropped silently.
 """
 
 from __future__ import annotations
@@ -12,18 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .best_response import BestResponseEngine
 from .errors import NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import RTOL, XTOL
 
 SCE_KL_TOL = 1e-12
 DEDUP_TOL = 1e-9
-CORNER_TOL = 1e-12
 TANGENCY_SLOPE_TOL = 1e-3
-DEFAULT_GRID = 4096
+DEFAULT_GRID = 4096  # cap on Chebyshev proxy points for general primitives
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ def kl_divergence(model: ModelPrimitives, h: float, beta: float,
     """
     eng = _engine(model, engine)
     dm = model.delta_mu if delta_mu is None else delta_mu
-    gap = dm + eng.effective_effort(h, beta) - eng.effective_effort(h, model.beta_star)
+    gap = eng._fit_gap(h, beta, model.beta_star, dm)
     return 0.5 * h * gap * gap
 
 
@@ -118,17 +122,10 @@ def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float,
     return kl_minimizer(model, h_eq, delta_mu=delta_m, engine=engine)
 
 
-def _classify_interior(d_lo: float, d_hi: float) -> str:
-    # crossing from above: map exceeds the diagonal left of the root
-    return "stable" if d_lo > 0.0 > d_hi else "unstable"
-
-
 def _make_point(model, eng, beta_hat: float, stability: str) -> EquilibriumPoint:
     h_hat = float(eng.assessment(beta_hat))
     kl = float(kl_divergence(model, h_hat, beta_hat, engine=eng))
-    # the belief map at beta_hat, reusing its assessment h_hat
-    fit = eng.best_fit(h_hat, model.beta_star, model.delta_mu)
-    residual = abs(float(fit) - beta_hat)
+    residual = abs(float(psi_tilde(model, beta_hat, eng)) - beta_hat)
     return EquilibriumPoint(beta_hat=beta_hat, h_hat=h_hat, stability=stability,
                             is_sce=kl <= SCE_KL_TOL, kl=kl, residual=residual)
 
@@ -137,9 +134,11 @@ def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
                     engine: BestResponseEngine | None = None) -> EquilibriumSet:
     """Enumerate all fixed points of the belief map with stability labels.
 
-    The fixed points come from ``scan_fixed_points`` on the belief map;
-    each is annotated with its assessment and divergence, and the scan's
-    resolution limits are reported as warnings.
+    Interior ones come from ``BestResponseEngine.interior_fixed_points``
+    (``grid_points`` >= 17 caps the Chebyshev points on the numeric path); an
+    edge is a stable fixed point where the map pins there, G >= 0 at
+    beta_lo and G <= 0 at beta_hi.  Slopes within ``TANGENCY_SLOPE_TOL``
+    of one and uncertified near-tangent points are reported as warnings.
     """
     eng = _engine(model, engine)
     m = model
@@ -148,69 +147,26 @@ def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
         pt = _make_point(m, eng, m.beta_star, "stable")
         return EquilibriumSet(points=(pt,), delta_mu=0.0)
 
-    def psi(beta):
-        return psi_tilde(m, beta, eng)
-
-    def dfun(b):
-        return float(psi(float(b))) - float(b)
-
-    roots = scan_fixed_points(psi, m.beta_lo, m.beta_hi, grid_points)
-    if not roots:
+    fp = eng.interior_fixed_points(m.beta_star, m.delta_mu, grid_points)
+    found = [(float(b), "stable" if up else "unstable")
+             for b, up in zip(fp.roots, fp.rising)]
+    if fp.f_lo >= 0.0:
+        found.append((m.beta_lo, "stable"))
+    if fp.f_hi <= 0.0:
+        found.append((m.beta_hi, "stable"))
+    if not found:
         raise NumericalError("no fixed point found; the belief map should "
                              "always admit one on a compact support")
-    grid = np.linspace(m.beta_lo, m.beta_hi, grid_points)
-    step = grid[1] - grid[0]
-
-    notes: list[str] = []
-    ascending = [b for b, _ in reversed(roots)]
-    for b1, b2 in zip(ascending, ascending[1:]):
-        if b2 - b1 < 2.0 * step:
-            notes.append(f"roots at {b1:.9g} and {b2:.9g} are closer than twice "
-                         "the grid step; refine the grid")
-    eps = step / 8.0
-    for beta_hat, _ in roots:
-        if m.beta_lo + DEDUP_TOL < beta_hat < m.beta_hi - DEDUP_TOL:
-            slope = (dfun(beta_hat + eps) - dfun(beta_hat - eps)) / (2.0 * eps) + 1.0
-            if abs(slope - 1.0) < TANGENCY_SLOPE_TOL:
-                notes.append(f"near-tangent crossing at {beta_hat:.9g} "
-                             f"(slope {slope:.6g}); stability label unreliable")
-    points = tuple(_make_point(m, eng, b, stab) for b, stab in roots)
-    return EquilibriumSet(points=points, delta_mu=m.delta_mu, warnings=tuple(notes))
-
-
-def scan_fixed_points(fn, lo: float, hi: float, grid_points: int = DEFAULT_GRID):
-    """Fixed points of a map of [lo, hi] into itself, with stability labels.
-
-    ``fn`` is called once on the whole grid (an array) and on scalars while
-    polishing.  Scans a uniform grid for sign changes of fn(b) - b,
-    polishes each bracket with Brent's method, and labels stability by the
-    crossing direction; endpoints are fixed points when the map pins there,
-    stable when it pushes into the corner.  Returns (root, stability) pairs
-    ordered by descending root.
-    """
-    grid = np.linspace(lo, hi, grid_points)
-    d = np.asarray(fn(grid), dtype=float) - grid
-
-    def dfun(b):
-        return float(fn(float(b))) - float(b)
-
-    near, far = np.abs(d) <= CORNER_TOL, np.abs(d) > CORNER_TOL
     roots: list[tuple[float, str]] = []
-    if near[0]:
-        roots.append((float(grid[0]), "stable" if d[1] < 0.0 else "unstable"))
-    if near[-1]:
-        roots.append((float(grid[-1]), "stable" if d[-2] > 0.0 else "unstable"))
-    # interior grid nodes can land exactly on the diagonal
-    for i in np.flatnonzero(near[1:-1] & far[:-2] & far[2:]) + 1:
-        roots.append((float(grid[i]), _classify_interior(d[i - 1], d[i + 1])))
-    # sign changes between nodes that are not roots themselves
-    for i in np.flatnonzero(~near[:-1] & ~near[1:] & (d[:-1] * d[1:] < 0.0)):
-        root = brentq(dfun, float(grid[i]), float(grid[i + 1]),
-                      xtol=XTOL, rtol=RTOL)
-        roots.append((float(root), _classify_interior(d[i], d[i + 1])))
-    out: list[tuple[float, str]] = []
-    for beta_hat, stab in sorted(roots, key=lambda t: t[0]):
-        if out and abs(beta_hat - out[-1][0]) < DEDUP_TOL:
-            continue
-        out.append((beta_hat, stab))
-    return sorted(out, key=lambda t: -t[0])
+    for beta_hat, stab in sorted(found, key=lambda t: t[0]):
+        if not roots or beta_hat - roots[-1][0] >= DEDUP_TOL:
+            roots.append((beta_hat, stab))
+
+    notes = [f"near-tangent crossing at {b:.9g} (slope {s:.6g}); stability "
+             "label unreliable"
+             for b, s in zip(fp.roots, fp.slopes) if abs(s - 1.0) < TANGENCY_SLOPE_TOL]
+    notes += [f"near-tangent point at {b:.9g}: the fit gap comes within its "
+              "certified error of zero without crossing; an equilibrium "
+              "pair may be missing" for b in fp.near_tangent]
+    points = tuple(_make_point(m, eng, b, stab) for b, stab in reversed(roots))
+    return EquilibriumSet(points=points, delta_mu=m.delta_mu, warnings=tuple(notes))

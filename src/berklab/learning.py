@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .best_response import BestResponseEngine, _elementwise
+from .chebyshev import _bracketed_roots, _cheb_basis, certified_series
 from .equilibrium import DEDUP_TOL, DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
@@ -35,9 +36,7 @@ QUAD_NODES_MAX = 512
 QUAD_RTOL = 1e-8
 WINDOW_SIGMAS = 8.0
 DEFAULT_RADIUS = 0.05
-TABLE_POINTS = (17, 33, 65)  # nested Chebyshev-Lobatto grids, per axis
-TABLE_RTOL = 1e-8  # table error allowed, relative to max |dV_E/dh| on the grid
-_SERIES_MAX_ITER = 100
+TABLE_POINTS = 65  # finest nested Chebyshev-Lobatto grid, per axis
 
 
 @dataclass(frozen=True)
@@ -330,22 +329,6 @@ def _group_quadrature(tm: TransformedModel, m: float, s: float, nodes: int):
 # -- tabulated first-order condition ------------------------------------------
 
 
-def _lobatto(n: int):
-    """Angles theta_j = pi j / (n - 1) of the Chebyshev-Lobatto points
-    cos(theta_j), and the matrix taking values there to Chebyshev
-    coefficients (a discrete cosine transform)."""
-    theta = np.pi * np.arange(n) / (n - 1)
-    to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / (n - 1))
-    to_coef[:, [0, -1]] *= 0.5
-    to_coef[[0, -1], :] *= 0.5
-    return theta, to_coef
-
-
-def _cheb_basis(theta, n: int):
-    """T_k(cos theta) = cos(k theta) for k < n, one row per angle."""
-    return np.cos(np.multiply.outer(theta, np.arange(n)))
-
-
 @dataclass(frozen=True)
 class _FocTable:
     """The evaluator's first-order integrand on [h_lo, h_hi] x [beta_lo,
@@ -383,89 +366,24 @@ class _FocTable:
         return h
 
 
-def _bracketed_roots(c, f_lo, f_hi, tol: float) -> np.ndarray:
-    """Root in (-1, 1) of f(u) = sum_k c_k T_k(-u) for each row of ``c``,
-    with f(-1) = ``f_lo`` > 0 > ``f_hi`` = f(1): Newton steps inside the
-    shrinking bracket, bisection when a step leaves it, until a step or the
-    bracket is below ``tol``."""
-    k = np.arange(c.shape[1])
-    out = np.empty(c.shape[0])
-    ids = np.arange(c.shape[0])
-    a, b = np.full(ids.size, -1.0), np.ones(ids.size)
-    u = -1.0 + 2.0 * f_lo / (f_lo - f_hi)
-    for _ in range(_SERIES_MAX_ITER):
-        theta = np.arccos(-u)
-        kt = np.multiply.outer(theta, k)
-        f = (np.cos(kt) * c).sum(axis=1)
-        pos = f > 0.0
-        a, b = np.where(pos, u, a), np.where(pos, b, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            df = -(np.sin(kt) * (k * c)).sum(axis=1) / np.sin(theta)
-            step = np.where(f == 0.0, 0.0, f / df)
-        newton = u - step
-        converged = np.abs(step) <= tol
-        nxt = np.where(converged | ((newton > a) & (newton < b)), newton,
-                       0.5 * (a + b))
-        done = converged | (b - a <= tol)
-        out[ids[done]] = nxt[done]
-        if done.all():
-            return out
-        keep = ~done
-        ids, c, a, b, u = ids[keep], c[keep], a[keep], b[keep], nxt[keep]
-    raise NumericalError(
-        f"tabulated assessment root did not settle in {_SERIES_MAX_ITER} steps")
-
-
 def _foc_table(tm: TransformedModel) -> _FocTable:
-    """Tabulate the first-order integrand on nested Chebyshev-Lobatto grids.
-
-    Each level reuses the values of the one before (its points are every
-    other point of the next).  A level is accepted once it matches direct
-    solves at fixed off-grid points within ``TABLE_RTOL`` of the largest
-    marginal value; NumericalError when the finest level still misses.
-    """
+    """Tabulate the first-order integrand by ``certified_series``: nested
+    Chebyshev-Lobatto grids of up to ``TABLE_POINTS`` per axis, certified
+    against direct solves at off-grid points; NumericalError when the
+    finest grid still misses."""
     eng, mdl = tm.engine, tm.model
     h_mid, h_half = 0.5 * (tm.h_lo + tm.h_hi), 0.5 * (tm.h_hi - tm.h_lo)
     b_mid = 0.5 * (mdl.beta_lo + mdl.beta_hi)
     b_half = 0.5 * (mdl.beta_hi - mdl.beta_lo)
 
-    def h_at(theta):
-        return h_mid - h_half * math.cos(theta)
+    def integrand(theta_h, theta_b):
+        h = h_mid - h_half * math.cos(theta_h)
+        return (eng._dv_dh(h, b_mid - b_half * math.cos(theta_b))
+                - fd1(mdl.assess_cost, h, lo=0.0, hi=1.0))
 
-    def b_at(theta):
-        return b_mid - b_half * math.cos(theta)
-
-    def kappa_d(h):
-        return fd1(mdl.assess_cost, h, lo=0.0, hi=1.0)
-
-    # check angles: odd multiples of pi / 128, on none of the nested grids
-    check_theta = np.pi * np.arange(3, 128, 16) / 128.0
-    check = np.array([[eng._dv_dh(h, b_at(t)) - kappa_d(h) for t in check_theta]
-                      for h in map(h_at, check_theta)])
-    dv = None
-    for n in TABLE_POINTS:
-        theta, to_coef = _lobatto(n)
-        hs = [h_at(t) for t in theta]
-        bs = [b_at(t) for t in theta]
-        grid = np.empty((n, n))
-        if dv is not None:
-            grid[::2, ::2] = dv
-        for i, h in enumerate(hs):
-            for j, b in enumerate(bs):
-                if dv is None or i % 2 or j % 2:
-                    grid[i, j] = eng._dv_dh(h, b)
-        dv = grid
-        kd = np.array([kappa_d(h) for h in hs])
-        coef = to_coef @ (dv - kd[:, None]) @ to_coef.T
-        basis = _cheb_basis(check_theta, n)
-        err = float(np.max(np.abs(basis @ coef @ basis.T - check)))
-        if err <= TABLE_RTOL * float(np.max(np.abs(dv))):
-            return _FocTable(coef=coef, h_lo=tm.h_lo, h_hi=tm.h_hi,
-                             b_mid=b_mid, b_half=b_half)
-    raise NumericalError(
-        f"tabulated marginal value misses direct solves by {err:.3e} with "
-        f"{TABLE_POINTS[-1]} points per axis (tolerance {TABLE_RTOL:g} "
-        "relative); dV_E/dh is not smooth enough on the assessment range")
+    coef, _, _ = certified_series(integrand, 2, TABLE_POINTS)
+    return _FocTable(coef=coef, h_lo=tm.h_lo, h_hi=tm.h_hi,
+                     b_mid=b_mid, b_half=b_half)
 
 
 def _table_assessments(tm: TransformedModel, table: _FocTable, alphas,
@@ -707,9 +625,10 @@ class OdeSystem:
         return np.array([info * (psi - m) / xi, info - xi])
 
     def nullcline(self, m):
-        """xi value with zero xi-drift at each m."""
+        """xi value with zero xi-drift at each m: a float for a scalar m, an
+        array of m's shape otherwise."""
         out, _ = self.tm.drift_terms(np.atleast_1d(np.asarray(m, dtype=float)))
-        return out if out.size > 1 else float(out[0])
+        return out if np.ndim(m) else float(out[0])
 
     def integrate(self, theta0, total_time: float,
                   max_step: float = 0.05) -> np.ndarray:

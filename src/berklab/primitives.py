@@ -249,11 +249,15 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     """Numerically verify the regularity assumptions on a rectangular grid.
 
     Violations are reported, not raised; the report carries the grid index
-    of the first offending point per check.
+    of the first offending point per check.  ValueError unless every
+    comparison has points to compare: n_h, n_beta >= 2 and n_a >= 3.
     """
     from .best_response import BestResponseEngine
     from .errors import BerklabError
 
+    if n_h < 2 or n_beta < 2 or n_a < 3:
+        raise ValueError("the checks need n_h >= 2, n_beta >= 2 and n_a >= 3 "
+                         f"grid points, got {n_h}, {n_beta} and {n_a}")
     engine = BestResponseEngine(model)
     hs = np.linspace(0.0, 1.0, n_h)
     betas = np.linspace(model.beta_lo, model.beta_hi, n_beta)

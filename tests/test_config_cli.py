@@ -221,6 +221,15 @@ class TestCliOthers:
         rep = json.loads((out / "assumptions.json").read_text())
         assert rep["all_passed"] is True
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_check_grid_without_pairs_exits_2(self, tmp_path, capsys, grid):
+        # a 1 x 1 grid has no two points to compare, so it certifies nothing
+        cfg = write(tmp_path, THREE_EQ)
+        out = tmp_path / "out"
+        assert main(["check", cfg, "--out-dir", str(out), "--grid", grid]) == 2
+        assert "n_h >= 2" in capsys.readouterr().err
+        assert not (out / "assumptions.json").exists()
+
     def test_format_restriction(self, tmp_path):
         cfg = write(tmp_path, THREE_EQ)
         out = tmp_path / "out"

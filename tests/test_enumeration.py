@@ -1,0 +1,211 @@
+"""Certified enumeration of belief-map fixed points: instances next to the
+saddle-node, agreement of the closed-form and numeric enumerators, the
+Chebyshev root certificate, and its cost."""
+
+import ast
+import math
+from pathlib import Path
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+
+import berklab
+from berklab import (BestResponseEngine, GroupPopulation, LQParams, build_lq,
+                     build_power, color_blind_equilibria, find_equilibria)
+from berklab.chebyshev import certified_roots
+from berklab.learning import limiting_ode, transform
+
+from helpers import lq_oracle_equilibria, three_equilibria_model
+
+SADDLE_NODE = 6.0 - math.sqrt(20.0)  # delta_mu where the interior pair of lq_three collides
+
+
+def labels(eqs):
+    return [(p.beta_hat, p.stable) for p in eqs.points]
+
+
+def assert_matches_oracle(eqs, model, abs_tol):
+    want = lq_oracle_equilibria(model)
+    assert len(eqs) == len(want)
+    for (beta, stable), (b, s) in zip(labels(eqs), want):
+        assert beta == pytest.approx(b, abs=abs_tol)
+        assert stable == s
+
+
+def test_defect_instance_returns_all_three_equilibria():
+    # 1e-8 below the saddle-node the interior pair is 1.3e-4 apart
+    model = three_equilibria_model().with_delta_mu(SADDLE_NODE - 1e-8)
+    eqs = find_equilibria(model)
+    assert_matches_oracle(eqs, model, 1e-9)
+    assert [p.stability for p in eqs] == ["stable", "unstable", "stable"]
+    assert eqs.beliefs[0] == pytest.approx(1.111853, abs=1e-6)
+    assert eqs.beliefs[1] == pytest.approx(1.111719, abs=1e-6)
+    assert eqs.beliefs[2] == model.beta_lo
+    assert all(p.residual < 1e-12 for p in eqs)
+
+
+def test_defect_instance_pooled_from_two_identical_groups():
+    dm = SADDLE_NODE - 1e-8
+    base = three_equilibria_model()
+    pop = GroupPopulation(model=base, alphas=(0.5, 0.5), deltas=(dm, dm),
+                          beta_stars=(2.0, 2.0))
+    assert_matches_oracle(color_blind_equilibria(pop), base.with_delta_mu(dm), 1e-9)
+
+
+def test_defect_instance_on_the_numeric_path():
+    model = three_equilibria_model().with_delta_mu(SADDLE_NODE - 1e-8)
+    eqs = find_equilibria(model, engine=BestResponseEngine(model, force_numeric=True))
+    # the pair is ill-conditioned there: G's ~1e-11 solve noise over G' ~ 1e-4
+    assert_matches_oracle(eqs, model, 1e-6)
+    assert any("tangent" in w for w in eqs.warnings)
+
+
+def test_numeric_path_reports_a_near_miss_above_the_saddle_node():
+    model = three_equilibria_model().with_delta_mu(SADDLE_NODE + 1e-9)
+    eqs = find_equilibria(model, engine=BestResponseEngine(model, force_numeric=True))
+    assert eqs.beliefs == (model.beta_lo,)
+    assert any("near-tangent point" in w for w in eqs.warnings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_gap=st.floats(-12.0, -3.0), below=st.booleans())
+def test_saddle_node_sweep_count_matches_the_discriminant(log_gap, below):
+    gap = 10.0 ** log_gap
+    model = three_equilibria_model().with_delta_mu(
+        SADDLE_NODE - gap if below else SADDLE_NODE + gap)
+    want = lq_oracle_equilibria(model)
+    assert len(want) == (3 if below else 1)
+    eqs = find_equilibria(model)
+    assert len(eqs) == len(want)
+    assert [p.stable for p in eqs] == [s for _, s in want]
+
+
+def saddle_node_distance(lq, beta_star, delta_mu):
+    """|delta_mu - d| over the delta_mu values d where the fixed-point
+    quadratic's discriminant vanishes (a quadratic in delta_mu)."""
+    l1, l2, c, k = lq.lambda1, lq.lambda2, lq.c, lq.kappa
+    coeffs = [(c * l2) ** 2, -(2.0 * l1 * beta_star ** 2 * c * l2 + 4.0 * l1 * k * c * c),
+              (l1 * beta_star ** 2) ** 2]
+    return min((abs(delta_mu - d.real) for d in np.roots(coeffs)), default=math.inf)
+
+
+@settings(max_examples=10, deadline=None)
+@given(c=st.floats(0.5, 2.0), kappa_mult=st.floats(1.1, 3.0),
+       lambda_e=st.floats(0.5, 1.5), lambda_a=st.floats(0.0, 1.0),
+       delta_mu=st.floats(-1.5, 1.5))
+def test_interior_fixed_points_match_numeric_property(c, kappa_mult, lambda_e,
+                                                      lambda_a, delta_mu):
+    # the admissible family of the engine property test: h(beta_hi) < 1
+    kappa = kappa_mult * max(0.5, lambda_e * 3.0 ** 2 / c)
+    m = build_lq(LQParams(c=c, kappa=kappa, lambda_e=lambda_e,
+                          lambda_a=lambda_a),
+                 0.0, 2.0, 0.0, 0.5, 3.0)
+    assume(saddle_node_distance(m.lq, 2.0, delta_mu) >= 1e-3)
+    closed = BestResponseEngine(m).interior_fixed_points(2.0, delta_mu, 4096)
+    numeric = BestResponseEngine(m, force_numeric=True).interior_fixed_points(
+        2.0, delta_mu, 4096)
+    assert numeric.roots.size == closed.roots.size
+    assert np.allclose(numeric.roots, closed.roots, rtol=0.0, atol=1e-8)
+    assert np.array_equal(numeric.rising, closed.rising)
+    assert np.allclose(numeric.slopes, closed.slopes, rtol=0.0, atol=1e-5)
+    assert numeric.near_tangent.size == 0
+    for got, want in ((numeric.f_lo, closed.f_lo), (numeric.f_hi, closed.f_hi)):
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+def test_certified_roots_separates_a_close_pair(eps):
+    a = 0.37
+
+    def f(x):
+        return (x - a) * (x - a - eps) * (x + 0.8)
+
+    found = certified_roots(f, -0.5, 2.0, 4096)
+    assert found.roots == pytest.approx([a, a + eps], abs=1e-13)
+    assert found.rising.tolist() == [False, True]
+    assert found.slopes == pytest.approx([-eps * (a + 0.8), eps * (a + eps + 0.8)],
+                                         rel=1e-6)
+    assert found.near_tangent.size == 0
+    assert found.f_lo == f(-0.5) and found.f_hi == f(2.0)
+
+
+def test_certified_roots_reports_a_bump_just_above_zero():
+    found = certified_roots(lambda x: (x - 0.4) ** 2 + 1e-12, 0.0, 1.0, 4096)
+    assert found.roots.size == 0
+    assert found.near_tangent == pytest.approx([0.4], abs=1e-9)
+    # a bump well above the certified error carries no warning
+    clear = certified_roots(lambda x: (x - 0.4) ** 2 + 1e-3, 0.0, 1.0, 4096)
+    assert clear.roots.size == clear.near_tangent.size == 0
+
+
+def test_certified_roots_refuses_what_it_cannot_certify():
+    with pytest.raises(berklab.NumericalError, match="not smooth enough"):
+        certified_roots(lambda x: abs(x - 0.3) - 0.1, 0.0, 1.0, 64)
+    with pytest.raises(ValueError, match="max_points"):
+        certified_roots(lambda x: x, 0.0, 1.0, 16)
+
+
+def test_general_enumeration_cost(monkeypatch):
+    calls = []
+    original = BestResponseEngine.assessment
+
+    def counted(self, beta):
+        calls.append(1)
+        return original(self, beta)
+
+    monkeypatch.setattr(BestResponseEngine, "assessment", counted)
+    model = build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
+    eqs = find_equilibria(model)
+    assert len(eqs) == 1 and eqs.points[0].stable
+    assert 0 < len(calls) <= 128
+
+
+def test_nullcline_type_follows_the_input():
+    ode = limiting_ode(transform(three_equilibria_model()))
+    one = ode.nullcline(np.array([2.0]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    scalar = ode.nullcline(2.0)
+    assert isinstance(scalar, float)
+    assert one[0] == scalar
+    assert ode.nullcline(np.array([2.0, 3.0])).shape == (2,)
+
+
+def test_assumption_check_needs_points_to_compare():
+    model = three_equilibria_model()
+    for kwargs in ({"n_h": 1}, {"n_beta": 1}, {"n_a": 2}):
+        with pytest.raises(ValueError, match="n_h >= 2"):
+            berklab.check_assumptions(model, **{"n_h": 4, "n_beta": 4, "n_a": 4,
+                                                **kwargs})
+    assert berklab.check_assumptions(model, n_h=2, n_beta=2, n_a=3).all_passed
+
+
+def test_one_enumerator_for_every_fixed_point():
+    # no uniform-grid scan survives in the enumeration modules, and the
+    # Chebyshev kernels have one home
+    src = Path(berklab.__file__).parent
+    for module in ("equilibrium.py", "analysis.py"):
+        text = (src / module).read_text()
+        for name in ("scan_fixed_points", "CORNER_TOL", "np.vectorize",
+                     "_classify_interior", "_fom_belief_map"):
+            assert name not in text, f"{module}: {name}"
+    assert "linspace" not in (src / "equilibrium.py").read_text()
+
+    def calls(fn, name):
+        return any(isinstance(n, ast.Attribute) and n.attr == name
+                   for n in ast.walk(fn))
+
+    # analysis compares assessment maps pointwise on a grid in
+    # comparative_statics; no other function there may build one
+    tree = ast.parse((src / "analysis.py").read_text())
+    gridded = sorted(f.name for f in tree.body
+                     if isinstance(f, ast.FunctionDef) and calls(f, "linspace"))
+    assert gridded == ["comparative_statics"]
+
+    kernels = ("_lobatto", "_cheb_basis", "_bracketed_roots")
+    homes = {(path.name, node.name)
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name in kernels}
+    assert homes == {("chebyshev.py", k) for k in kernels}
