@@ -23,6 +23,7 @@ from .primitives import ModelPrimitives, build_lq
 
 LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")
 PERTURBABLE = ("delta_mu",) + LQ_PARAMETERS
+SHIFT_GRID = 33  # productivities at which comparative_statics compares assessments
 
 
 def weak_set_order_leq(a, b) -> bool:
@@ -82,8 +83,7 @@ class ComparativeStaticsResult:
 
 
 def comparative_statics(model: ModelPrimitives, parameter: str,
-                        rel_step: float = 0.01,
-                        grid_points: int = 33) -> ComparativeStaticsResult:
+                        rel_step: float = 0.01) -> ComparativeStaticsResult:
     """Stable-equilibrium distortion sets before and after a small shock.
 
     The assessment map is compared pointwise on a productivity grid first;
@@ -94,7 +94,7 @@ def comparative_statics(model: ModelPrimitives, parameter: str,
     if parameter == "delta_mu":
         shift = "none"
     else:
-        betas = np.linspace(model.beta_lo, model.beta_hi, grid_points)
+        betas = np.linspace(model.beta_lo, model.beta_hi, SHIFT_GRID)
         h0 = BestResponseEngine(model).assessment(betas)
         h1 = BestResponseEngine(perturbed).assessment(betas)
         if np.all(h1 > h0):

@@ -29,25 +29,36 @@ H_EDGE = 1e-12  # open-interval margin for assessment brackets
 SOLVE_REL_STEP = 1e-3
 
 
-def _elementwise(fn, x):
-    """Apply a scalar solver to a scalar (float out) or to each array entry."""
-    if np.ndim(x) == 0:
-        return fn(float(x))
-    x = np.asarray(x, dtype=float)
-    return np.array([fn(float(v)) for v in x.ravel()]).reshape(x.shape)
+def _broadcast(*args):
+    """Scalars as they are, else the arrays broadcast to one shape."""
+    if all(np.ndim(a) == 0 for a in args):
+        return args
+    return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+
+
+def _elementwise(fn, *args, pair: bool = False):
+    """Apply a scalar map to scalars (its float out) or entry by entry to the
+    broadcast arrays (an array of their shape out; with ``pair``, the two
+    arrays of a pair-valued map)."""
+    args = _broadcast(*args)
+    if np.ndim(args[0]) == 0:
+        return fn(*map(float, args))
+    vals = np.array([fn(*map(float, p)) for p in zip(*(a.flat for a in args))])
+    vals = vals.reshape(args[0].shape + ((2,) if pair else ()))
+    return (vals[..., 0], vals[..., 1]) if pair else vals
 
 
 class BestResponseEngine:
     """Optimal behavior maps for a fixed model.
 
-    The only owner of the LQ closed forms.  Methods with one (vectorized
-    over numpy arrays): ``effort``, ``effective_effort``,
-    ``effort_sensitivities``, ``r_partials``, ``best_fit``,
-    ``assessment``, ``assessment_multigroup``, ``certainty_equivalent``,
-    ``first_order_assessment`` and ``assessment_gradient``; also
-    ``interior_fixed_points``, whose quadratic replaces the certified
-    enumeration.  Every assessment without one goes through a single
-    numeric solve.
+    The only owner of the LQ closed forms and of the array contract: every
+    point map (``effort``, ``effective_effort``, ``effort_sensitivities``,
+    ``r_partials``, ``best_fit``, ``assessment``, ``first_order_assessment``,
+    ``certainty_equivalent``) takes scalars, giving floats, or broadcastable
+    arrays, giving arrays (a pair of them for pairs) of the scalar calls'
+    bits, on both paths: closed forms once over the arrays, numeric solves
+    entry by entry.  ``interior_fixed_points`` solves the LQ fixed-point
+    quadratic in place of the certified enumeration.
 
     Pure and reentrant: no mutable state beyond cached constants, so one
     engine can be shared across threads.  ``force_numeric`` routes LQ
@@ -70,9 +81,8 @@ class BestResponseEngine:
     def effort(self, h, beta):
         """Maximizer of h*r(a, beta) - c(a); zero when h or beta is zero."""
         if self._closed:
-            lq = self.model.lq
-            return h * beta / lq.c
-        return self._effort_numeric(float(h), float(beta))
+            return h * beta / self.model.lq.c
+        return _elementwise(self._effort_numeric, h, beta)
 
     def _effort_numeric(self, h: float, beta: float) -> float:
         if h <= 0.0 or beta <= 0.0:
@@ -91,22 +101,22 @@ class BestResponseEngine:
     def effective_effort(self, h, beta):
         """R(h, beta) = r(a(h, beta), beta)."""
         if self._closed:
-            lq = self.model.lq
-            return h * beta * beta / lq.c
-        a = self.effort(h, beta)
-        return self.model.r(a, float(beta))
+            return h * beta * beta / self.model.lq.c
+        return _elementwise(
+            lambda hh, b: self.model.r(self._effort_numeric(hh, b), b), h, beta)
 
-    def effort_sensitivities(self, h: float, beta: float) -> tuple[float, float]:
+    def effort_sensitivities(self, h, beta):
         """(da/dh, da/dbeta) from the implicit function theorem at a(h, beta)."""
-        return self._sensitivities_at(h, beta, None)
+        if self._closed:
+            c = self.model.lq.c
+            h, beta = _broadcast(h, beta)
+            return beta / c, h / c
+        return _elementwise(self._sensitivities_at, h, beta, pair=True)
 
     def _sensitivities_at(self, h: float, beta: float,
-                          a: float | None) -> tuple[float, float]:
-        """``effort_sensitivities`` at an effort ``a`` already solved for
-        (h, beta); None solves it here."""
-        if self._closed:
-            lq = self.model.lq
-            return beta / lq.c, h / lq.c
+                          a: float | None = None) -> tuple[float, float]:
+        """Numeric ``effort_sensitivities`` at an effort ``a`` already solved
+        for (h, beta); None solves it here."""
         m = self.model
         if a is None:
             a = self._effort_numeric(h, beta)
@@ -120,22 +130,28 @@ class BestResponseEngine:
                 "second-order condition failed: c'' - h r_aa <= 0")
         return r_a / denom, h * r_ab / denom
 
-    def r_partials(self, h: float, beta: float) -> tuple[float, float]:
+    def r_partials(self, h, beta):
         """(dR/dh, dR/dbeta) of effective effort at (h, beta)."""
         if self._closed:
             c = self.model.lq.c
+            h, beta = _broadcast(h, beta)
             return beta * beta / c, 2.0 * h * beta / c
-        r_h = fd1(lambda hh: self.effective_effort(hh, beta), h, lo=0.0, hi=1.0)
-        r_b = fd1(lambda bb: self.effective_effort(h, bb), beta, lo=0.0)
-        return r_h, r_b
 
-    def best_fit(self, h, beta_star: float, delta_mu: float, clamp: bool = True):
+        def partials(h: float, beta: float) -> tuple[float, float]:
+            r_h = fd1(lambda hh: self.effective_effort(hh, beta), h, lo=0.0, hi=1.0)
+            r_b = fd1(lambda bb: self.effective_effort(h, bb), beta, lo=0.0)
+            return r_h, r_b
+
+        return _elementwise(partials, h, beta, pair=True)
+
+    def best_fit(self, h, beta_star, delta_mu, clamp: bool = True):
         """Productivity x solving R(h, x) = R(h, beta_star) - delta_mu.
 
         ``beta_star`` is the caller's truth, not the engine model's: one
-        engine serves every group of a population.  With ``clamp`` the
-        divergence minimizer on the support (the root projected onto it);
-        without, the root on [0, inf), nan if none.  Vectorized over h.
+        engine serves every group of a population, and arrays of truths and
+        misspecifications broadcast with h.  With ``clamp`` the divergence
+        minimizer on the support (the root projected onto it); without, the
+        root on [0, inf), nan if none.
         """
         m = self.model
         if self._closed:
@@ -146,7 +162,7 @@ class BestResponseEngine:
                 out = np.where(val >= 0.0, np.sqrt(np.maximum(val, 0.0)), np.nan)
             return float(out) if out.ndim == 0 else out
 
-        def fit(hh: float) -> float:
+        def fit(hh: float, beta_star: float, delta_mu: float) -> float:
             target = self.effective_effort(hh, beta_star) - delta_mu
             if clamp:
                 if self.effective_effort(hh, m.beta_lo) >= target:
@@ -162,13 +178,18 @@ class BestResponseEngine:
                                        expand=True, max_hi=1e9 * m.beta_hi)
             return math.nan if root is None else root
 
-        return _elementwise(fit, h)
+        return _elementwise(fit, h, beta_star, delta_mu)
 
-    def _fit_gap(self, h, beta, beta_star: float, delta_mu: float):
+    def _fit_gap(self, h, beta, beta_star, delta_mu):
         """delta_mu + R(h, beta) - R(h, beta_star): positive exactly when the
         best fit at assessment h lies below beta."""
         return (delta_mu + self.effective_effort(h, beta)
                 - self.effective_effort(h, beta_star))
+
+    def _divergence(self, h, beta, beta_star, delta_mu):
+        """``kl_divergence`` for truth beta_star: (h/2) * fit gap^2."""
+        gap = self._fit_gap(h, beta, beta_star, delta_mu)
+        return 0.5 * h * gap * gap
 
     def interior_fixed_points(self, beta_star: float, delta_mu: float,
                               max_points: int) -> Roots:
@@ -184,8 +205,8 @@ class BestResponseEngine:
 
         if not self._closed:
             found = certified_roots(gap, m.beta_lo, m.beta_hi, max_points)
-            r_b = [self.r_partials(self.assessment(b), b)[1] for b in found.roots]
-            return found._replace(slopes=1.0 - found.slopes / np.array(r_b))
+            _, r_b = self.r_partials(self.assessment(found.roots), found.roots)
+            return found._replace(slopes=1.0 - found.slopes / r_b)
         lq = m.lq
         # lambda1 x^2 - b x + c0 = 0, by the cancellation-free formula
         b = lq.lambda1 * beta_star ** 2 - delta_mu * lq.c * lq.lambda2
@@ -254,7 +275,7 @@ class BestResponseEngine:
             return self._closed_assessment(s)
         return self.assessment(np.sqrt(s))
 
-    def first_order_assessment(self, beta: float) -> float:
+    def first_order_assessment(self, beta):
         """Assessment under first-order misspecification: the evaluator
         believes productivity is beta but knows effort is chosen under the
         truth, argmax_h v_e(a(h, beta_star), beta) - kappa(h)."""
@@ -263,7 +284,8 @@ class BestResponseEngine:
             lq = m.lq
             num = lq.lambda1 * beta * m.beta_star
             return num / (lq.lambda2 * m.beta_star ** 2 + lq.kappa * lq.c)
-        return self._assessment_numeric([(1.0, float(beta))], belief=m.beta_star)
+        return _elementwise(
+            lambda b: self._assessment_numeric([(1.0, b)], belief=m.beta_star), beta)
 
     def assessment_gradient(self, betas, weights) -> np.ndarray:
         """Gradient of the shared assessment in the productivities."""

@@ -79,10 +79,8 @@ def kl_divergence(model: ModelPrimitives, h: float, beta: float,
     Both are Gaussian with variance 1/h, so this is
     (h/2) * (delta_mu + R(h, beta) - R(h, beta_star))^2.
     """
-    eng = _engine(model, engine)
     dm = model.delta_mu if delta_mu is None else delta_mu
-    gap = eng._fit_gap(h, beta, model.beta_star, dm)
-    return 0.5 * h * gap * gap
+    return _engine(model, engine)._divergence(h, beta, model.beta_star, dm)
 
 
 def kl_root(model: ModelPrimitives, h: float, delta_mu: float | None = None,

@@ -37,6 +37,9 @@ QUAD_RTOL = 1e-8
 WINDOW_SIGMAS = 8.0
 DEFAULT_RADIUS = 0.05
 TABLE_POINTS = 65  # finest nested Chebyshev-Lobatto grid, per axis
+RECON_TOL = 1e-10  # factorization reconstruction error transform accepts
+EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
+EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,10 @@ class TransformedModel:
         return np.abs(diff).max(axis=2)
 
 
-def transform(model: ModelPrimitives, grid: int = 64,
-              tol: float = 1e-10) -> TransformedModel:
+def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
     """Certify the factorization R = g1 g2 + g3 on a grid and package it.
 
-    Refuses to proceed when the reconstruction error exceeds ``tol``:
+    Refuses to proceed when the reconstruction error exceeds ``RECON_TOL``:
     without the structure, posteriors lose their truncated-normal form and
     the simulation would silently be wrong.
     """
@@ -112,18 +114,15 @@ def transform(model: ModelPrimitives, grid: int = 64,
                   array_form(fac.g3, hs))
     g1_betas = g1(betas)
     g1_inv = array_form(fac.g1_inv, g1_betas)
-    err = 0.0
-    for h in hs:
-        rec = g1_betas * float(fac.g2(h)) + float(fac.g3(h))
-        direct = np.array([eng.effective_effort(float(h), float(b)) for b in betas])
-        err = max(err, float(np.max(np.abs(rec - direct))))
-    if err > tol:
+    rec = np.array([g1_betas * float(fac.g2(h)) + float(fac.g3(h)) for h in hs])
+    err = float(np.max(np.abs(rec - eng.effective_effort(hs[:, None], betas))))
+    if err > RECON_TOL:
         raise NumericalError(
-            f"factorization reconstruction error {err:.3e} exceeds {tol:.1e}; "
+            f"factorization reconstruction error {err:.3e} exceeds {RECON_TOL:.1e}; "
             "the multiplicative structure does not hold for these primitives")
     # LQ assessment depends on a belief only through E[beta^2], which is the
     # posterior mean of g1 exactly when g1 is beta^2
-    square = bool(np.max(np.abs(g1_betas - betas * betas)) <= tol)
+    square = bool(np.max(np.abs(g1_betas - betas * betas)) <= RECON_TOL)
     return TransformedModel(
         model=model, g1=g1, g2=g2, g3=g3, g1_inv=g1_inv,
         m_lo=float(fac.g1(model.beta_lo)), m_hi=float(fac.g1(model.beta_hi)),
@@ -164,8 +163,7 @@ def posterior_params(tm: TransformedModel, history) -> tuple[float, float]:
     return num / total, 1.0 / total
 
 
-def posterior_exact_density(tm: TransformedModel, history, points,
-                            quad_nodes: int = 256):
+def posterior_exact_density(tm: TransformedModel, history, points):
     """Posterior density over transformed productivity by direct Bayes.
 
     Evaluates the Gaussian-product kernel in log space and normalizes with
@@ -187,7 +185,7 @@ def posterior_exact_density(tm: TransformedModel, history, points,
         diff = resid0[None, :] - np.outer(b, g2h)
         return -0.5 * (diff * diff * hs[None, :]).sum(axis=1)
 
-    nodes, weights = _gauss_legendre(quad_nodes)
+    nodes, weights = _gauss_legendre(EXACT_QUAD_NODES)
     nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * weights
     lk_nodes = log_kernel(nodes)
@@ -630,15 +628,14 @@ class OdeSystem:
         out, _ = self.tm.drift_terms(np.atleast_1d(np.asarray(m, dtype=float)))
         return out if np.ndim(m) else float(out[0])
 
-    def integrate(self, theta0, total_time: float,
-                  max_step: float = 0.05) -> np.ndarray:
+    def integrate(self, theta0, total_time: float) -> np.ndarray:
         """Explicit Euler with step bounded by 0.1 / |F|."""
         theta = np.asarray(theta0, dtype=float).copy()
         t = 0.0
         while t < total_time:
             f = self.field(theta)
             norm = float(np.linalg.norm(f))
-            dt = min(max_step, 0.1 / max(norm, 1e-12), total_time - t)
+            dt = min(EULER_MAX_STEP, 0.1 / max(norm, 1e-12), total_time - t)
             theta = theta + dt * f
             t += dt
         return theta

@@ -18,8 +18,7 @@ import numpy as np
 
 from .analysis import LQ_PARAMETERS, _with_lq_value
 from .best_response import BestResponseEngine
-from .equilibrium import (SCE_KL_TOL, EquilibriumSet, find_equilibria,
-                          kl_divergence, kl_minimizer)
+from .equilibrium import SCE_KL_TOL, EquilibriumSet, find_equilibria
 from .errors import NumericalError
 from .learning import (DEFAULT_RADIUS, TruncNormalPrior, _as_transformed,
                        _record_stride, _run_engine)
@@ -27,6 +26,7 @@ from .primitives import ModelPrimitives
 
 FIXED_POINT_TOL = 1e-10
 MAX_ITER = 500
+DENSE_LIMIT = 32  # largest J whose spectrum eigen_check solves densely
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,6 @@ class GroupPopulation:
         """Population-weighted average misspecification."""
         return float(sum(a * d for a, d in zip(self.alphas, self.deltas)))
 
-    def group_model(self, j: int) -> ModelPrimitives:
-        m = self.model.with_beta_star(self.beta_stars[j])
-        return m.with_delta_mu(self.deltas[j])
-
 
 def color_blind_equilibria(pop: GroupPopulation) -> EquilibriumSet:
     """Equilibria when group identity is unobservable.
@@ -110,19 +106,7 @@ class MultigroupEquilibrium:
                     and np.all(self.beta_hat <= self.domain_hi + 1e-12))
 
 
-def _g_factors(pop: GroupPopulation, eng: BestResponseEngine, h: float,
-               betas: np.ndarray) -> np.ndarray:
-    """Per-group factors g_j = (R_h(h, b*_j) - R_h(h, psi_j)) / R_b(h, psi_j)."""
-    out = np.empty(pop.size)
-    for j in range(pop.size):
-        rh_star, _ = eng.r_partials(h, pop.beta_stars[j])
-        rh_psi, rb_psi = eng.r_partials(h, float(betas[j]))
-        out[j] = (rh_star - rh_psi) / rb_psi
-    return out
-
-
-def color_sighted_equilibrium(pop: GroupPopulation, tol: float = FIXED_POINT_TOL,
-                              max_iter: int = MAX_ITER,
+def color_sighted_equilibrium(pop: GroupPopulation,
                               keep_history: bool = False) -> MultigroupEquilibrium:
     """Unique small-misspecification equilibrium by fixed-point iteration.
 
@@ -134,28 +118,29 @@ def color_sighted_equilibrium(pop: GroupPopulation, tol: float = FIXED_POINT_TOL
     model = pop.model
     eng = BestResponseEngine(model)
     alphas = np.asarray(pop.alphas)
-    betas = np.asarray(pop.beta_stars, dtype=float)
-    warned = any(abs(d) > 0.1 * b for d, b in zip(pop.deltas, pop.beta_stars))
-    if warned:
+    truths = np.asarray(pop.beta_stars, dtype=float)
+    deltas = np.asarray(pop.deltas, dtype=float)
+    betas = truths.copy()
+    if np.any(np.abs(deltas) > 0.1 * truths):
         warnings.warn("misspecifications are large relative to the group "
                       "truths; uniqueness/contraction is not guaranteed")
 
-    lo = np.array([model.beta_lo if d > 0 else b
-                   for d, b in zip(pop.deltas, pop.beta_stars)])
-    hi = np.array([b if d > 0 else model.beta_hi
-                   for d, b in zip(pop.deltas, pop.beta_stars)])
+    lo = np.where(deltas > 0, model.beta_lo, truths)
+    hi = np.where(deltas > 0, truths, model.beta_hi)
+
+    def factors(h, psi):
+        # g_j = (R_h(h, b*_j) - R_h(h, psi_j)) / R_b(h, psi_j)
+        rh_psi, rb_psi = eng.r_partials(h, psi)
+        return (eng.r_partials(h, truths)[0] - rh_psi) / rb_psi
 
     history = [betas.copy()] if keep_history else []
     modulus = 0.0
     damping = 1.0
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         h = float(eng.assessment_multigroup(betas, alphas))
-        nxt = np.array([
-            kl_minimizer(model.with_beta_star(pop.beta_stars[j]), h,
-                         delta_mu=pop.deltas[j], engine=eng)
-            for j in range(pop.size)])
-        step_mod = float(np.linalg.norm(_g_factors(pop, eng, h, nxt))
+        nxt = eng.best_fit(h, truths, deltas)
+        step_mod = float(np.linalg.norm(factors(h, nxt))
                          * np.linalg.norm(eng.assessment_gradient(nxt, alphas)))
         modulus = max(modulus, step_mod)
         if step_mod >= 1.0 and damping == 1.0:
@@ -167,23 +152,19 @@ def color_sighted_equilibrium(pop: GroupPopulation, tol: float = FIXED_POINT_TOL
         betas = new
         if keep_history:
             history.append(betas.copy())
-        if residual < tol:
+        if residual < FIXED_POINT_TOL:
             break
     else:
-        raise NumericalError(f"fixed-point iteration did not reach {tol:g} "
-                             f"within {max_iter} steps (residual {residual:.3g})")
+        raise NumericalError(f"fixed-point iteration did not reach {FIXED_POINT_TOL:g} "
+                             f"within {MAX_ITER} steps (residual {residual:.3g})")
 
     h = float(eng.assessment_multigroup(betas, alphas))
-    g = _g_factors(pop, eng, h, betas)
+    g = factors(h, betas)
     gh = eng.assessment_gradient(betas, alphas)
     shift = float(gh @ g)
     eigs = np.full(pop.size, -1.0)
     eigs[0] = -1.0 + shift
-    sce = tuple(
-        kl_divergence(model.with_beta_star(pop.beta_stars[j]), h,
-                      float(betas[j]), delta_mu=pop.deltas[j],
-                      engine=eng) <= SCE_KL_TOL
-        for j in range(pop.size))
+    sce = tuple((eng._divergence(h, betas, truths, deltas) <= SCE_KL_TOL).tolist())
     return MultigroupEquilibrium(beta_hat=betas, h_hat=h, sce_flags=sce,
                                  g=g, grad_h=gh, eigenvalues=np.sort(eigs),
                                  residual=residual, iterations=it,
@@ -236,17 +217,24 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
     if parameter in LQ_PARAMETERS:
         if model.lq is None:
             raise ValueError("structural sensitivities need an LQ model")
-        # absolute step in the raw parameter, one-sided where LQParams ends
-        # its domain (delta in [0, 1]); a zero value still gets a step
+        # difference the belief map (the best fit at the shared assessment)
+        # at beta_hat: a lever moves the fit through h and may move it
+        # directly (c enters b^2 = b*^2 - delta c / h).  Absolute step in the
+        # raw parameter, one-sided where LQParams ends its domain (delta in
+        # [0, 1]); a zero value still gets a step
         raw = getattr(model.lq, parameter)
         step = 1e-6 * (abs(raw) or 1.0)
         lo, hi = raw - step, raw + step
         if parameter == "delta":
             lo, hi = max(lo, 0.0), min(hi, 1.0)
         alphas = np.asarray(pop.alphas)
-        h_lo, h_hi = (BestResponseEngine(_with_lq_value(model, parameter, v))
-                      .assessment_multigroup(eq.beta_hat, alphas) for v in (lo, hi))
-        return (h_hi - h_lo) / (hi - lo) / (1.0 - s) * g
+
+        def psi(value):
+            e = BestResponseEngine(_with_lq_value(model, parameter, value))
+            return e.best_fit(e.assessment_multigroup(eq.beta_hat, alphas),
+                              np.asarray(pop.beta_stars), np.asarray(pop.deltas))
+
+        return amplify @ ((psi(hi) - psi(lo)) / (hi - lo))
 
     raise ValueError(f"unknown parameter {parameter!r}")
 
@@ -260,7 +248,7 @@ class EigenReport:
     all_negative: bool
 
 
-def eigen_check(eq: MultigroupEquilibrium, dense_limit: int = 32) -> EigenReport:
+def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
     """Spectrum of the fixed-point Jacobian with the Bauer-Fike certificate.
 
     The Jacobian is -I + g grad_h^T, so the spectrum is -1 (multiplicity
@@ -268,7 +256,7 @@ def eigen_check(eq: MultigroupEquilibrium, dense_limit: int = 32) -> EigenReport
     |g|_2 |grad_h|_2 of -1.
     """
     j = eq.g.size
-    if j <= dense_limit:
+    if j <= DENSE_LIMIT:
         mat = -np.eye(j) + np.outer(eq.g, eq.grad_h)
         eigs = np.sort(np.linalg.eigvals(mat).real)
     else:
@@ -325,7 +313,7 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                       record_stride=_record_stride(stride, horizon),
                       first_run=run)
     eq = color_sighted_equilibrium(pop) if equilibrium is None else equilibrium
-    eq_m = np.array([float(tm.g1(b)) for b in eq.beta_hat])
+    eq_m = tm.g1(eq.beta_hat)
     term_m = res.m[0]
     dist = float(tm.distances(res.m, [eq_m])[0, 0])
     return MultigroupTrajectory(periods=res.rec_n, m=res.rec_m, xi=res.rec_xi,
@@ -361,7 +349,7 @@ def monte_carlo_multigroup(pop: GroupPopulation, runs: int, horizon: int,
     res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
                       runs=runs, horizon=horizon, seed=seed, prior=prior)
     eq = color_sighted_equilibrium(pop)
-    eq_m = np.array([float(tm.g1(b)) for b in eq.beta_hat])
+    eq_m = tm.g1(eq.beta_hat)
     dists = tm.distances(res.m, [eq_m])[:, 0]
     return MultigroupConvergenceReport(equilibrium_m=eq_m, distances=dists,
                                        runs=runs, horizon=horizon,

@@ -252,7 +252,7 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     of the first offending point per check.  ValueError unless every
     comparison has points to compare: n_h, n_beta >= 2 and n_a >= 3.
     """
-    from .best_response import BestResponseEngine
+    from .best_response import BestResponseEngine, _elementwise
     from .errors import BerklabError
 
     if n_h < 2 or n_beta < 2 or n_a < 3:
@@ -262,17 +262,11 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     hs = np.linspace(0.0, 1.0, n_h)
     betas = np.linspace(model.beta_lo, model.beta_hi, n_beta)
 
-    a_grid = np.empty((n_h, n_beta))
-    for i, h in enumerate(hs):
-        for j, b in enumerate(betas):
-            a_grid[i, j] = engine.effort(float(h), float(b))
-    r_grid = np.empty_like(a_grid)
-    for i, h in enumerate(hs):
-        for j, b in enumerate(betas):
-            r_grid[i, j] = model.r(a_grid[i, j], float(b))
+    a_grid = engine.effort(hs[:, None], betas)
+    r_grid = _elementwise(model.r, a_grid, betas)
     assessment_failure = ""
     try:
-        h_of_beta = np.array([engine.assessment(float(b)) for b in betas])
+        h_of_beta = engine.assessment(betas)
     except BerklabError as exc:
         h_of_beta = None
         assessment_failure = str(exc)
@@ -281,7 +275,7 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
 
     # effort vanishes at zero assessment / zero productivity
     bad_h0 = np.argwhere(np.abs(a_grid[0]) > BOUNDARY_TOL)
-    zero_beta = np.array([engine.effort(float(h), 0.0) for h in hs])
+    zero_beta = engine.effort(hs, 0.0)
     bad_b0 = np.argwhere(np.abs(zero_beta) > BOUNDARY_TOL)
     if bad_h0.size:
         checks["effort_zero_boundary"] = CheckResult(False, (0, int(bad_h0[0][0])),

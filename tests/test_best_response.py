@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from berklab import (BestResponseEngine, InvariantViolation, LQParams,
                      NumericalError, build_lq, build_power)
 
-from helpers import lq_assessment, power_assessment_gradient, random_lq_instance
+from helpers import (lq_assessment, power_assessment_gradient, random_lq_instance,
+                     unique_equilibrium_model)
 
 
 @pytest.fixture
@@ -248,3 +249,110 @@ def test_first_order_assessment_without_bracket_is_numerical():
                  0.0, 2.0, 0.0, 0.5, 3.0)
     with pytest.raises(NumericalError, match="no bracket"):
         BestResponseEngine(m, force_numeric=True).first_order_assessment(3.0)
+
+
+def _scalar_calls(method, args, **kw):
+    """np.array of ``method`` called on each broadcast point's floats; a
+    pair-valued method gives a pair of arrays."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    grids = [np.broadcast_to(np.asarray(a, dtype=float), shape) for a in args]
+    vals = [method(*(float(g[idx]) for g in grids), **kw)
+            for idx in np.ndindex(shape)]
+    if isinstance(vals[0], tuple):
+        return tuple(np.array([v[k] for v in vals]).reshape(shape) for k in (0, 1))
+    return np.array(vals).reshape(shape)
+
+
+def _same_bits(got, want):
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == 2
+                and all(_same_bits(g, w) for g, w in zip(got, want)))
+    got = np.asarray(got)
+    return (got.dtype == np.float64 and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["closed", "numeric"])
+@settings(max_examples=8, deadline=None)
+@given(hs=st.lists(st.floats(0.05, 0.75), min_size=2, max_size=2),
+       betas=st.lists(st.floats(0.6, 2.0), min_size=2, max_size=2),
+       truths=st.lists(st.floats(0.6, 2.9), min_size=2, max_size=2),
+       deltas=st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2))
+def test_array_calls_are_the_scalar_calls_bit_for_bit(numeric, hs, betas,
+                                                       truths, deltas):
+    # one array contract on both paths: 0-d, (n,) and (n,1) x (1,m)
+    # arguments, and per-group truths in best_fit and the fit gap
+    eng = BestResponseEngine(unique_equilibrium_model(), force_numeric=numeric)
+    h, b = np.array(hs), np.array(betas)
+    shapes = [(h[0], b[0]), (np.array(h[0]), np.array(b[0])), (h, b),
+              (h[:, None], b[None, :])]
+    for method in (eng.effort, eng.effective_effort, eng.effort_sensitivities,
+                   eng.r_partials):
+        for args in shapes:
+            assert _same_bits(method(*args), _scalar_calls(method, args))
+    for method in (eng.assessment, eng.first_order_assessment):
+        for arg in (b[0], np.array(b[0]), b, b[:, None]):
+            assert _same_bits(method(arg), _scalar_calls(method, (arg,)))
+    t, d = np.array(truths), np.array(deltas)
+    for args in [(h[0], t[0], d[0]), (h[0], t, d), (h[:, None], t, d)]:
+        for clamp in (True, False):
+            assert _same_bits(eng.best_fit(*args, clamp=clamp),
+                              _scalar_calls(eng.best_fit, args, clamp=clamp))
+    for args in [(h[0], b[0], t[0], d[0]), (h[0], b, t, d),
+                 (h[:, None], b, t, d)]:
+        assert _same_bits(eng._fit_gap(*args), _scalar_calls(eng._fit_gap, args))
+
+
+def test_no_caller_loops_over_the_engine():
+    # the engine decides its array contract once, so no loop outside it
+    # evaluates a point map at its loop variable, point by point or group
+    # by group (a fixed-point iteration may still call one per step)
+    import ast
+    from pathlib import Path
+
+    import berklab
+
+    src = Path(berklab.__file__).parent
+    point_maps = {"effort", "effective_effort", "r_partials", "best_fit",
+                  "assessment"}
+
+    def called(node):
+        f = node.func
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+
+    def loop_names(node):
+        if isinstance(node, ast.For):
+            targets = [node.target]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            targets = [g.target for g in node.generators]
+        else:
+            return set()
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+    def per_point(call, names):
+        args = call.args + [k.value for k in call.keywords]
+        return called(call) in point_maps and any(
+            isinstance(n, ast.Name) and n.id in names
+            for a in args for n in ast.walk(a))
+
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "best_response.py":
+            continue
+        tree = ast.parse(path.read_text())
+        offenders += sorted({f"{path.name}:{call.lineno}"
+                             for loop in ast.walk(tree)
+                             if (names := loop_names(loop))
+                             for call in ast.walk(loop)
+                             if isinstance(call, ast.Call) and per_point(call, names)})
+        offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                      if "_g_factors" in (getattr(n, "name", None),
+                                          getattr(n, "id", None),
+                                          getattr(n, "attr", None))]
+    tree = ast.parse((src / "multigroup.py").read_text())
+    iteration = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "color_sighted_equilibrium")
+    offenders += [f"multigroup.py:{n.lineno}" for n in ast.walk(iteration)
+                  if isinstance(n, ast.Call) and called(n) == "with_beta_star"]
+    assert offenders == []

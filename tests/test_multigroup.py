@@ -333,3 +333,27 @@ def test_sensitivity_to_zero_valued_lq_parameter():
                               deltas=pop.deltas, beta_stars=pop.beta_stars)
     fd = (color_sighted_equilibrium(shifted).beta_hat - eq.beta_hat) / step
     np.testing.assert_allclose(grad, fd, rtol=1e-3)
+
+
+@pytest.mark.parametrize("lever", ["c", "kappa", "lambda_e", "delta"])
+def test_lever_sensitivity_matches_central_differences(lever):
+    # delta = 0.5 leaves room for a central difference in every lever; kappa
+    # = 5 keeps assessment interior on the support (lambda1 = 1.5)
+    import dataclasses
+
+    from berklab.analysis import _with_lq_value
+
+    lq = LQParams(c=1.0, kappa=5.0, lambda_e=1.0, lambda_a=1.0, delta=0.5)
+    pop = GroupPopulation(model=build_lq(lq, 0.0, 2.0, 0.0, 0.5, 3.0),
+                          alphas=(0.6, 0.4), deltas=(0.05, -0.04),
+                          beta_stars=(2.0, 1.8))
+    grad = sensitivity(pop, color_sighted_equilibrium(pop), lever)
+    raw, step = getattr(lq, lever), 1e-5
+
+    def at(value):
+        model = _with_lq_value(pop.model, lever, value)
+        return color_sighted_equilibrium(
+            dataclasses.replace(pop, model=model)).beta_hat
+
+    fd = (at(raw + step) - at(raw - step)) / (2 * step)
+    assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd)
