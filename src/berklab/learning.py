@@ -40,6 +40,7 @@ TABLE_POINTS = 65  # finest nested Chebyshev-Lobatto grid, per axis
 RECON_TOL = 1e-10  # factorization reconstruction error transform accepts
 EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
 EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
+_MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
 
 
 @dataclass(frozen=True)
@@ -235,10 +236,11 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
     """Next-period assessment given the current posterior state.
 
     Maximizes the posterior expectation of the evaluator's value net of
-    assessment cost; ``state.n == 0`` means no data, in which case the
-    prior (uniform by default) is used.  Off the LQ certainty-equivalent
-    shortcut, each call tabulates the evaluator's marginal value first
-    (see ``_foc_table``).
+    assessment cost.  ``prior`` (uniform by default) is used only when
+    ``state.n == 0``, i.e. before any data: a state after n >= 1 periods,
+    such as ``simulate(..., prior=p).terminal``, already includes its prior
+    in ``xi``.  Off the LQ certainty-equivalent shortcut, each call
+    tabulates the evaluator's marginal value first (see ``_foc_table``).
     """
     if state.n == 0:
         if prior is None:
@@ -247,38 +249,52 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
             m, s = prior.mean, prior.precision
     else:
         m, s = state.m, state.n * state.xi
-        if prior is not None:
-            s += prior.precision
-            m = (prior.precision * prior.mean + state.n * state.xi * state.m) / s
-    rule = _assessment_rule(tm, np.array([1.0]))
-    h = rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float))
+    rule = _assessment_rule(tm, np.array([1.0]), runs=1)
+    h = rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float),
+             settled=s >= _MIN_PRECISION)
     return float(np.clip(h[0], tm.h_lo, tm.h_hi))
 
 
-def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Truncated-posterior means; zero-precision entries fall back to uniform."""
-    mid = 0.5 * (tm.m_lo + tm.m_hi)
-    sigma = 1.0 / np.sqrt(np.maximum(s, 1e-300))
+def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
+                     root: np.ndarray, sigma: np.ndarray, settled: bool) -> np.ndarray:
+    """Truncated-posterior means; zero-precision entries fall back to uniform.
+
+    ``root`` and ``sigma`` are buffers of ``s``'s shape.  ``settled`` says
+    that every entry of ``s`` is at least ``_MIN_PRECISION``; the floor and
+    the uniform fallback are then identities and are skipped.
+    """
+    # sigma = 1.0 / np.sqrt(np.maximum(s, _MIN_PRECISION))
+    np.sqrt(s if settled else np.maximum(s, _MIN_PRECISION, out=sigma), out=root)
+    np.divide(1.0, root, out=sigma)
     nu = trunc_mean(m, sigma, tm.m_lo, tm.m_hi)
-    return np.where(s > 0.0, nu, mid)
+    if settled:
+        return nu
+    return np.where(s > 0.0, nu, 0.5 * (tm.m_lo + tm.m_hi))
 
 
-def _assessment_rule(tm: TransformedModel, alphas: np.ndarray):
+def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     """Optimal common assessment for population posteriors, vectorized over runs.
 
-    Returns a map from ``m`` and ``s`` of shape (runs, groups) to shape
-    (runs,); which branch applies is decided here, once per simulation, and
-    the general branch tabulates the evaluator's marginal value once here.
+    Returns a map from ``m`` and ``s`` of shape (runs, groups) and the
+    ``settled`` flag of ``_posterior_means`` to a fresh array of shape
+    (runs,); which branch applies is decided here, once per simulation, the
+    certainty-equivalent branch allocates its buffers here, and the general
+    branch tabulates the evaluator's marginal value once here.
     """
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
+        root, sigma = np.empty((runs, alphas.size)), np.empty((runs, alphas.size))
+        mean = np.empty(runs)
 
-        def rule(m, s):
-            return ce(_posterior_means(tm, m, s) @ alphas)
+        def rule(m, s, settled):
+            # ce(_posterior_means(...) @ alphas): np.dot with out= calls the
+            # same BLAS gemv as matmul, for less overhead
+            nu = _posterior_means(tm, m, s, root, sigma, settled)
+            return ce(np.dot(nu, alphas, out=mean))
     else:
         table = _foc_table(tm)
 
-        def rule(m, s):
+        def rule(m, s, settled):
             return _quadrature_assessment(tm, table, alphas, m, s)
     return rule
 
@@ -456,7 +472,19 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 first_run: int = 0) -> _RunResult:
     """Advance runs ``first_run .. first_run + runs - 1`` in lockstep for
     ``horizon`` periods; ``record_run`` indexes into that batch, and
-    ``prior`` has one entry (None: uniform) per group."""
+    ``prior`` has one entry (None: uniform) per group.
+
+    The period loop allocates almost nothing: the state (m, s) and the
+    per-period (runs, groups) and (runs,) quantities live in buffers
+    allocated once per call and written with ``out=``, and it calls
+    ``trunc_mean`` once per period (certainty-equivalent rule).  Every
+    operation keeps the order and association of the plain expressions in
+    the comments, so each stored value has their bits.  The precision floor
+    and uniform fallback of ``_posterior_means`` are checked against the
+    state each period until every entry of s is at least
+    ``_MIN_PRECISION``; s never decreases (it gains I(h) = g2(h)^2 h >= 0),
+    so from then on they are skipped.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if runs < 1:
@@ -464,12 +492,13 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     groups = len(alphas)
     if prior is not None and len(prior) != groups:
         raise ValueError(f"prior has {len(prior)} entries for {groups} groups")
-    # loop invariants, as (1, groups) rows against (runs, groups) state
-    bstar_t = np.array([[float(tm.g1(b)) for b in beta_stars]])
-    mu_star_row = np.array([mu_stars], dtype=float)
-    mu_hat_row = mu_star_row + np.array([deltas], dtype=float)
-    assess = _assessment_rule(tm, np.asarray(alphas, dtype=float))
-    h_lo, h_hi = tm.h_lo, tm.h_hi
+    # loop invariants, one row per group repeated over runs, so that they
+    # meet the (runs, groups) state shape for shape (broadcasting costs more)
+    bstar_t, mu_star_row, mu_hat_row = (np.repeat(row, runs, axis=0) for row in (
+        np.array([[float(tm.g1(b)) for b in beta_stars]]),
+        np.array([mu_stars], dtype=float),
+        np.array([mu_stars], dtype=float) + np.array([deltas], dtype=float)))
+    assess = _assessment_rule(tm, np.asarray(alphas, dtype=float), runs)
 
     m = np.zeros((runs, groups))
     s = np.zeros((runs, groups))
@@ -478,6 +507,16 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             if pj is not None:
                 m[:, j] = pj.mean
                 s[:, j] = pj.precision
+    settled = False
+
+    # per-period buffers, each written only by operations that do not also
+    # read it (in-place ufuncs cost more on tiny arrays); the columns are
+    # (runs, 1) views, s alternates with s_next, and the h bounds are 0-d
+    # arrays (a Python float operand is converted on every call)
+    x, w1, w2, w3, s_next = (np.empty((runs, groups)) for _ in range(5))
+    h, h_floor, g2h2, info, root_h, weight = (np.empty(runs) for _ in range(6))
+    info_col, root_h_col, weight_col = info[:, None], root_h[:, None], weight[:, None]
+    h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)
 
     gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
             for k in range(runs)]
@@ -497,18 +536,31 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             n += 1
             e = eps[t]
             if clip_noise:
+                # e = np.clip(e, -bound, bound)
                 bound = math.sqrt(2.0 * math.log(max(n, 2)))
-                e = np.clip(e, -bound, bound)
-            h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
+                np.minimum(np.maximum(e, -bound, out=w1), bound, out=e)
+            if not settled:
+                settled = bool(s.min() >= _MIN_PRECISION)
+            # h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
+            np.minimum(np.maximum(assess(m, s, settled), h_lo, out=h_floor), h_hi, out=h)
             g2h = tm.g2(h)
             g3c = tm.g3(h)[:, None]
-            info = g2h * g2h * h
-            r_star = bstar_t * g2h[:, None] + g3c
-            x = mu_star_row + r_star + e / np.sqrt(h)[:, None]
-            contrib = (x - mu_hat_row - g3c) * (h * g2h)[:, None]
-            s_new = s + info[:, None]
-            m = (s * m + contrib) / s_new
-            s = s_new
+            # info = g2h * g2h * h
+            np.multiply(np.multiply(g2h, g2h, out=g2h2), h, out=info)
+            # x = mu_star_row + (bstar_t * g2h[:, None] + g3c) + e / np.sqrt(h)[:, None]
+            np.add(np.multiply(bstar_t, g2h[:, None], out=w1), g3c, out=w2)
+            np.add(mu_star_row, w2, out=w1)
+            np.sqrt(h, out=root_h)
+            np.add(w1, np.divide(e, root_h_col, out=w2), out=x)
+            # contrib = (x - mu_hat_row - g3c) * (h * g2h)[:, None]
+            np.subtract(np.subtract(x, mu_hat_row, out=w1), g3c, out=w2)
+            np.multiply(h, g2h, out=weight)
+            np.multiply(w2, weight_col, out=w1)
+            # s_next = s + info[:, None]; m = (s * m + contrib) / s_next
+            np.add(np.multiply(s, m, out=w2), w1, out=w3)
+            np.add(s, info_col, out=s_next)
+            np.divide(w3, s_next, out=m)
+            s, s_next = s_next, s
             if record_stride and (n % record_stride == 0 or n == 1 or n == horizon):
                 rec_n.append(n)
                 rec_m.append(m[record_run].copy())

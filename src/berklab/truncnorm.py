@@ -25,10 +25,20 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # and the fast path returns the same bits without evaluating it.
 INTERIOR_SIGMAS = 12.0
 _ULP_GUARD = 1e-14
+# exp(x) underflows to exactly 0.0 below about -745.13
+_EXP_UNDERFLOW = -746.0
 
 
 def trunc_mean(m, sigma, lo: float, hi: float):
-    """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m."""
+    """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m.
+
+    Array results are fresh arrays.  When no mode lies above the midpoint the
+    reflection is skipped, and when moreover every element takes the interior
+    fast path the final clip is skipped too: for sigma >= 0 each mode then
+    satisfies lo < m <= (lo + hi) / 2, where the clip is the identity.  (A
+    reflected mode may round past hi by part of an ulp of lo + hi, so the
+    clip stays whenever a mode was reflected.)
+    """
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != m.shape:
@@ -36,12 +46,15 @@ def trunc_mean(m, sigma, lo: float, hi: float):
     mid = 0.5 * (lo + hi)
     # reflect so the mode sits at or below the midpoint
     flip = m > mid
-    mm = np.where(flip, lo + hi - m, m)
+    reflected = np.count_nonzero(flip) > 0
+    mm = np.where(flip, lo + hi - m, m) if reflected else m
     inside = mm - lo > INTERIOR_SIGMAS * sigma
     if lo < 0.0:  # for lo >= 0 the mode already exceeds 12 sigma
         inside &= np.abs(mm) > _ULP_GUARD * sigma
     n_inside = np.count_nonzero(inside)
     if n_inside == inside.size:
+        if not reflected:
+            return m.copy() if m.ndim else float(m)
         out = mm
     elif n_inside == 0:
         out = mm + sigma * _tail_ratio(mm, sigma, lo, hi)
@@ -49,59 +62,65 @@ def trunc_mean(m, sigma, lo: float, hi: float):
         edge = ~inside
         out = mm.copy()
         out[edge] += sigma[edge] * _tail_ratio(mm[edge], sigma[edge], lo, hi)
-    out = np.where(flip, lo + hi - out, out)
-    out = np.clip(out, lo, hi)
+    if reflected:
+        out = np.where(flip, lo + hi - out, out)
+    # np.clip's bits for ordered bounds, with less call overhead
+    out = np.minimum(np.maximum(out, lo), hi)
     return out if out.ndim else float(out)
 
 
 def _by_branch(u, w, far, near):
     """``far(u, w)`` where u >= 0 and ``near(u, w)`` elsewhere, each
-    evaluated only on the elements it applies to."""
+    evaluated only on the elements it applies to; the one ``errstate``
+    block of a tail evaluation, since both forms under- and overflow by
+    design."""
     is_far = u >= 0.0
     n_far = np.count_nonzero(is_far)
-    if n_far == is_far.size:
-        return far(u, w)
-    if n_far == 0:
-        return near(u, w)
-    is_near = ~is_far
-    out = np.empty(u.shape)
-    out[is_far] = far(u[is_far], w[is_far])
-    out[is_near] = near(u[is_near], w[is_near])
+    with np.errstate(over="ignore", under="ignore"):
+        if n_far == is_far.size:
+            return far(u, w)
+        if n_far == 0:
+            return near(u, w)
+        is_near = ~is_far
+        out = np.empty(u.shape)
+        out[is_far] = far(u[is_far], w[is_far])
+        out[is_near] = near(u[is_near], w[is_near])
     return out
 
 
 def _ratio_far(u, w):
     # hazard-style form, safe when both tail arguments are large positive
-    with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(u * u - w * w)  # <= 1 since |u| <= w after reflection
-        den = erfcx(u) - erfcx(w) * decay
-        return _SQRT_2_OVER_PI * (1.0 - decay) / np.where(den > 0.0, den, 1.0)
+    d = u * u - w * w  # <= 0 since |u| <= w after reflection
+    if np.count_nonzero(d < _EXP_UNDERFLOW) == d.size:
+        # exp(d) is exactly 0, so the full form below reduces to these bits
+        # (the corner-sink case: modes far below the support)
+        den = erfcx(u)
+        return _SQRT_2_OVER_PI / np.where(den > 0.0, den, 1.0)
+    decay = np.exp(d)
+    den = erfcx(u) - erfcx(w) * decay
+    return _SQRT_2_OVER_PI * (1.0 - decay) / np.where(den > 0.0, den, 1.0)
 
 
 def _ratio_near(u, w):
-    with np.errstate(over="ignore", under="ignore"):
-        num = np.exp(-u * u) - np.exp(-w * w)
-        den = 0.5 * (erfc(u) - erfc(w))
-        return 0.5 * _SQRT_2_OVER_PI * num / np.where(den > 0.0, den, 1.0)
+    num = np.exp(-u * u) - np.exp(-w * w)
+    den = 0.5 * (erfc(u) - erfc(w))
+    return 0.5 * _SQRT_2_OVER_PI * num / np.where(den > 0.0, den, 1.0)
 
 
 def _tail_ratio(mm, sigma, lo: float, hi: float):
     """(mean - mode) / sigma for reflected modes mm <= (lo + hi) / 2."""
-    u = (lo - mm) / (sigma * _SQRT2)
-    w = (hi - mm) / (sigma * _SQRT2)
-    return _by_branch(u, w, _ratio_far, _ratio_near)
+    scale = sigma * _SQRT2
+    return _by_branch((lo - mm) / scale, (hi - mm) / scale, _ratio_far, _ratio_near)
 
 
 def _log_mass_far(u, w):
-    with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(u * u - w * w)
-        return np.log(0.5) - u * u + np.log(
-            np.maximum(erfcx(u) - erfcx(w) * decay, 1e-300))
+    decay = np.exp(u * u - w * w)
+    return np.log(0.5) - u * u + np.log(
+        np.maximum(erfcx(u) - erfcx(w) * decay, 1e-300))
 
 
 def _log_mass_near(u, w):
-    with np.errstate(over="ignore", under="ignore"):
-        return np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
+    return np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
 
 
 def log_mass(m, sigma, lo: float, hi: float):

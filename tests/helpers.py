@@ -8,13 +8,16 @@ tests compare two genuinely separate routes.
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, erfcx
 
 from berklab import LQParams, ModelPrimitives, build_lq
-from berklab.learning import _group_quadrature
+from berklab.learning import (CHUNK, TransformedModel, TruncNormalPrior,
+                              _foc_table, _group_quadrature,
+                              _quadrature_assessment, _RunResult, noise_stream)
 
 
 def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
@@ -205,3 +208,104 @@ def unique_equilibrium_model(delta_mu: float = -0.5) -> ModelPrimitives:
     params = LQParams(c=1.0, kappa=1.0, lambda_e=1.0, lambda_a=1.0, delta=0.0)
     return build_lq(params, mu_star=0.0, beta_star=2.0, mu_hat=delta_mu,
                     beta_lo=0.5, beta_hi=3.0)
+
+
+def _posterior_means_reference(tm, m, s):
+    """Truncated-posterior means with the precision floor and the uniform
+    fallback applied every period, through the two-branch formula."""
+    mid = 0.5 * (tm.m_lo + tm.m_hi)
+    sigma = 1.0 / np.sqrt(np.maximum(s, 1e-300))
+    nu = trunc_mean_two_branch(m, sigma, tm.m_lo, tm.m_hi)
+    return np.where(s > 0.0, nu, mid)
+
+
+def _assessment_rule_reference(tm, alphas):
+    if tm.ce_exact:
+        ce = tm.engine.certainty_equivalent
+
+        def rule(m, s):
+            return ce(_posterior_means_reference(tm, m, s) @ alphas)
+    else:
+        table = _foc_table(tm)
+
+        def rule(m, s):
+            return _quadrature_assessment(tm, table, alphas, m, s)
+    return rule
+
+
+def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
+                         beta_stars: Sequence[float], deltas: Sequence[float],
+                         mu_stars: Sequence[float], runs: int, horizon: int, seed: int,
+                         prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
+                         zero_noise: bool = False, clip_noise: bool = False,
+                         record_stride: int = 0, record_run: int = 0,
+                         first_run: int = 0) -> _RunResult:
+    """The lockstep learning step written as plain array expressions, one
+    fresh temporary per operation and every guard applied each period: the
+    reference ``learning._run_engine``'s buffered step must reproduce bit
+    for bit.  The certainty-equivalent rule's posterior means go through
+    ``trunc_mean_two_branch``."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    groups = len(alphas)
+    if prior is not None and len(prior) != groups:
+        raise ValueError(f"prior has {len(prior)} entries for {groups} groups")
+    # loop invariants, as (1, groups) rows against (runs, groups) state
+    bstar_t = np.array([[float(tm.g1(b)) for b in beta_stars]])
+    mu_star_row = np.array([mu_stars], dtype=float)
+    mu_hat_row = mu_star_row + np.array([deltas], dtype=float)
+    assess = _assessment_rule_reference(tm, np.asarray(alphas, dtype=float))
+    h_lo, h_hi = tm.h_lo, tm.h_hi
+
+    m = np.zeros((runs, groups))
+    s = np.zeros((runs, groups))
+    if prior is not None:
+        for j, pj in enumerate(prior):
+            if pj is not None:
+                m[:, j] = pj.mean
+                s[:, j] = pj.precision
+
+    gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
+            for k in range(runs)]
+
+    rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
+    n = 0
+    remaining = horizon
+    while remaining > 0:
+        block = min(CHUNK, remaining)
+        eps = np.empty((block, runs, groups))
+        for k in range(runs):
+            for j in range(groups):
+                eps[:, k, j] = gens[k][j].standard_normal(block)
+        if zero_noise:
+            eps[:] = 0.0
+        for t in range(block):
+            n += 1
+            e = eps[t]
+            if clip_noise:
+                bound = math.sqrt(2.0 * math.log(max(n, 2)))
+                e = np.clip(e, -bound, bound)
+            h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
+            g2h = tm.g2(h)
+            g3c = tm.g3(h)[:, None]
+            info = g2h * g2h * h
+            r_star = bstar_t * g2h[:, None] + g3c
+            x = mu_star_row + r_star + e / np.sqrt(h)[:, None]
+            contrib = (x - mu_hat_row - g3c) * (h * g2h)[:, None]
+            s_new = s + info[:, None]
+            m = (s * m + contrib) / s_new
+            s = s_new
+            if record_stride and (n % record_stride == 0 or n == 1 or n == horizon):
+                rec_n.append(n)
+                rec_m.append(m[record_run].copy())
+                rec_xi.append(s[record_run] / n)
+                rec_h.append(float(h[record_run]))
+                rec_x.append(x[record_run].copy())
+        remaining -= block
+
+    return _RunResult(m=m, s=s,
+                      rec_n=np.array(rec_n, dtype=int),
+                      rec_m=np.array(rec_m), rec_xi=np.array(rec_xi),
+                      rec_h=np.array(rec_h), rec_x=np.array(rec_x))
