@@ -155,7 +155,9 @@ class BestResponseEngine:
         """
         m = self.model
         if self._closed:
-            val = beta_star ** 2 - delta_mu * m.lq.c / h
+            # beta_star * beta_star, not ** 2: a float's ** 2 calls pow, which
+            # can round differently from an array's ** 2 (a square)
+            val = beta_star * beta_star - delta_mu * m.lq.c / h
             if clamp:
                 out = np.minimum(np.sqrt(np.maximum(val, m.beta_lo ** 2)), m.beta_hi)
             else:

@@ -250,8 +250,7 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
     else:
         m, s = state.m, state.n * state.xi
     rule = _assessment_rule(tm, np.array([1.0]), runs=1)
-    h = rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float),
-             settled=s >= _MIN_PRECISION)
+    h = rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float))
     return float(np.clip(h[0], tm.h_lo, tm.h_hi))
 
 
@@ -275,18 +274,25 @@ def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
 def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     """Optimal common assessment for population posteriors, vectorized over runs.
 
-    Returns a map from ``m`` and ``s`` of shape (runs, groups) and the
-    ``settled`` flag of ``_posterior_means`` to a fresh array of shape
-    (runs,); which branch applies is decided here, once per simulation, the
-    certainty-equivalent branch allocates its buffers here, and the general
-    branch tabulates the evaluator's marginal value once here.
+    Returns a map from ``m`` and ``s`` of shape (runs, groups) to a fresh
+    array of shape (runs,), for the states of one simulation: successive
+    calls must not decrease any entry of ``s``.  Which branch applies is
+    decided here, once per simulation; the certainty-equivalent branch
+    allocates its buffers here and checks ``s`` until every entry is at
+    least ``_MIN_PRECISION`` (then ``_posterior_means`` is ``settled`` for
+    good), and the general branch tabulates the evaluator's marginal value
+    once here.
     """
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
         root, sigma = np.empty((runs, alphas.size)), np.empty((runs, alphas.size))
         mean = np.empty(runs)
+        settled = False
 
-        def rule(m, s, settled):
+        def rule(m, s):
+            nonlocal settled
+            if not settled:
+                settled = bool(s.min() >= _MIN_PRECISION)
             # ce(_posterior_means(...) @ alphas): np.dot with out= calls the
             # same BLAS gemv as matmul, for less overhead
             nu = _posterior_means(tm, m, s, root, sigma, settled)
@@ -294,7 +300,7 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     else:
         table = _foc_table(tm)
 
-        def rule(m, s, settled):
+        def rule(m, s):
             return _quadrature_assessment(tm, table, alphas, m, s)
     return rule
 
@@ -479,11 +485,10 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     allocated once per call and written with ``out=``, and it calls
     ``trunc_mean`` once per period (certainty-equivalent rule).  Every
     operation keeps the order and association of the plain expressions in
-    the comments, so each stored value has their bits.  The precision floor
-    and uniform fallback of ``_posterior_means`` are checked against the
-    state each period until every entry of s is at least
-    ``_MIN_PRECISION``; s never decreases (it gains I(h) = g2(h)^2 h >= 0),
-    so from then on they are skipped.
+    the comments, so each stored value has their bits.  s never decreases
+    (it gains I(h) = g2(h)^2 h >= 0), so once ``assess`` has seen every
+    entry at least ``_MIN_PRECISION``, the precision floor and uniform
+    fallback of ``_posterior_means`` are skipped for the rest of the call.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -507,7 +512,6 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             if pj is not None:
                 m[:, j] = pj.mean
                 s[:, j] = pj.precision
-    settled = False
 
     # per-period buffers, each written only by operations that do not also
     # read it (in-place ufuncs cost more on tiny arrays); the columns are
@@ -539,10 +543,8 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 # e = np.clip(e, -bound, bound)
                 bound = math.sqrt(2.0 * math.log(max(n, 2)))
                 np.minimum(np.maximum(e, -bound, out=w1), bound, out=e)
-            if not settled:
-                settled = bool(s.min() >= _MIN_PRECISION)
             # h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
-            np.minimum(np.maximum(assess(m, s, settled), h_lo, out=h_floor), h_hi, out=h)
+            np.minimum(np.maximum(assess(m, s), h_lo, out=h_floor), h_hi, out=h)
             g2h = tm.g2(h)
             g3c = tm.g3(h)[:, None]
             # info = g2h * g2h * h

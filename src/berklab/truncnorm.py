@@ -25,8 +25,6 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # and the fast path returns the same bits without evaluating it.
 INTERIOR_SIGMAS = 12.0
 _ULP_GUARD = 1e-14
-# exp(x) underflows to exactly 0.0 below about -745.13
-_EXP_UNDERFLOW = -746.0
 
 
 def trunc_mean(m, sigma, lo: float, hi: float):
@@ -90,13 +88,7 @@ def _by_branch(u, w, far, near):
 
 def _ratio_far(u, w):
     # hazard-style form, safe when both tail arguments are large positive
-    d = u * u - w * w  # <= 0 since |u| <= w after reflection
-    if np.count_nonzero(d < _EXP_UNDERFLOW) == d.size:
-        # exp(d) is exactly 0, so the full form below reduces to these bits
-        # (the corner-sink case: modes far below the support)
-        den = erfcx(u)
-        return _SQRT_2_OVER_PI / np.where(den > 0.0, den, 1.0)
-    decay = np.exp(d)
+    decay = np.exp(u * u - w * w)  # <= 1 since |u| <= w after reflection
     den = erfcx(u) - erfcx(w) * decay
     return _SQRT_2_OVER_PI * (1.0 - decay) / np.where(den > 0.0, den, 1.0)
 

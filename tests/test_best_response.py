@@ -303,6 +303,16 @@ def test_array_calls_are_the_scalar_calls_bit_for_bit(numeric, hs, betas,
         assert _same_bits(eng._fit_gap(*args), _scalar_calls(eng._fit_gap, args))
 
 
+def test_closed_best_fit_squares_a_float_truth_like_an_array():
+    # Python's float ** 2 calls pow, which rounds 2.5360533898163857 ** 2
+    # one ulp away from the square that an array's ** 2 computes
+    eng = BestResponseEngine(unique_equilibrium_model())
+    t, d = np.array([2.5360533898163857, 1.0]), np.array([0.25, 0.0])
+    for clamp in (True, False):
+        assert _same_bits(eng.best_fit(0.5, t, d, clamp=clamp),
+                          _scalar_calls(eng.best_fit, (0.5, t, d), clamp=clamp))
+
+
 def test_no_caller_loops_over_the_engine():
     # the engine decides its array contract once, so no loop outside it
     # evaluates a point map at its loop variable, point by point or group

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import berklab.learning
 from berklab import build_power, evaluator_step, simulate, transform
-from berklab.learning import TruncNormalPrior, _run_engine, _single_group_args
+from berklab.learning import CHUNK, TruncNormalPrior, _run_engine, _single_group_args
 from berklab.truncnorm import trunc_mean
 
 from helpers import run_engine_reference, three_equilibria_model
@@ -68,13 +68,24 @@ def test_step_is_bit_identical_to_the_reference(tm3, runs, groups, prior_on,
 
 
 def test_corner_sink_start_over_many_periods(tm3):
-    # every mode stays far below the support, so each period takes the
-    # tail shortcut where exp underflows to zero
+    # every mode stays far below the support, so each period evaluates the
+    # far tail of the truncated mean on every run
     kwargs = dict(runs=17, horizon=3000, seed=701,
                   prior=[TruncNormalPrior(CORNER, 0.01)], record_stride=1)
     args = _single_group_args(tm3)
     assert_same_run(_run_engine(tm3, *args, **kwargs),
                     run_engine_reference(tm3, *args, **kwargs))
+
+
+def test_buffers_carry_over_into_the_next_noise_block(tm3):
+    # the noise is drawn in blocks of CHUNK periods, while the state and the
+    # clipped noise live in buffers that persist from one block to the next
+    kwargs = dict(runs=2, horizon=CHUNK + 5, seed=23, clip_noise=True,
+                  record_stride=CHUNK)
+    args = _single_group_args(tm3)
+    got = _run_engine(tm3, *args, **kwargs)
+    assert got.rec_n.tolist() == [1, CHUNK, CHUNK + 5]
+    assert_same_run(got, run_engine_reference(tm3, *args, **kwargs))
 
 
 def test_general_primitives_step_matches_the_reference():
