@@ -24,6 +24,7 @@ from .rootfind import (RTOL, XTOL, fd1, fd2, solve_decreasing,
                        solve_increasing_to)
 
 H_EDGE = 1e-12  # open-interval margin for assessment brackets
+WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
 # relative step for differencing an assessment solve: its ~1e-11 error over
 # a 1e-4 step leaves ~2e-6 relative gradient error, over 1e-3 about 2e-7
 SOLVE_REL_STEP = 1e-3
@@ -68,13 +69,16 @@ class BestResponseEngine:
 
     def __init__(self, model: ModelPrimitives, force_numeric: bool = False):
         self.model = model
-        self._closed = model.lq is not None and not force_numeric
-        if model.lq is not None and model.lq.lambda2 > 0.0:
-            # beyond lambda1/lambda2 the evaluator's marginal value of
-            # assessment is negative, so the search can stop there
-            self._h_cap = min(1.0, model.lq.lambda1 / model.lq.lambda2)
-        else:
-            self._h_cap = 1.0
+        lq = model.lq
+        self._closed = lq is not None and not force_numeric
+        self._h_cap = 1.0
+        if lq is not None:
+            # the LQ scales, read once (lambda1 and lambda2 are properties)
+            self._l1, self._l2, self._kc = lq.lambda1, lq.lambda2, lq.kappa * lq.c
+            if self._l2 > 0.0:
+                # beyond lambda1/lambda2 the evaluator's marginal value of
+                # assessment is negative, so the search can stop there
+                self._h_cap = min(1.0, self._l1 / self._l2)
 
     # -- agent ----------------------------------------------------------
 
@@ -211,15 +215,15 @@ class BestResponseEngine:
             return found._replace(slopes=1.0 - found.slopes / r_b)
         lq = m.lq
         # lambda1 x^2 - b x + c0 = 0, by the cancellation-free formula
-        b = lq.lambda1 * beta_star ** 2 - delta_mu * lq.c * lq.lambda2
+        b = self._l1 * beta_star ** 2 - delta_mu * lq.c * self._l2
         c0 = delta_mu * lq.kappa * lq.c ** 2
-        disc = b * b - 4.0 * lq.lambda1 * c0
+        disc = b * b - 4.0 * self._l1 * c0
         xs = np.empty(0)
         if disc >= 0.0:
             q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
-            xs = np.unique([q / lq.lambda1, c0 / q])
+            xs = np.unique([q / self._l1, c0 / q])
             xs = xs[(xs > m.beta_lo ** 2) & (xs < m.beta_hi ** 2)]
-        slopes = c0 / (lq.lambda1 * xs * xs)
+        slopes = c0 / (self._l1 * xs * xs)
         f_lo, f_hi = gap(np.array([m.beta_lo, m.beta_hi]))
         return Roots(np.sqrt(xs), slopes < 1.0, slopes, np.empty(0),
                      float(f_lo), float(f_hi))
@@ -238,8 +242,7 @@ class BestResponseEngine:
 
     def _closed_assessment(self, s):
         """LQ optimal assessment for a belief with E[beta^2] = s."""
-        lq = self.model.lq
-        return lq.lambda1 * s / (lq.lambda2 * s + lq.kappa * lq.c)
+        return self._l1 * s / (self._l2 * s + self._kc)
 
     def assessment(self, beta):
         """Evaluator's optimal h given a degenerate belief at beta."""
@@ -255,7 +258,7 @@ class BestResponseEngine:
         weights = np.asarray(weights, dtype=float)
         if betas.shape != weights.shape:
             raise ValueError("betas and weights must have matching shapes")
-        if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > 1e-12:
+        if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must be positive and sum to one")
         if np.any(betas <= 0.0):
             raise ValueError("all productivities must be positive")
@@ -283,9 +286,8 @@ class BestResponseEngine:
         truth, argmax_h v_e(a(h, beta_star), beta) - kappa(h)."""
         m = self.model
         if self._closed:
-            lq = m.lq
-            num = lq.lambda1 * beta * m.beta_star
-            return num / (lq.lambda2 * m.beta_star ** 2 + lq.kappa * lq.c)
+            num = self._l1 * beta * m.beta_star
+            return num / (self._l2 * m.beta_star ** 2 + self._kc)
         return _elementwise(
             lambda b: self._assessment_numeric([(1.0, b)], belief=m.beta_star), beta)
 
@@ -296,8 +298,8 @@ class BestResponseEngine:
         if self._closed:
             lq = self.model.lq
             s = float(np.dot(weights, betas ** 2))
-            denom = (lq.lambda2 * s + lq.kappa * lq.c) ** 2
-            return lq.lambda1 * lq.kappa * lq.c * 2.0 * weights * betas / denom
+            denom = (self._l2 * s + self._kc) ** 2
+            return self._l1 * lq.kappa * lq.c * 2.0 * weights * betas / denom
         out = np.empty(betas.size)
         for j in range(betas.size):
             def h_of(bj, j=j):

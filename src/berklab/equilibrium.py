@@ -38,6 +38,7 @@ class EquilibriumPoint:
     is_sce: bool
     kl: float
     residual: float
+    slope: float  # belief-map derivative; 0.0 where the clamped map is flat
 
     @property
     def stable(self) -> bool:
@@ -120,12 +121,14 @@ def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float,
     return kl_minimizer(model, h_eq, delta_mu=delta_m, engine=engine)
 
 
-def _make_point(model, eng, beta_hat: float, stability: str) -> EquilibriumPoint:
+def _make_point(model, eng, beta_hat: float, stability: str,
+                slope: float) -> EquilibriumPoint:
     h_hat = float(eng.assessment(beta_hat))
     kl = float(kl_divergence(model, h_hat, beta_hat, engine=eng))
     residual = abs(float(psi_tilde(model, beta_hat, eng)) - beta_hat)
     return EquilibriumPoint(beta_hat=beta_hat, h_hat=h_hat, stability=stability,
-                            is_sce=kl <= SCE_KL_TOL, kl=kl, residual=residual)
+                            is_sce=kl <= SCE_KL_TOL, kl=kl, residual=residual,
+                            slope=slope)
 
 
 def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
@@ -135,30 +138,32 @@ def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
     Interior ones come from ``BestResponseEngine.interior_fixed_points``
     (``grid_points`` >= 17 caps the Chebyshev points on the numeric path); an
     edge is a stable fixed point where the map pins there, G >= 0 at
-    beta_lo and G <= 0 at beta_hi.  Slopes within ``TANGENCY_SLOPE_TOL``
+    beta_lo and G <= 0 at beta_hi.  Each point keeps the map's slope from
+    the enumerator (0.0 at a pinned edge and at delta_mu = 0, where the
+    clamped map is locally constant).  Slopes within ``TANGENCY_SLOPE_TOL``
     of one and uncertified near-tangent points are reported as warnings.
     """
     eng = _engine(model, engine)
     m = model
     if m.delta_mu == 0.0:
         # the true productivity fits exactly for every assessment
-        pt = _make_point(m, eng, m.beta_star, "stable")
+        pt = _make_point(m, eng, m.beta_star, "stable", 0.0)
         return EquilibriumSet(points=(pt,), delta_mu=0.0)
 
     fp = eng.interior_fixed_points(m.beta_star, m.delta_mu, grid_points)
-    found = [(float(b), "stable" if up else "unstable")
-             for b, up in zip(fp.roots, fp.rising)]
+    found = [(float(b), "stable" if up else "unstable", float(s))
+             for b, up, s in zip(fp.roots, fp.rising, fp.slopes)]
     if fp.f_lo >= 0.0:
-        found.append((m.beta_lo, "stable"))
+        found.append((m.beta_lo, "stable", 0.0))
     if fp.f_hi <= 0.0:
-        found.append((m.beta_hi, "stable"))
+        found.append((m.beta_hi, "stable", 0.0))
     if not found:
         raise NumericalError("no fixed point found; the belief map should "
                              "always admit one on a compact support")
-    roots: list[tuple[float, str]] = []
-    for beta_hat, stab in sorted(found, key=lambda t: t[0]):
-        if not roots or beta_hat - roots[-1][0] >= DEDUP_TOL:
-            roots.append((beta_hat, stab))
+    roots: list[tuple[float, str, float]] = []
+    for pt in sorted(found, key=lambda t: t[0]):
+        if not roots or pt[0] - roots[-1][0] >= DEDUP_TOL:
+            roots.append(pt)
 
     notes = [f"near-tangent crossing at {b:.9g} (slope {s:.6g}); stability "
              "label unreliable"
@@ -166,5 +171,5 @@ def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
     notes += [f"near-tangent point at {b:.9g}: the fit gap comes within its "
               "certified error of zero without crossing; an equilibrium "
               "pair may be missing" for b in fp.near_tangent]
-    points = tuple(_make_point(m, eng, b, stab) for b, stab in reversed(roots))
+    points = tuple(_make_point(m, eng, *pt) for pt in reversed(roots))
     return EquilibriumSet(points=points, delta_mu=m.delta_mu, warnings=tuple(notes))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .best_response import BestResponseEngine, _elementwise
 from .chebyshev import _bracketed_roots, _cheb_basis, certified_series
-from .equilibrium import DEDUP_TOL, DEFAULT_GRID, find_equilibria
+from .equilibrium import DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
 from .rootfind import XTOL, fd1
@@ -67,8 +67,8 @@ class TransformedModel:
 
     def drift_terms(self, m):
         """Fisher information I(h) and unconstrained best-fit transformed
-        productivity at the assessment h of the support-projected mode m;
-        elementwise over arrays.  The ODE drift is (I (psi - m) / xi, I - xi).
+        productivity psi at the assessment h of the support-projected mode m;
+        elementwise over arrays.  ``_ode_drift`` turns them into the drift.
         """
         h = self.engine.assessment(self.g1_inv(self._project(m)))
         g2h = self.g2(h)
@@ -134,6 +134,12 @@ def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
 
 def _as_transformed(model) -> TransformedModel:
     return model if isinstance(model, TransformedModel) else transform(model)
+
+
+def _ode_drift(info, psi, m, xi):
+    """Drift (I (psi - m) / xi, I - xi) of the limiting ODE at (m, xi), from
+    ``drift_terms(m)``; broadcasts."""
+    return info * (psi - m) / xi, info - xi
 
 
 def fisher_information(tm: TransformedModel, h: float):
@@ -673,8 +679,7 @@ class OdeSystem:
 
     def field(self, theta) -> np.ndarray:
         m, xi = float(theta[0]), float(theta[1])
-        info, psi = self.tm.drift_terms(m)
-        return np.array([info * (psi - m) / xi, info - xi])
+        return np.array(_ode_drift(*self.tm.drift_terms(m), m, xi))
 
     def nullcline(self, m):
         """xi value with zero xi-drift at each m: a float for a scalar m, an
@@ -698,36 +703,27 @@ class OdeSystem:
 def limiting_ode(model, grid_points: int = DEFAULT_GRID) -> OdeSystem:
     """Build the limiting ODE and its classified steady states.
 
-    Steady states are the equilibrium beliefs mapped through g1; modes
-    pinned at the lower support edge map to the unconstrained best fit at
-    that edge (a sink below the support).  Interior eigenvalues are
-    (slope - 1, -1), with slope the transformed belief-map derivative.
+    Steady states are the equilibrium points mapped through g1; a mode
+    pinned at a support edge maps to the unconstrained best fit at that edge
+    (a sink below the support at the lower one).  Each state reads its
+    eigenvalues (slope - 1, -1) and its kind from the point: the belief map
+    and its transformed version share their slope at a fixed point, and
+    stable points are the sinks.
     """
     tm = _as_transformed(model)
     mdl = tm.model
     eqs = find_equilibria(mdl, engine=tm.engine, grid_points=grid_points)
-
-    def psi_breve(mt: float) -> float:
-        return float(tm.drift_terms(mt)[1])
-
     states = []
     for p in eqs.points:
-        info = float(fisher_information(tm, p.h_hat))
-        if mdl.beta_lo + DEDUP_TOL < p.beta_hat < mdl.beta_hi - DEDUP_TOL:
-            m_hat = float(tm.g1(p.beta_hat))
-            step = 1e-6 * max(1.0, abs(m_hat))
-            lo = max(tm.m_lo, m_hat - step)
-            hi = min(tm.m_hi, m_hat + step)
-            slope = (psi_breve(hi) - psi_breve(lo)) / (hi - lo)
-            eig = (slope - 1.0, -1.0)
-            kind = "sink" if eig[0] < 0.0 else "saddle"
+        if p.beta_hat in (mdl.beta_lo, mdl.beta_hi):
+            edge = tm.m_lo if p.beta_hat == mdl.beta_lo else tm.m_hi
+            m_hat = float(tm.drift_terms(edge)[1])
         else:
-            edge = tm.m_lo if p.beta_hat <= mdl.beta_lo + DEDUP_TOL else tm.m_hi
-            m_hat = psi_breve(edge)
-            eig = (-1.0, -1.0)
-            kind = "sink"
-        states.append(SteadyState(m=m_hat, xi=info, kind=kind,
-                                  eigenvalues=eig, beta=p.beta_hat))
+            m_hat = float(tm.g1(p.beta_hat))
+        states.append(SteadyState(
+            m=m_hat, xi=float(fisher_information(tm, p.h_hat)),
+            kind="sink" if p.stable else "saddle",
+            eigenvalues=(p.slope - 1.0, -1.0), beta=p.beta_hat))
     return OdeSystem(tm=tm, steady_states=tuple(states))
 
 
@@ -758,9 +754,8 @@ def phase_field(model, m_values=None, xi_values=None, grid: int = 200,
     m_values = np.asarray(m_values, dtype=float)
     xi_values = np.asarray(xi_values, dtype=float)
     info, psi = tm.drift_terms(m_values)
-    xi_col = xi_values[:, None]
-    return PhaseField(m=m_values, xi=xi_values, f1=info * (psi - m_values) / xi_col,
-                      f2=info - xi_col, nullcline=info,
+    f1, f2 = _ode_drift(info, psi, m_values, xi_values[:, None])
+    return PhaseField(m=m_values, xi=xi_values, f1=f1, f2=f2, nullcline=info,
                       steady_states=ode.steady_states)
 
 

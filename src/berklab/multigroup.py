@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import LQ_PARAMETERS, _with_lq_value
-from .best_response import BestResponseEngine
+from .best_response import WEIGHT_SUM_TOL, BestResponseEngine
 from .equilibrium import SCE_KL_TOL, EquilibriumSet, find_equilibria
 from .errors import NumericalError
 from .learning import (DEFAULT_RADIUS, TruncNormalPrior, _as_transformed,
@@ -48,7 +48,8 @@ class GroupPopulation:
         j = len(self.alphas)
         if not (len(self.deltas) == len(self.beta_stars) == j) or j < 1:
             raise ValueError("alphas, deltas, beta_stars must share a length >= 1")
-        if any(a <= 0.0 for a in self.alphas) or abs(sum(self.alphas) - 1.0) > 1e-12:
+        if (any(a <= 0.0 for a in self.alphas)
+                or abs(sum(self.alphas) - 1.0) > WEIGHT_SUM_TOL):
             raise ValueError("weights must be positive and sum to one")
         lo, hi = self.model.beta_lo, self.model.beta_hi
         if any(not lo < b < hi for b in self.beta_stars):
@@ -199,11 +200,9 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
     """
     model = pop.model
     eng = BestResponseEngine(model)
-    g, gh = eq.g, eq.grad_h
-    s = float(gh @ g)
-    if abs(1.0 - s) < 1e-10:
+    if abs(1.0 - float(eq.grad_h @ eq.g)) < 1e-10:
         raise NumericalError("fixed-point Jacobian is near singular")
-    amplify = np.eye(pop.size) + np.outer(g, gh) / (1.0 - s)
+    amplify = -sherman_morrison_inverse(eq.g, eq.grad_h)
 
     if parameter.startswith("delta_") and parameter[6:].isdigit():
         j = int(parameter[6:])
@@ -252,17 +251,15 @@ def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
     """Spectrum of the fixed-point Jacobian with the Bauer-Fike certificate.
 
     The Jacobian is -I + g grad_h^T, so the spectrum is -1 (multiplicity
-    J-1) plus -1 + grad_h . g; every eigenvalue must lie within
-    |g|_2 |grad_h|_2 of -1.
+    J-1) plus -1 + grad_h . g, which ``eq.eigenvalues`` holds; up to
+    ``DENSE_LIMIT`` groups it is solved densely as a check.  Every eigenvalue
+    must lie within |g|_2 |grad_h|_2 of -1.
     """
     j = eq.g.size
+    eigs = eq.eigenvalues
     if j <= DENSE_LIMIT:
         mat = -np.eye(j) + np.outer(eq.g, eq.grad_h)
         eigs = np.sort(np.linalg.eigvals(mat).real)
-    else:
-        eigs = np.full(j, -1.0)
-        eigs[-1] = -1.0 + float(eq.grad_h @ eq.g)
-        eigs = np.sort(eigs)
     bound = float(np.linalg.norm(eq.g) * np.linalg.norm(eq.grad_h))
     dev = float(np.max(np.abs(eigs + 1.0)))
     return EigenReport(eigenvalues=eigs,

@@ -78,26 +78,88 @@ def lq_assessment(lq: LQParams, beta: float) -> float:
     return lq.lambda1 * b2 / (lq.lambda2 * b2 + lq.kappa * lq.c)
 
 
-def power_assessment_gradient(gamma: float, c_scale: float, kappa_scale: float,
-                              lambda1: float, lambda2: float, betas: np.ndarray,
-                              weights: np.ndarray) -> np.ndarray:
-    """Exact gradient of the shared assessment for ``build_power`` primitives.
+def _power_assessment(gamma: float, c_scale: float, kappa_scale: float,
+                      lambda1: float, lambda2: float, s: float) -> tuple[float, float]:
+    """Optimal assessment h for ``build_power`` primitives and its derivative
+    dh/dS, at S = sum_j w_j beta_j^q.
 
     With a = (h beta / c)^p, p = 1/(gamma-1), the first-order condition
     reduces to (lambda1 - lambda2 h) h^(p-2) = kappa c^p / (p S), where
-    S = sum_j w_j beta_j^q and q = gamma/(gamma-1); the implicit function
-    theorem then gives dh/dbeta_j = dh/dS * w_j q beta_j^(q-1).
+    q = gamma/(gamma-1); dh/dS follows by the implicit function theorem.
     """
-    p, q = 1.0 / (gamma - 1.0), gamma / (gamma - 1.0)
-    s = float(np.dot(weights, betas ** q))
+    p = 1.0 / (gamma - 1.0)
     k = kappa_scale * c_scale ** p / (p * s)
     hi = min(1.0, lambda1 / lambda2) if lambda2 > 0.0 else 1.0
     h = brentq(lambda x: (lambda1 - lambda2 * x) * x ** (p - 2.0) - k,
                1e-12, hi - 1e-12, xtol=1e-16, rtol=8.9e-16)
     dg_dh = (-lambda2 * h ** (p - 2.0)
              + (lambda1 - lambda2 * h) * (p - 2.0) * h ** (p - 3.0))
-    dh_ds = -k / (s * dg_dh)
+    return h, -k / (s * dg_dh)
+
+
+def power_assessment_gradient(gamma: float, c_scale: float, kappa_scale: float,
+                              lambda1: float, lambda2: float, betas: np.ndarray,
+                              weights: np.ndarray) -> np.ndarray:
+    """Exact gradient of the shared assessment for ``build_power`` primitives:
+    dh/dbeta_j = dh/dS * w_j q beta_j^(q-1), with dh/dS from
+    ``_power_assessment``."""
+    q = gamma / (gamma - 1.0)
+    s = float(np.dot(weights, betas ** q))
+    _, dh_ds = _power_assessment(gamma, c_scale, kappa_scale, lambda1, lambda2, s)
     return dh_ds * weights * q * betas ** (q - 1.0)
+
+
+def power_ode_eigenvalue(gamma: float, c_scale: float, kappa_scale: float,
+                         lambda1: float, lambda2: float, beta_star: float,
+                         delta_mu: float, beta_lo: float, beta_hi: float) -> float:
+    """Interior eigenvalue slope - 1 of the limiting ODE for ``build_power``
+    primitives whose belief map crosses the diagonal once, by the implicit
+    function theorem.
+
+    In m = beta^q the best fit solves m = beta_star^q - delta_mu c^p h^(-p),
+    with h the assessment at S = m, so the map's slope is
+    delta_mu c^p p h^(-p-1) dh/dS; its fixed point is found by Brent's method
+    on [beta_lo^q, beta_hi^q].
+    """
+    p, q = 1.0 / (gamma - 1.0), gamma / (gamma - 1.0)
+
+    def assess(m):
+        return _power_assessment(gamma, c_scale, kappa_scale, lambda1, lambda2, m)
+
+    def gap(m):
+        return beta_star ** q - delta_mu * c_scale ** p * assess(m)[0] ** -p - m
+
+    m_hat = brentq(gap, beta_lo ** q, beta_hi ** q, xtol=1e-15, rtol=8.9e-16)
+    h, dh_ds = assess(m_hat)
+    return delta_mu * c_scale ** p * p * h ** (-p - 1.0) * dh_ds - 1.0
+
+
+def lq_ode_eigenvalue(model: ModelPrimitives, m_hat: float) -> float:
+    """Interior eigenvalue slope - 1 of the limiting ODE for LQ primitives at
+    the transformed mode m_hat = beta^2.
+
+    In m the best fit is beta_star^2 - delta_mu c / h(m), with
+    h(m) = lambda1 m / (lambda2 m + kappa c) and lambda1 = lambda_e +
+    delta lambda_a, so the map's slope is delta_mu kappa c^2 / (lambda1 m^2).
+    """
+    lq = model.lq
+    lambda1 = lq.lambda_e + lq.delta * lq.lambda_a
+    return model.delta_mu * lq.kappa * lq.c ** 2 / (lambda1 * m_hat * m_hat) - 1.0
+
+
+def lq_joint_best_fit(model: ModelPrimitives, betas: Sequence[float],
+                      alphas: Sequence[float], truths: Sequence[float],
+                      deltas: Sequence[float]) -> np.ndarray:
+    """Joint belief map of color-sighted groups for LQ primitives: each
+    group's best fit on the support at the shared assessment of the
+    population, which depends on the beliefs only through
+    S = sum_j alpha_j beta_j^2."""
+    lq = model.lq
+    lambda1 = lq.lambda_e + lq.delta * lq.lambda_a
+    s = sum(a * b * b for a, b in zip(alphas, betas))
+    h = lambda1 * s / (lq.lambda_a * s + lq.kappa * lq.c)
+    return np.array([min(math.sqrt(max(t * t - d * lq.c / h, model.beta_lo ** 2)),
+                         model.beta_hi) for t, d in zip(truths, deltas)])
 
 
 def lq_psi(model: ModelPrimitives, beta: float) -> float:

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from berklab import (BestResponseEngine, Factorization, LearningState,
                      NumericalError, TruncNormalPrior, build_lq,
@@ -15,7 +17,9 @@ from berklab.learning import noise_stream
 from berklab.primitives import LQParams
 from berklab.truncnorm import trunc_pdf
 
-from helpers import three_equilibria_model, unique_equilibrium_model
+from helpers import (lq_ode_eigenvalue, power_ode_eigenvalue,
+                     random_lq_instance, three_equilibria_model,
+                     unique_equilibrium_model)
 
 
 @pytest.fixture(scope="module")
@@ -437,3 +441,47 @@ def test_each_learning_rule_has_one_owner():
             offenders += [f"{module}:{n.lineno}" for n in ast.walk(top)
                           if projects(n)]
     assert offenders == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), delta_mu=st.floats(-1.0, 1.0))
+def test_lq_interior_eigenvalues_are_the_closed_form_slope(seed, delta_mu):
+    model = random_lq_instance(np.random.default_rng(seed), delta_mu)
+    for ss in limiting_ode(transform(model)).steady_states:
+        if model.beta_lo < ss.beta < model.beta_hi:
+            want = lq_ode_eigenvalue(model, ss.m)
+            assert ss.eigenvalues[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert ss.eigenvalues[1] == -1.0
+
+
+def test_general_eigenvalue_matches_the_implicit_function_oracle():
+    # 3e-7 separates the enumerator's slope (7.1e-8 off the oracle) from a
+    # 1e-6 central difference of the transformed map (8.1e-7 off)
+    scales = (2.5, 1.0, 4.0, 1.0, 0.5)
+    model = build_power(*scales, 0.0, 2.0, -0.1, 0.5, 3.0)
+    (ss,) = limiting_ode(transform(model)).steady_states
+    want = power_ode_eigenvalue(*scales, beta_star=2.0, delta_mu=-0.1,
+                                beta_lo=0.5, beta_hi=3.0)
+    assert want == pytest.approx(-1.0185593252, abs=1e-10)
+    assert ss.kind == "sink"
+    assert abs(ss.eigenvalues[0] - want) <= 3e-7
+
+
+def test_steady_states_read_the_enumerator():
+    # limiting_ode takes each eigenvalue and kind from its equilibrium point
+    # (no difference step), and the ODE drift is written once
+    import inspect
+    import re
+    from pathlib import Path
+
+    import berklab.learning as learning
+
+    body = inspect.getsource(learning.limiting_ode)
+    assert not re.search(r"\bstep\b|\d+e-\d+|fd1", body)
+    text = Path(learning.__file__).read_text()
+    assert len(re.findall(r"\*\s*\(\s*psi\w*\s*-", text)) == 1
+    for ss, pt in zip(limiting_ode(three_equilibria_model()).steady_states,
+                      find_equilibria(three_equilibria_model()).points,
+                      strict=True):
+        assert ss.eigenvalues == (pt.slope - 1.0, -1.0)
+        assert ss.is_sink == pt.stable

@@ -11,7 +11,9 @@ from berklab import (BestResponseEngine, GroupPopulation, LQParams,
                      transform)
 from berklab.learning import TruncNormalPrior
 
-from helpers import three_equilibria_model
+from berklab.multigroup import DENSE_LIMIT
+
+from helpers import lq_joint_best_fit, three_equilibria_model
 
 
 @pytest.fixture
@@ -357,3 +359,38 @@ def test_lever_sensitivity_matches_central_differences(lever):
 
     fd = (at(raw + step) - at(raw - step)) / (2 * step)
     assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd)
+
+
+def test_eigen_check_past_the_dense_limit_matches_a_dense_solve(lq_unit):
+    j = 40
+    assert j > DENSE_LIMIT
+    rng = np.random.default_rng(40)
+    weights = rng.uniform(0.5, 1.5, j)
+    pop = GroupPopulation(model=lq_unit, alphas=tuple(weights / weights.sum()),
+                          deltas=tuple(rng.uniform(-0.05, 0.05, j)),
+                          beta_stars=tuple(rng.uniform(1.8, 2.2, j)))
+    eq = color_sighted_equilibrium(pop)
+    rep = eigen_check(eq)
+    dense = np.linalg.eigvals(-np.eye(j) + np.outer(eq.g, eq.grad_h)).real
+    assert np.max(np.abs(rep.eigenvalues - np.sort(dense))) <= 1e-12
+    assert rep.bound_holds and rep.all_negative
+
+
+@pytest.mark.filterwarnings("ignore:misspecifications are large")
+def test_damped_fallback_reaches_the_joint_best_fit():
+    # the contraction modulus passes one, so iteration is damped by half
+    params = LQParams(c=1.9873238006993108, kappa=1.7338984047110508,
+                      lambda_e=0.6813349397087096, lambda_a=0.49904277804019365)
+    truth = 2.0822266113749026
+    model = build_lq(params, mu_star=0.0, beta_star=truth, mu_hat=0.0,
+                     beta_lo=0.05, beta_hi=4.0)
+    alpha = 0.6267150618171679
+    pop = GroupPopulation(model=model, alphas=(alpha, 1.0 - alpha),
+                          deltas=(1.4078388508592166, -0.6620551499440521),
+                          beta_stars=(truth, truth))
+    with pytest.warns(UserWarning, match="falling back to damped iteration"):
+        eq = color_sighted_equilibrium(pop)
+    assert eq.contraction_modulus >= 1.0
+    fit = lq_joint_best_fit(model, eq.beta_hat, pop.alphas, pop.beta_stars,
+                            pop.deltas)
+    assert np.max(np.abs(fit - eq.beta_hat)) <= 1e-10
