@@ -253,13 +253,13 @@ def first_order_comparison(model: ModelPrimitives,
         raise InvariantViolation("no self-confirming equilibrium in the base model")
     beta_ours = min(sces, key=lambda p: abs(p.beta_hat - m.beta_star)).beta_hat
 
-    def gap_f(beta: float) -> float:
+    def gap_f(beta):
         # effort is read under the truth, productivity is not; the frozen
         # variant keeps the baseline assessment map
         h = (eng.assessment(beta) if frozen_assessment
              else eng.first_order_assessment(beta))
-        a0 = float(eng.effort(h, m.beta_star))
-        return m.delta_mu + m.r(a0, beta) - m.r(a0, m.beta_star)
+        a0 = eng.effort(h, m.beta_star)
+        return m.delta_mu + eng._r(a0, beta) - eng._r(a0, m.beta_star)
 
     found = certified_roots(gap_f, m.beta_lo, m.beta_hi, DEFAULT_GRID)
     for b in found.near_tangent:

@@ -5,13 +5,16 @@ This is the one module that knows the closed forms of the linear-quadratic
 numeric path in a single ``BestResponseEngine`` method; callers never
 branch on the model type.  General primitives (and LQ models built with
 ``force_numeric``) are solved from their first-order conditions by
-bracketed Brent iteration.  The evaluator's condition uses the
-implicit-function expression for the effort slope rather than differencing
-the solved effort map, so root tolerances do not stack.
+bracketed Brent iteration: scipy's ``brentq`` for a scalar point, one
+masked Brent pass (``rootfind.brentq_masked``) for an array of points.  The
+evaluator's condition uses the implicit-function expression for the effort
+slope rather than differencing the solved effort map, so root tolerances do
+not stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,11 +31,14 @@ WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
 # relative step for differencing an assessment solve: its ~1e-11 error over
 # a 1e-4 step leaves ~2e-6 relative gradient error, over 1e-3 about 2e-7
 SOLVE_REL_STEP = 1e-3
+# fewest points for one masked solve: below, a loop of scalar solves is
+# faster (a masked pass costs about as much as 40 scalar ones)
+ARRAY_SOLVE_MIN = 40
 
 
 def _broadcast(*args):
     """Scalars as they are, else the arrays broadcast to one shape."""
-    if all(np.ndim(a) == 0 for a in args):
+    if all(type(a) is float or np.ndim(a) == 0 for a in args):
         return args
     return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
 
@@ -49,6 +55,52 @@ def _elementwise(fn, *args, pair: bool = False):
     return (vals[..., 0], vals[..., 1]) if pair else vals
 
 
+def _pointwise(fn, *args, pair: bool = False):
+    """Apply a map that takes floats or 1-d arrays: to scalars (its float
+    out), entry by entry to fewer than ``ARRAY_SOLVE_MIN`` points, or once
+    to the flattened broadcast arrays (reshaped to their shape; with
+    ``pair``, the two arrays of a pair-valued map)."""
+    args = _broadcast(*args)
+    if np.ndim(args[0]) == 0:
+        return fn(*map(float, args))
+    if args[0].size < ARRAY_SOLVE_MIN:
+        return _elementwise(fn, *args, pair=pair)
+    shape = args[0].shape
+    out = fn(*(a.ravel() for a in args))
+    return tuple(o.reshape(shape) for o in out) if pair else out.reshape(shape)
+
+
+def array_form(f, *points):
+    """``f`` itself when it maps the arrays ``points`` to a float64 array of
+    their broadcast shape, else ``f`` applied entry by entry.
+
+    The one probe of a callable: made once, so that every consumer may pass
+    arrays to what it returns.
+    """
+    try:
+        out = f(*points)
+        if (isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == np.broadcast_shapes(*map(np.shape, points))):
+            return f
+    except (TypeError, ValueError):
+        pass
+    return functools.partial(_elementwise, f)
+
+
+def _probed(name: str, with_beta: bool):
+    """Engine attribute: the model's callable ``name``, probed by
+    ``array_form`` on first use at points in [0, 1] (and productivities on
+    the support)."""
+
+    def probe(self):
+        pts = (np.linspace(0.0, 1.0, 5),)
+        if with_beta:
+            pts += (np.linspace(self.model.beta_lo, self.model.beta_hi, 5),)
+        return array_form(getattr(self.model, name), *pts)
+
+    return functools.cached_property(probe)
+
+
 class BestResponseEngine:
     """Optimal behavior maps for a fixed model.
 
@@ -56,16 +108,32 @@ class BestResponseEngine:
     point map (``effort``, ``effective_effort``, ``effort_sensitivities``,
     ``r_partials``, ``best_fit``, ``assessment``, ``first_order_assessment``,
     ``certainty_equivalent``) takes scalars, giving floats, or broadcastable
-    arrays, giving arrays (a pair of them for pairs) of the scalar calls'
-    bits, on both paths: closed forms once over the arrays, numeric solves
-    entry by entry.  ``interior_fixed_points`` solves the LQ fixed-point
+    arrays, giving arrays (a pair of them for pairs), on both paths: closed
+    forms once over the arrays.  On the numeric path ``effort``,
+    ``effective_effort``, ``effort_sensitivities``, ``r_partials`` and
+    ``_dv_dh`` solve all points in one masked Brent pass (point by point
+    below ``ARRAY_SOLVE_MIN`` points), the assessment maps and ``best_fit``
+    solve point by point.  Arrays give the scalar
+    calls' bits wherever the primitives map arrays with their scalar bits
+    (both paths of the LQ forms, and every primitive applied entry by
+    entry).  ``build_power`` effort on arrays agrees to about 1e-12 (and
+    ``_dv_dh``, through a second difference, to about 1e-9), because
+    numpy's vectorized ``a ** gamma`` rounds some entries differently from
+    Python's scalar power.  ``interior_fixed_points`` solves the LQ fixed-point
     quadratic in place of the certified enumeration.
+
+    Each primitive callable (``r``, ``cost``, ``v_e``, ``assess_cost``) is
+    probed once by ``array_form``, on the first numeric use; one that does
+    not map arrays is applied entry by entry.
 
     Pure and reentrant: no mutable state beyond cached constants, so one
     engine can be shared across threads.  ``force_numeric`` routes LQ
     models through the general solvers (used to validate them against the
     closed forms).
     """
+
+    _r, _v_e = _probed("r", True), _probed("v_e", True)
+    _cost, _assess_cost = _probed("cost", False), _probed("assess_cost", False)
 
     def __init__(self, model: ModelPrimitives, force_numeric: bool = False):
         self.model = model
@@ -86,28 +154,43 @@ class BestResponseEngine:
         """Maximizer of h*r(a, beta) - c(a); zero when h or beta is zero."""
         if self._closed:
             return h * beta / self.model.lq.c
-        return _elementwise(self._effort_numeric, h, beta)
+        return _pointwise(self._effort_numeric, h, beta)
 
-    def _effort_numeric(self, h: float, beta: float) -> float:
-        if h <= 0.0 or beta <= 0.0:
-            return 0.0
-        m = self.model
+    def _effort_foc(self, a, h, beta):
+        """The agent's condition h r_a(a, beta) - c'(a), decreasing in a."""
+        r = self._r
+        return h * fd1(lambda x: r(x, beta), a, lo=0.0) - fd1(self._cost, a, lo=0.0)
 
-        def foc(a):
-            return h * fd1(lambda x: m.r(x, beta), a, lo=0.0) - fd1(m.cost, a, lo=0.0)
-
+    def _effort_numeric(self, h, beta):
+        """Effort at floats, by scipy's brentq, or at 1-d arrays, in one
+        masked solve over the points with h > 0 and beta > 0."""
+        scalar = not isinstance(h, np.ndarray)
+        if scalar:
+            if h <= 0.0 or beta <= 0.0:
+                return 0.0
+        else:
+            out = np.zeros(h.shape)
+            live = ~((h <= 0.0) | (beta <= 0.0))
+            h, beta = h[live], beta[live]
+            if not h.size:
+                return out
         try:
-            return solve_decreasing(foc, 0.0, 1.0, expand=True)
+            a = solve_decreasing(self._effort_foc, 0.0, 1.0, expand=True,
+                                 args=(h, beta))
         except NumericalError as exc:
-            raise NumericalError(
-                f"effort bracket failed at h={h}, beta={beta}: {exc}") from exc
+            where = f"h={h}, beta={beta}" if scalar else f"{h.size} points"
+            raise NumericalError(f"effort bracket failed at {where}: {exc}") from exc
+        if scalar:
+            return a
+        out[live] = a
+        return out
 
     def effective_effort(self, h, beta):
         """R(h, beta) = r(a(h, beta), beta)."""
         if self._closed:
             return h * beta * beta / self.model.lq.c
-        return _elementwise(
-            lambda hh, b: self.model.r(self._effort_numeric(hh, b), b), h, beta)
+        return _pointwise(lambda hh, b: self._r(self._effort_numeric(hh, b), b),
+                          h, beta)
 
     def effort_sensitivities(self, h, beta):
         """(da/dh, da/dbeta) from the implicit function theorem at a(h, beta)."""
@@ -115,24 +198,27 @@ class BestResponseEngine:
             c = self.model.lq.c
             h, beta = _broadcast(h, beta)
             return beta / c, h / c
-        return _elementwise(self._sensitivities_at, h, beta, pair=True)
+        return _pointwise(self._sensitivities_at, h, beta, pair=True)
 
-    def _sensitivities_at(self, h: float, beta: float,
-                          a: float | None = None) -> tuple[float, float]:
-        """Numeric ``effort_sensitivities`` at an effort ``a`` already solved
-        for (h, beta); None solves it here."""
-        m = self.model
-        if a is None:
-            a = self._effort_numeric(h, beta)
-        r_a = fd1(lambda x: m.r(x, beta), a, lo=0.0)
-        r_aa = fd2(lambda x: m.r(x, beta), a, lo=0.0)
-        r_ab = fd1(lambda b: fd1(lambda x: m.r(x, b), a, lo=0.0), beta, lo=0.0)
-        c2 = fd2(m.cost, a, lo=0.0)
-        denom = c2 - h * r_aa
-        if denom <= 0.0:
+    def _sensitivities_at(self, h, beta):
+        """Numeric ``effort_sensitivities`` at floats or 1-d arrays."""
+        a = self._effort_numeric(h, beta)
+        r = self._r
+        r_a, denom = self._effort_slope(h, beta, a)
+        r_ab = fd1(lambda b: fd1(lambda x: r(x, b), a, lo=0.0), beta, lo=0.0)
+        return r_a / denom, h * r_ab / denom
+
+    def _effort_slope(self, h, beta, a):
+        """(r_a, c'' - h r_aa) at the effort a solved for (h, beta), so that
+        da/dh = r_a / (c'' - h r_aa); InvariantViolation unless the second
+        factor is positive (the second-order condition)."""
+        r = self._r
+        r_a = fd1(lambda x: r(x, beta), a, lo=0.0)
+        denom = fd2(self._cost, a, lo=0.0) - h * fd2(lambda x: r(x, beta), a, lo=0.0)
+        if np.min(denom) <= 0.0 if isinstance(denom, np.ndarray) else denom <= 0.0:
             raise InvariantViolation(
                 "second-order condition failed: c'' - h r_aa <= 0")
-        return r_a / denom, h * r_ab / denom
+        return r_a, denom
 
     def r_partials(self, h, beta):
         """(dR/dh, dR/dbeta) of effective effort at (h, beta)."""
@@ -141,12 +227,12 @@ class BestResponseEngine:
             h, beta = _broadcast(h, beta)
             return beta * beta / c, 2.0 * h * beta / c
 
-        def partials(h: float, beta: float) -> tuple[float, float]:
+        def partials(h, beta):
             r_h = fd1(lambda hh: self.effective_effort(hh, beta), h, lo=0.0, hi=1.0)
             r_b = fd1(lambda bb: self.effective_effort(h, bb), beta, lo=0.0)
             return r_h, r_b
 
-        return _elementwise(partials, h, beta, pair=True)
+        return _pointwise(partials, h, beta, pair=True)
 
     def best_fit(self, h, beta_star, delta_mu, clamp: bool = True):
         """Productivity x solving R(h, x) = R(h, beta_star) - delta_mu.
@@ -230,15 +316,22 @@ class BestResponseEngine:
 
     # -- evaluator ------------------------------------------------------
 
-    def _dv_dh(self, h: float, beta: float, belief: float | None = None) -> float:
+    def _dv_dh(self, h, beta, belief=None):
         """Marginal evaluator value of assessment, dV_E/dh, at productivity
-        beta when effort responds to ``belief`` (default: beta itself)."""
-        m = self.model
-        b_a = beta if belief is None else belief
-        a = self._effort_numeric(h, b_a)
-        da_dh, _ = self._sensitivities_at(h, b_a, a)
-        v_a = fd1(lambda x: m.v_e(x, beta), a, lo=0.0)
-        return v_a * da_dh
+        beta when effort responds to ``belief`` (default: beta itself);
+        scalars or broadcastable arrays, as the point maps."""
+
+        def at(h, beta, b_a):
+            a = self._effort_numeric(h, b_a)
+            r_a, denom = self._effort_slope(h, b_a, a)
+            v_e = self._v_e
+            return fd1(lambda x: v_e(x, beta), a, lo=0.0) * (r_a / denom)
+
+        return _pointwise(at, h, beta, beta if belief is None else belief)
+
+    def _marginal_cost(self, h):
+        """kappa'(h), differenced inside [0, 1]; scalars or arrays."""
+        return fd1(self._assess_cost, h, lo=0.0, hi=1.0)
 
     def _closed_assessment(self, s):
         """LQ optimal assessment for a belief with E[beta^2] = s."""
@@ -323,13 +416,12 @@ class BestResponseEngine:
         """Root in h of sum_i w_i dV_E/dh(h, beta_i) - kappa'(h); raises
         NumericalError when it cannot be bracketed.  A fixed ``belief`` for
         effort (first-order misspecification) lifts the lambda1/lambda2 cap."""
-        m = self.model
         if all(b <= 0.0 for _, b in weighted):
             return 0.0
 
         def foc(h):
             marginal = sum(w * self._dv_dh(h, b, belief) for w, b in weighted if b > 0.0)
-            return marginal - fd1(m.assess_cost, h, lo=0.0, hi=1.0)
+            return marginal - self._marginal_cost(h)
 
         cap = self._h_cap if belief is None else 1.0
         h = solve_decreasing(foc, H_EDGE, cap - H_EDGE)

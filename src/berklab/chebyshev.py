@@ -9,7 +9,6 @@ Anal. 40, 2002; Battles and Trefethen, SISC 25, 2004).
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -82,20 +81,23 @@ def _along_axes(mat, arr):
 
 
 def _sample(f, theta, ndim: int, known=None):
-    """f at every ndim-tuple of ``theta``; ``known`` holds the values on
-    every other angle of each axis (the previous nested level)."""
-    out = np.empty((theta.size,) * ndim)
+    """f at every ndim-tuple of ``theta``, in one call on the arrays of the
+    new points; ``known`` holds the values on every other angle of each axis
+    (the previous nested level)."""
+    grid = np.meshgrid(*(theta,) * ndim, indexing="ij")
+    out = np.empty(grid[0].shape)
+    new = np.ones(out.shape, bool)
     if known is not None:
         out[(slice(None, None, 2),) * ndim] = known
-    for idx in np.ndindex(out.shape):
-        if known is None or any(i % 2 for i in idx):
-            out[idx] = f(*theta[list(idx)])
+        new[(slice(None, None, 2),) * ndim] = False
+    out[new] = f(*(g[new] for g in grid))
     return out
 
 
 def certified_series(f, ndim: int, max_points: int):
     """Chebyshev coefficients of f(theta_1, ..., theta_ndim) (ndim 1 or 2,
-    one Lobatto angle per axis), its samples and its certified error: from
+    one Lobatto angle per axis; f maps 1-d arrays of angles to an array of
+    values), its samples and its certified error: from
     the first nested level of 17, 33, 65, ... <= ``max_points`` points per
     axis whose series is within ``CERT_RTOL`` of f at the check angles;
     NumericalError when none is."""
@@ -133,7 +135,8 @@ class Roots(NamedTuple):
 
 
 def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
-    """Every sign change of the scalar function f on [lo, hi].
+    """Every sign change of the function f on [lo, hi]; f maps floats to
+    floats and 1-d arrays to arrays.
 
     The true f is evaluated at both edges and at the critical points of its
     certified series, and each piece between them whose ends differ in sign
@@ -142,9 +145,8 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def at(theta):  # the edges exactly: their values decide the corners
-        if theta == 0.0 or theta == np.pi:
-            return lo if theta == 0.0 else hi
-        return mid - half * math.cos(theta)
+        return np.where(theta == 0.0, lo,
+                        np.where(theta == np.pi, hi, mid - half * np.cos(theta)))
 
     coef, vals, tol = certified_series(lambda t: f(at(t)), 1, max_points)
     # a tail within the certified error locates no critical point; the series
@@ -156,7 +158,7 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     ys = ys.real[(abs(ys.imag) <= 1e-6) & (abs(ys.real) < 1.0)]
     splits = np.sort(mid - half * ys)
     pts = np.concatenate(([lo], splits, [hi]))
-    fs = np.array([vals[0], *map(f, splits), vals[-1]])
+    fs = np.concatenate(([vals[0]], f(splits) if splits.size else [], [vals[-1]]))
     pos = fs >= 0.0
     cross = np.flatnonzero(pos[:-1] != pos[1:])
     roots = np.array([brentq(f, pts[i], pts[i + 1], xtol=XTOL, rtol=RTOL)

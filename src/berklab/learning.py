@@ -21,12 +21,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .best_response import BestResponseEngine, _elementwise
+from .best_response import BestResponseEngine, array_form
 from .chebyshev import _bracketed_roots, _cheb_basis, certified_series
 from .equilibrium import DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import XTOL, fd1
+from .rootfind import XTOL
 from .truncnorm import trunc_mean, trunc_pdf
 
 CHUNK = 8192
@@ -99,23 +99,12 @@ def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
     h_lo, h_hi = eng.assessment_bounds()
     hs = np.linspace(h_lo, h_hi, grid)
     betas = np.linspace(model.beta_lo, model.beta_hi, grid)
-
-    def array_form(f, points):
-        # decided once here, so that every consumer may pass arrays
-        try:
-            out = f(points)
-            if (isinstance(out, np.ndarray) and out.dtype == np.float64
-                    and out.shape == points.shape):
-                return f
-        except (TypeError, ValueError):
-            pass
-        return functools.partial(_elementwise, f)
-
+    # each callable probed once, so that every consumer may pass arrays
     g1, g2, g3 = (array_form(fac.g1, betas), array_form(fac.g2, hs),
                   array_form(fac.g3, hs))
     g1_betas = g1(betas)
     g1_inv = array_form(fac.g1_inv, g1_betas)
-    rec = np.array([g1_betas * float(fac.g2(h)) + float(fac.g3(h)) for h in hs])
+    rec = g1_betas * g2(hs)[:, None] + g3(hs)[:, None]
     err = float(np.max(np.abs(rec - eng.effective_effort(hs[:, None], betas))))
     if err > RECON_TOL:
         raise NumericalError(
@@ -403,9 +392,8 @@ def _foc_table(tm: TransformedModel) -> _FocTable:
     b_half = 0.5 * (mdl.beta_hi - mdl.beta_lo)
 
     def integrand(theta_h, theta_b):
-        h = h_mid - h_half * math.cos(theta_h)
-        return (eng._dv_dh(h, b_mid - b_half * math.cos(theta_b))
-                - fd1(mdl.assess_cost, h, lo=0.0, hi=1.0))
+        h = h_mid - h_half * np.cos(theta_h)
+        return eng._dv_dh(h, b_mid - b_half * np.cos(theta_b)) - eng._marginal_cost(h)
 
     coef, _, _ = certified_series(integrand, 2, TABLE_POINTS)
     return _FocTable(coef=coef, h_lo=tm.h_lo, h_hi=tm.h_hi,

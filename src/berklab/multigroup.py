@@ -91,7 +91,8 @@ class MultigroupEquilibrium:
     beta_hat: np.ndarray
     h_hat: float
     sce_flags: tuple[bool, ...]
-    g: np.ndarray            # per-group belief-map factors (rank-one Jacobian)
+    g: np.ndarray            # per-group belief-map factors (rank-one Jacobian);
+                             # 0 for a group pinned at a support edge
     grad_h: np.ndarray       # assessment gradient at the fixed point
     eigenvalues: np.ndarray  # spectrum of the fixed-point Jacobian minus identity
     residual: float
@@ -105,6 +106,13 @@ class MultigroupEquilibrium:
     def in_domain(self) -> bool:
         return bool(np.all(self.beta_hat >= self.domain_lo - 1e-12)
                     and np.all(self.beta_hat <= self.domain_hi + 1e-12))
+
+
+def _free_groups(eng: BestResponseEngine, h: float, truths, deltas) -> np.ndarray:
+    """Which groups' best fits at assessment h lie inside the support; the
+    others are pinned at an edge (or have no unclamped fit at all)."""
+    free = eng.best_fit(h, truths, deltas, clamp=False)
+    return (free > eng.model.beta_lo) & (free < eng.model.beta_hi)
 
 
 def color_sighted_equilibrium(pop: GroupPopulation,
@@ -130,9 +138,11 @@ def color_sighted_equilibrium(pop: GroupPopulation,
     hi = np.where(deltas > 0, truths, model.beta_hi)
 
     def factors(h, psi):
-        # g_j = (R_h(h, b*_j) - R_h(h, psi_j)) / R_b(h, psi_j)
+        # g_j = (R_h(h, b*_j) - R_h(h, psi_j)) / R_b(h, psi_j) for a free
+        # group; a pinned group's clamped best fit is locally constant in h
         rh_psi, rb_psi = eng.r_partials(h, psi)
-        return (eng.r_partials(h, truths)[0] - rh_psi) / rb_psi
+        g = (eng.r_partials(h, truths)[0] - rh_psi) / rb_psi
+        return np.where(_free_groups(eng, h, truths, deltas), g, 0.0)
 
     history = [betas.copy()] if keep_history else []
     modulus = 0.0
@@ -196,7 +206,8 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
     ``parameter`` is ``"delta_<j>"`` for group j's misspecification, or one
     of the LQ levers (lambda_e, delta, c, kappa), taken as the raw
     parameter.  Uses the rank-one inverse of the fixed-point Jacobian; no
-    equilibrium recomputation is needed.
+    equilibrium recomputation is needed.  A group whose best fit is pinned
+    at a support edge does not move with its own misspecification.
     """
     model = pop.model
     eng = BestResponseEngine(model)
@@ -208,9 +219,10 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
         j = int(parameter[6:])
         if not 0 <= j < pop.size:
             raise ValueError(f"group index out of range in {parameter!r}")
-        _, rb = eng.r_partials(eq.h_hat, float(eq.beta_hat[j]))
         dpsi = np.zeros(pop.size)
-        dpsi[j] = -1.0 / rb
+        if _free_groups(eng, eq.h_hat, pop.beta_stars[j], pop.deltas[j]):
+            _, rb = eng.r_partials(eq.h_hat, float(eq.beta_hat[j]))
+            dpsi[j] = -1.0 / rb
         return amplify @ dpsi
 
     if parameter in LQ_PARAMETERS:

@@ -76,7 +76,8 @@ class Factorization:
     productivity support.  Learning simulations require this structure.
 
     Each callable may be scalar-only: ``transform`` probes it once on a
-    grid and applies it entry by entry when it does not map arrays.
+    grid (``best_response.array_form``) and applies it entry by entry when
+    it does not map arrays.
     """
 
     g1: Fn1
@@ -92,6 +93,11 @@ class ModelPrimitives:
     All callables must accept nonnegative real arguments; the productivity
     argument of ``r`` and ``v_e`` must be defined on all of [0, inf), since
     best-fit searches may evaluate below ``beta_lo``.
+
+    Each callable may be scalar-only: the engine probes it once
+    (``best_response.array_form``) and applies it entry by entry when it
+    does not map arrays; one that accepts arrays must act on them
+    elementwise.
     """
 
     r: Fn2
@@ -252,7 +258,7 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     of the first offending point per check.  ValueError unless every
     comparison has points to compare: n_h, n_beta >= 2 and n_a >= 3.
     """
-    from .best_response import BestResponseEngine, _elementwise
+    from .best_response import BestResponseEngine
     from .errors import BerklabError
 
     if n_h < 2 or n_beta < 2 or n_a < 3:
@@ -263,7 +269,7 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     betas = np.linspace(model.beta_lo, model.beta_hi, n_beta)
 
     a_grid = engine.effort(hs[:, None], betas)
-    r_grid = _elementwise(model.r, a_grid, betas)
+    r_grid = engine._r(a_grid, betas)
     assessment_failure = ""
     try:
         h_of_beta = engine.assessment(betas)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -376,17 +377,68 @@ def test_eigen_check_past_the_dense_limit_matches_a_dense_solve(lq_unit):
     assert rep.bound_holds and rep.all_negative
 
 
-@pytest.mark.filterwarnings("ignore:misspecifications are large")
-def test_damped_fallback_reaches_the_joint_best_fit():
-    # the contraction modulus passes one, so iteration is damped by half
+def _pinned_population():
+    # group 0's best fit is pinned at beta_lo = 0.05 at the fixed point
     params = LQParams(c=1.9873238006993108, kappa=1.7338984047110508,
                       lambda_e=0.6813349397087096, lambda_a=0.49904277804019365)
     truth = 2.0822266113749026
     model = build_lq(params, mu_star=0.0, beta_star=truth, mu_hat=0.0,
                      beta_lo=0.05, beta_hi=4.0)
     alpha = 0.6267150618171679
+    return GroupPopulation(model=model, alphas=(alpha, 1.0 - alpha),
+                           deltas=(1.4078388508592166, -0.6620551499440521),
+                           beta_stars=(truth, truth))
+
+
+@pytest.mark.filterwarnings("ignore:misspecifications are large")
+def test_pinned_group_has_no_belief_map_factor():
+    # the clamped map is locally constant in a pinned group's belief: the
+    # spectrum is that of a central difference of the joint map, and the
+    # sensitivities are those of re-solving at shifted misspecifications
+    pop = _pinned_population()
+    model = pop.model
+    eq = color_sighted_equilibrium(pop)
+    assert eq.beta_hat[0] == model.beta_lo and eq.g[0] == 0.0
+    step = 1e-6
+
+    def joint(betas):
+        return lq_joint_best_fit(model, betas, pop.alphas, pop.beta_stars, pop.deltas)
+
+    jac = np.empty((2, 2))
+    for k in range(2):
+        up, down = eq.beta_hat.copy(), eq.beta_hat.copy()
+        up[k] += step
+        down[k] -= step
+        jac[:, k] = (joint(up) - joint(down)) / (2.0 * step)
+    oracle = np.sort(np.linalg.eigvals(jac - np.eye(2)).real)
+    assert oracle[0] == pytest.approx(-1.306, abs=1e-3)
+    assert np.max(np.abs(eq.eigenvalues - oracle)) <= 1e-6
+    for j in range(2):
+        shifted = []
+        for sign in (1.0, -1.0):
+            deltas = list(pop.deltas)
+            deltas[j] += sign * step
+            shifted.append(color_sighted_equilibrium(
+                dataclasses.replace(pop, deltas=tuple(deltas))).beta_hat)
+        want = (shifted[0] - shifted[1]) / (2.0 * step)
+        got = sensitivity(pop, eq, f"delta_{j}")
+        assert np.max(np.abs(got - want)) <= 1e-6
+    assert sensitivity(pop, eq, "delta_1") == pytest.approx([0.0, -0.690], abs=1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:misspecifications are large")
+def test_damped_fallback_reaches_the_joint_best_fit():
+    # the contraction modulus passes one, so iteration is damped by half
+    # (draw 1005 of a seeded search over two-group LQ instances with
+    # misspecifications of opposite signs and beta_lo = 0.05)
+    params = LQParams(c=1.3427303009142395, kappa=1.5604475392903483,
+                      lambda_e=0.6204657435922167, lambda_a=0.952316703590187)
+    truth = 1.4367870742062918
+    model = build_lq(params, mu_star=0.0, beta_star=truth, mu_hat=0.0,
+                     beta_lo=0.05, beta_hi=4.0)
+    alpha = 0.5978337075434769
     pop = GroupPopulation(model=model, alphas=(alpha, 1.0 - alpha),
-                          deltas=(1.4078388508592166, -0.6620551499440521),
+                          deltas=(0.5637588320163996, -1.4439070867161883),
                           beta_stars=(truth, truth))
     with pytest.warns(UserWarning, match="falling back to damped iteration"):
         eq = color_sighted_equilibrium(pop)
