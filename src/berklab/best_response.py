@@ -5,11 +5,11 @@ This is the one module that knows the closed forms of the linear-quadratic
 numeric path in a single ``BestResponseEngine`` method; callers never
 branch on the model type.  General primitives (and LQ models built with
 ``force_numeric``) are solved from their first-order conditions by
-bracketed Brent iteration: scipy's ``brentq`` for a scalar point, one
-masked Brent pass (``rootfind.brentq_masked``) for an array of points.  The
-evaluator's condition uses the implicit-function expression for the effort
-slope rather than differencing the solved effort map, so root tolerances do
-not stack.
+bracketed Brent iteration through ``rootfind.solve_decreasing``: scipy's
+``brentq`` for a scalar point, one masked Brent pass for an array of
+points.  The evaluator's condition uses the implicit-function expression
+for the effort slope rather than differencing the solved effort map, so
+root tolerances do not stack.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import functools
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chebyshev import Roots, certified_roots
 from .errors import InvariantViolation, NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import (RTOL, XTOL, fd1, fd2, solve_decreasing,
-                       solve_increasing_to)
+from .rootfind import fd1, fd2, solve_decreasing
 
 H_EDGE = 1e-12  # open-interval margin for assessment brackets
 WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
@@ -106,21 +104,22 @@ class BestResponseEngine:
 
     The only owner of the LQ closed forms and of the array contract: every
     point map (``effort``, ``effective_effort``, ``effort_sensitivities``,
-    ``r_partials``, ``best_fit``, ``assessment``, ``first_order_assessment``,
-    ``certainty_equivalent``) takes scalars, giving floats, or broadcastable
-    arrays, giving arrays (a pair of them for pairs), on both paths: closed
-    forms once over the arrays.  On the numeric path ``effort``,
-    ``effective_effort``, ``effort_sensitivities``, ``r_partials`` and
-    ``_dv_dh`` solve all points in one masked Brent pass (point by point
-    below ``ARRAY_SOLVE_MIN`` points), the assessment maps and ``best_fit``
-    solve point by point.  Arrays give the scalar
-    calls' bits wherever the primitives map arrays with their scalar bits
-    (both paths of the LQ forms, and every primitive applied entry by
-    entry).  ``build_power`` effort on arrays agrees to about 1e-12 (and
-    ``_dv_dh``, through a second difference, to about 1e-9), because
-    numpy's vectorized ``a ** gamma`` rounds some entries differently from
-    Python's scalar power.  ``interior_fixed_points`` solves the LQ fixed-point
-    quadratic in place of the certified enumeration.
+    ``r_partials``, ``best_fit``, ``assessment``, ``first_order_assessment``)
+    takes scalars, giving floats, or broadcastable arrays, giving arrays (a
+    pair of them for pairs), on both paths: closed forms once over the
+    arrays.  ``certainty_equivalent`` is the LQ closed form alone.  On the
+    numeric path ``effort``, ``effective_effort``, ``effort_sensitivities``,
+    ``r_partials`` and ``_dv_dh`` solve all points in one masked Brent pass
+    (point by point below ``ARRAY_SOLVE_MIN`` points), the assessment maps
+    and ``best_fit`` solve point by point, each through
+    ``rootfind.solve_decreasing``.  Arrays give the scalar calls' bits
+    wherever the primitives map arrays with their scalar bits (both paths
+    of the LQ forms, and every primitive applied entry by entry).
+    ``build_power`` effort on arrays agrees to about 1e-12 (and ``_dv_dh``,
+    through a second difference, to about 1e-9), because numpy's vectorized
+    ``a ** gamma`` rounds some entries differently from Python's scalar
+    power.  ``interior_fixed_points`` solves the LQ fixed-point quadratic in
+    place of the certified enumeration.
 
     Each primitive callable (``r``, ``cost``, ``v_e``, ``assess_cost``) is
     probed once by ``array_form``, on the first numeric use; one that does
@@ -256,19 +255,25 @@ class BestResponseEngine:
 
         def fit(hh: float, beta_star: float, delta_mu: float) -> float:
             target = self.effective_effort(hh, beta_star) - delta_mu
+
+            def excess(x):  # target - R(hh, x), decreasing in x
+                return target - self.effective_effort(hh, x)
+
             if clamp:
-                if self.effective_effort(hh, m.beta_lo) >= target:
+                if excess(m.beta_lo) <= 0.0:
                     return m.beta_lo
-                if self.effective_effort(hh, m.beta_hi) <= target:
+                if excess(m.beta_hi) >= 0.0:
                     return m.beta_hi
-                return brentq(lambda x: self.effective_effort(hh, x) - target,
-                              m.beta_lo, m.beta_hi, xtol=XTOL, rtol=RTOL)
+                return solve_decreasing(excess, m.beta_lo, m.beta_hi)
             if target <= 0.0:
                 return 0.0 if target == 0.0 else math.nan
-            root = solve_increasing_to(lambda x: self.effective_effort(hh, x),
-                                       target, 0.0, max(m.beta_hi, beta_star),
-                                       expand=True, max_hi=1e9 * m.beta_hi)
-            return math.nan if root is None else root
+            try:
+                return solve_decreasing(excess, 0.0, max(m.beta_hi, beta_star),
+                                        expand=True, max_hi=1e9 * m.beta_hi)
+            except NumericalError as exc:
+                if exc.__cause__ is not None:  # an effort solve failed
+                    raise
+                return math.nan  # R stays below target: no root
 
         return _elementwise(fit, h, beta_star, delta_mu)
 
@@ -333,14 +338,10 @@ class BestResponseEngine:
         """kappa'(h), differenced inside [0, 1]; scalars or arrays."""
         return fd1(self._assess_cost, h, lo=0.0, hi=1.0)
 
-    def _closed_assessment(self, s):
-        """LQ optimal assessment for a belief with E[beta^2] = s."""
-        return self._l1 * s / (self._l2 * s + self._kc)
-
     def assessment(self, beta):
         """Evaluator's optimal h given a degenerate belief at beta."""
         if self._closed:
-            h = self._closed_assessment(beta * beta)
+            h = self.certainty_equivalent(beta * beta)
             self._require_interior(h, beta)
             return h
         return _elementwise(lambda b: self._interior_assessment([(1.0, b)]), beta)
@@ -356,22 +357,16 @@ class BestResponseEngine:
         if np.any(betas <= 0.0):
             raise ValueError("all productivities must be positive")
         if self._closed:
-            h = self._closed_assessment(float(np.dot(weights, betas ** 2)))
+            h = self.certainty_equivalent(float(np.dot(weights, betas ** 2)))
             self._require_interior(h, betas)
             return h
         return self._interior_assessment(list(zip(weights.tolist(), betas.tolist())))
 
     def certainty_equivalent(self, s):
-        """Optimal h at the certainty-equivalent productivity sqrt(s), for a
-        belief with mean s of beta^2.  Exact for LQ primitives only, whose
-        evaluator condition is linear in beta^2.
-
-        Learning calls it with the closed form only; the numeric branch
-        (``force_numeric``) is the reference the tests compare it against.
-        """
-        if self._closed:
-            return self._closed_assessment(s)
-        return self.assessment(np.sqrt(s))
+        """LQ optimal assessment for a belief with mean s of beta^2, in
+        closed form on both paths: the LQ evaluator condition is linear in
+        beta^2.  Scalars or arrays; LQ models only."""
+        return self._l1 * s / (self._l2 * s + self._kc)
 
     def first_order_assessment(self, beta):
         """Assessment under first-order misspecification: the evaluator

@@ -2,9 +2,9 @@
 
 A function is sampled on nested Chebyshev-Lobatto grids until its series
 matches direct evaluations at off-grid check angles.  ``certified_roots``
-then splits the interval at the series' critical points and polishes each
-sign change of the true function with Brent's method (Boyd, SIAM J. Numer.
-Anal. 40, 2002; Battles and Trefethen, SISC 25, 2004).
+then splits the interval at the series' critical points and polishes every
+sign change of the true function in one masked Brent pass (Boyd, SIAM J.
+Numer. Anal. 40, 2002; Battles and Trefethen, SISC 25, 2004).
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy.optimize import brentq
 
 from .errors import NumericalError
-from .rootfind import RTOL, XTOL
+from .rootfind import brentq_masked
 
 FIRST_LEVEL = 17  # points per axis of the coarsest grid; after n come 2n - 1
 CERT_RTOL = 1e-8  # series error allowed at check angles, relative to max |f| sampled
@@ -139,8 +138,9 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     floats and 1-d arrays to arrays.
 
     The true f is evaluated at both edges and at the critical points of its
-    certified series, and each piece between them whose ends differ in sign
-    (zero counts as positive) is polished with Brent's method.
+    certified series, and the pieces between them whose ends differ in sign
+    (zero counts as positive) are polished together by ``brentq_masked``,
+    starting from those end values.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
@@ -161,8 +161,7 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     fs = np.concatenate(([vals[0]], f(splits) if splits.size else [], [vals[-1]]))
     pos = fs >= 0.0
     cross = np.flatnonzero(pos[:-1] != pos[1:])
-    roots = np.array([brentq(f, pts[i], pts[i + 1], xtol=XTOL, rtol=RTOL)
-                      for i in cross])
+    roots = brentq_masked(f, pts[cross], pts[cross + 1], fs[cross], fs[cross + 1])
     flat = (abs(fs[1:-1]) <= tol) & (pos[:-2] == pos[1:-1]) & (pos[1:-1] == pos[2:])
     return Roots(roots=roots, rising=pos[cross + 1],
                  slopes=-C.chebval((mid - roots) / half, dcoef) / half,

@@ -281,6 +281,9 @@ def cmd_disparity(args, cfg: RunConfig, writer: _Writer) -> int:
                               "mu_hat - mu_star in the config")
         delta_m = abs(cfg.delta_mu) if delta_m is None else delta_m
         delta_w = -abs(cfg.delta_mu) if delta_w is None else delta_w
+    if not delta_m > 0.0 > delta_w:
+        raise ConfigError(f"need --delta-m > 0 > --delta-w, got delta_m = "
+                          f"{delta_m:g} and delta_w = {delta_w:g}")
     report = disparity_report(model, delta_m, delta_w, selector=args.selector)
     payload = dataclasses.asdict(report)
     writer.json("disparity.json", payload)

@@ -1,6 +1,6 @@
 """Infinite-horizon misspecified Bayesian learning dynamics.
 
-Under the multiplicative structure R(h, beta) = g1(beta) g2(h) + g3(h),
+Under the multiplicative structure R(h, beta) = g1(beta) g2(h),
 posteriors over the transformed productivity g1(beta) stay exactly
 truncated normal for uniform (or truncated-normal) priors, parameterized
 by mode m and time-scaled precision xi.  The pair follows a stochastic
@@ -45,14 +45,13 @@ _MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
 
 @dataclass(frozen=True)
 class TransformedModel:
-    """Certified factorization of effective effort plus derived constants;
-    ``g1``, ``g2``, ``g3`` and ``g1_inv`` accept scalars and arrays alike.
+    """Certified factorization R = g1 g2 of effective effort plus derived
+    constants; ``g1``, ``g2`` and ``g1_inv`` accept scalars and arrays alike.
     The one owner of support projection, the ODE drift and belief distances."""
 
     model: ModelPrimitives
     g1: Callable
     g2: Callable
-    g3: Callable
     g1_inv: Callable
     m_lo: float
     m_hi: float
@@ -84,27 +83,27 @@ class TransformedModel:
 
 
 def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
-    """Certify the factorization R = g1 g2 + g3 on a grid and package it.
+    """Certify the factorization R = g1 g2 on a grid and package it.
 
     Refuses to proceed when the reconstruction error exceeds ``RECON_TOL``:
     without the structure, posteriors lose their truncated-normal form and
-    the simulation would silently be wrong.
+    the simulation would silently be wrong.  An effective effort with an
+    additive term in h alone is refused the same way.
     """
     fac = model.factorization
     if fac is None:
         raise NumericalError(
             "no effective-effort factorization supplied; learning requires "
-            "R(h, beta) = g1(beta) g2(h) + g3(h)")
+            "R(h, beta) = g1(beta) g2(h)")
     eng = BestResponseEngine(model)
     h_lo, h_hi = eng.assessment_bounds()
     hs = np.linspace(h_lo, h_hi, grid)
     betas = np.linspace(model.beta_lo, model.beta_hi, grid)
     # each callable probed once, so that every consumer may pass arrays
-    g1, g2, g3 = (array_form(fac.g1, betas), array_form(fac.g2, hs),
-                  array_form(fac.g3, hs))
+    g1, g2 = array_form(fac.g1, betas), array_form(fac.g2, hs)
     g1_betas = g1(betas)
     g1_inv = array_form(fac.g1_inv, g1_betas)
-    rec = g1_betas * g2(hs)[:, None] + g3(hs)[:, None]
+    rec = g1_betas * g2(hs)[:, None]
     err = float(np.max(np.abs(rec - eng.effective_effort(hs[:, None], betas))))
     if err > RECON_TOL:
         raise NumericalError(
@@ -114,7 +113,7 @@ def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
     # posterior mean of g1 exactly when g1 is beta^2
     square = bool(np.max(np.abs(g1_betas - betas * betas)) <= RECON_TOL)
     return TransformedModel(
-        model=model, g1=g1, g2=g2, g3=g3, g1_inv=g1_inv,
+        model=model, g1=g1, g2=g2, g1_inv=g1_inv,
         m_lo=float(fac.g1(model.beta_lo)), m_hi=float(fac.g1(model.beta_hi)),
         h_lo=h_lo, h_hi=h_hi,
         ce_exact=model.lq is not None and square,
@@ -150,12 +149,11 @@ def posterior_params(tm: TransformedModel, history) -> tuple[float, float]:
     hs = np.asarray([h for h, _ in history], dtype=float)
     xs = np.asarray([x for _, x in history], dtype=float)
     g2h = tm.g2(hs)
-    g3h = tm.g3(hs)
     info = g2h * g2h * hs
     total = float(info.sum())
     if total <= 0.0:
         raise ValueError("history carries no information")
-    num = float(((xs - tm.model.mu_hat - g3h) * hs * g2h).sum())
+    num = float(((xs - tm.model.mu_hat) * hs * g2h).sum())
     return num / total, 1.0 / total
 
 
@@ -174,8 +172,7 @@ def posterior_exact_density(tm: TransformedModel, history, points):
     hs = np.asarray([h for h, _ in history], dtype=float)
     xs = np.asarray([x for _, x in history], dtype=float)
     g2h = tm.g2(hs)
-    g3h = tm.g3(hs)
-    resid0 = xs - tm.model.mu_hat - g3h
+    resid0 = xs - tm.model.mu_hat
 
     def log_kernel(b):
         diff = resid0[None, :] - np.outer(b, g2h)
@@ -220,10 +217,6 @@ class LearningState:
     xi: float
     seed: int = 0
     run: int = 0
-
-    @property
-    def total_precision(self) -> float:
-        return self.n * self.xi
 
 
 def evaluator_step(tm: TransformedModel, state: LearningState,
@@ -540,16 +533,14 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             # h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
             np.minimum(np.maximum(assess(m, s), h_lo, out=h_floor), h_hi, out=h)
             g2h = tm.g2(h)
-            g3c = tm.g3(h)[:, None]
             # info = g2h * g2h * h
             np.multiply(np.multiply(g2h, g2h, out=g2h2), h, out=info)
-            # x = mu_star_row + (bstar_t * g2h[:, None] + g3c) + e / np.sqrt(h)[:, None]
-            np.add(np.multiply(bstar_t, g2h[:, None], out=w1), g3c, out=w2)
-            np.add(mu_star_row, w2, out=w1)
+            # x = mu_star_row + bstar_t * g2h[:, None] + e / np.sqrt(h)[:, None]
+            np.add(mu_star_row, np.multiply(bstar_t, g2h[:, None], out=w2), out=w1)
             np.sqrt(h, out=root_h)
             np.add(w1, np.divide(e, root_h_col, out=w2), out=x)
-            # contrib = (x - mu_hat_row - g3c) * (h * g2h)[:, None]
-            np.subtract(np.subtract(x, mu_hat_row, out=w1), g3c, out=w2)
+            # contrib = (x - mu_hat_row) * (h * g2h)[:, None]
+            np.subtract(x, mu_hat_row, out=w2)
             np.multiply(h, g2h, out=weight)
             np.multiply(w2, weight_col, out=w1)
             # s_next = s + info[:, None]; m = (s * m + contrib) / s_next
@@ -725,22 +716,20 @@ class PhaseField:
     steady_states: tuple[SteadyState, ...]
 
 
-def phase_field(model, m_values=None, xi_values=None, grid: int = 200,
+def phase_field(model, grid: int = 200,
                 grid_points: int = DEFAULT_GRID) -> PhaseField:
-    """Evaluate the ODE field on a rectangular (m, xi) grid for plotting."""
+    """Evaluate the ODE field for plotting on a ``grid`` x ``grid`` (m, xi)
+    grid spanning the support, the steady states and the Fisher information
+    range, with margins."""
     tm = _as_transformed(model)
     ode = limiting_ode(tm, grid_points=grid_points)
-    if m_values is None:
-        lo = min([tm.m_lo] + [ss.m for ss in ode.steady_states])
-        span = tm.m_hi - lo
-        m_values = np.linspace(lo - 0.05 * span, tm.m_hi + 0.05 * span, grid)
-    if xi_values is None:
-        i_lo = float(fisher_information(tm, tm.h_lo))
-        i_hi = float(fisher_information(tm, tm.h_hi))
-        pad = 0.2 * (i_hi - i_lo)
-        xi_values = np.linspace(max(i_lo - pad, 1e-9 + 0.0), i_hi + pad, grid)
-    m_values = np.asarray(m_values, dtype=float)
-    xi_values = np.asarray(xi_values, dtype=float)
+    lo = min([tm.m_lo] + [ss.m for ss in ode.steady_states])
+    span = tm.m_hi - lo
+    m_values = np.linspace(lo - 0.05 * span, tm.m_hi + 0.05 * span, grid)
+    i_lo = float(fisher_information(tm, tm.h_lo))
+    i_hi = float(fisher_information(tm, tm.h_hi))
+    pad = 0.2 * (i_hi - i_lo)
+    xi_values = np.linspace(max(i_lo - pad, 1e-9 + 0.0), i_hi + pad, grid)
     info, psi = tm.drift_terms(m_values)
     f1, f2 = _ode_drift(info, psi, m_values, xi_values[:, None])
     return PhaseField(m=m_values, xi=xi_values, f1=f1, f2=f2, nullcline=info,

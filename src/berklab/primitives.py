@@ -69,7 +69,7 @@ class LQParams:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Multiplicative structure R(h, beta) = g1(beta) g2(h) + g3(h).
+    """Multiplicative structure R(h, beta) = g1(beta) g2(h).
 
     ``g1`` and ``g2`` must be strictly increasing and strictly positive on
     the interiors of their domains; ``g1_inv`` inverts ``g1`` on the
@@ -82,7 +82,6 @@ class Factorization:
 
     g1: Fn1
     g2: Fn1
-    g3: Fn1
     g1_inv: Fn1
 
 
@@ -158,7 +157,6 @@ def build_lq(params: LQParams, mu_star: float, beta_star: float, mu_hat: float,
     fac = Factorization(
         g1=lambda beta: beta * beta,
         g2=lambda h: h / c,
-        g3=lambda h: 0.0 * h,
         g1_inv=lambda x: np.sqrt(x),
     )
     return ModelPrimitives(r=r, cost=cost, assess_cost=assess_cost, v_e=v_e,
@@ -201,7 +199,6 @@ def build_power(gamma: float, c_scale: float, kappa_scale: float,
     fac = Factorization(
         g1=lambda beta: beta ** q,
         g2=lambda h: (h / c_scale) ** p,
-        g3=lambda h: 0.0 * h,
         g1_inv=lambda x: x ** (1.0 / q),
     )
     return ModelPrimitives(r=r, cost=cost, assess_cost=assess_cost, v_e=v_e,

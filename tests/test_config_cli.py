@@ -203,6 +203,18 @@ class TestCliOthers:
         assert rep["orderings"]["effort_chain"] is True
         assert rep["reward_gap_misbelief_part"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("flags", [("-1", "-0.5"), ("0.2", "0.3"),
+                                       ("nan", "-0.3")])
+    def test_disparity_needs_opposite_signs_exits_2(self, tmp_path, capsys,
+                                                    flags):
+        cfg = write(tmp_path, THREE_EQ)
+        out = tmp_path / "out"
+        assert main(["disparity", cfg, "--out-dir", str(out),
+                     "--delta-m", flags[0], "--delta-w", flags[1]]) == 2
+        assert "config error: need --delta-m > 0 > --delta-w" in \
+            capsys.readouterr().err
+        assert not (out / "disparity.json").exists()
+
     def test_multigroup_command(self, tmp_path):
         cfg = write(tmp_path, GROUPS)
         out = tmp_path / "out"

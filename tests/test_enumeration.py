@@ -182,8 +182,8 @@ def test_assumption_check_needs_points_to_compare():
 
 
 def test_one_enumerator_for_every_fixed_point():
-    # no uniform-grid scan survives in the enumeration modules, and the
-    # Chebyshev kernels have one home
+    # no uniform-grid scan survives in the enumeration modules, the
+    # Chebyshev kernels have one home, and scipy.optimize one importer
     src = Path(berklab.__file__).parent
     for module in ("equilibrium.py", "analysis.py"):
         text = (src / module).read_text()
@@ -209,3 +209,30 @@ def test_one_enumerator_for_every_fixed_point():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.FunctionDef) and node.name in kernels}
     assert homes == {("chebyshev.py", k) for k in kernels}
+
+    # scipy's root finders are reached through rootfind alone
+    importers = sorted(
+        path.name for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize")
+        or (isinstance(node, ast.Import)
+            and any(a.name.startswith("scipy.optimize") for a in node.names)))
+    assert importers == ["rootfind.py"]
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # rootfind imports scipy.optimize on the first scalar solve, which the
+    # LQ closed forms never make
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, berklab; "
+            "berklab.find_equilibria(berklab.build_lq(berklab.LQParams(1, 1, 1, 1), "
+            "0.0, 2.0, 0.5, 0.3, 3.0)); print('scipy.optimize' in sys.modules)")
+    src = str(Path(berklab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == ["False"]

@@ -34,14 +34,16 @@ def tm_neg():
 
 class TestTransform:
     def test_scalar_only_factorization_gives_the_array_bits(self, tm3):
-        # g3 returns a float for any input and math.sqrt refuses arrays:
+        # g2 returns a float for any input and math.sqrt refuses arrays:
         # transform must apply both entry by entry
         model = tm3.model
         c = model.lq.c
-        fac = Factorization(g1=lambda b: b * b, g2=lambda h: h / c,
-                            g3=lambda h: 0.0, g1_inv=math.sqrt)
+        fac = Factorization(g1=lambda b: b * b,
+                            g2=lambda h: float(np.mean(h)) / c,
+                            g1_inv=math.sqrt)
         scalar = transform(dataclasses.replace(model, factorization=fac))
-        assert scalar.g1_inv is not math.sqrt and scalar.g2 is fac.g2
+        assert scalar.g1_inv is not math.sqrt and scalar.g2 is not fac.g2
+        assert scalar.g1 is fac.g1
 
         def bits(*arrays):
             return [np.asarray(a).tobytes() for a in arrays]
@@ -64,7 +66,6 @@ class TestTransform:
     def test_lq_closed_factorization(self, tm3):
         assert tm3.g1(2.0) == pytest.approx(4.0)
         assert tm3.g2(0.5) == pytest.approx(0.5)
-        assert tm3.g3(0.7) == 0.0
         assert tm3.recon_error < 1e-10
         assert (tm3.m_lo, tm3.m_hi) == pytest.approx((0.09, 9.0))
 
@@ -79,12 +80,15 @@ class TestTransform:
         assert transform(m, grid=16).recon_error < 1e-10
 
     def test_wrong_factorization_refused(self, lq_unit):
-        bad = dataclasses.replace(
-            lq_unit, factorization=Factorization(
-                g1=lambda b: b, g2=lambda h: h, g3=lambda h: 0.0 * h,
-                g1_inv=lambda x: x))
-        with pytest.raises(NumericalError, match="reconstruction"):
-            transform(bad)
+        # the second product is off by 0.05 h, an additive term in h alone,
+        # for which learning has no slot
+        for fac in (Factorization(g1=lambda b: b, g2=lambda h: h,
+                                  g1_inv=lambda x: x),
+                    Factorization(g1=lambda b: b * b + 0.05, g2=lambda h: h,
+                                  g1_inv=lambda x: np.sqrt(x - 0.05))):
+            bad = dataclasses.replace(lq_unit, factorization=fac)
+            with pytest.raises(NumericalError, match="reconstruction"):
+                transform(bad)
 
     def test_missing_factorization_refused(self, lq_unit):
         bare = dataclasses.replace(lq_unit, factorization=None)
@@ -115,7 +119,7 @@ class TestExactPosterior:
         # symmetric around it when the mode is the support midpoint
         mid = 0.5 * (tm3.m_lo + tm3.m_hi)
         h = 0.5
-        x = tm3.model.mu_hat + mid * tm3.g2(h) + tm3.g3(h)
+        x = tm3.model.mu_hat + mid * tm3.g2(h)
         for off in (0.3, 1.1, 2.0):
             lo_val = posterior_exact_density(tm3, [(h, x)], mid - off)
             hi_val = posterior_exact_density(tm3, [(h, x)], mid + off)
@@ -387,7 +391,7 @@ def test_certainty_equivalent_shortcut_needs_square_g1():
     params = LQParams(c=1.0, kappa=1.0, lambda_e=1.0, lambda_a=1.0)
     model = build_lq(params, 0.0, 2.0, -0.5, 0.5, 3.0)
     fac = Factorization(g1=lambda b: 2.0 * b * b, g2=lambda h: h / 2.0,
-                        g3=lambda h: 0.0 * h, g1_inv=lambda x: np.sqrt(x / 2.0))
+                        g1_inv=lambda x: np.sqrt(x / 2.0))
     scaled = transform(dataclasses.replace(model, factorization=fac))
     default = transform(model)
     assert default.ce_exact and not scaled.ce_exact
@@ -400,7 +404,9 @@ def test_certainty_equivalent_shortcut_needs_square_g1():
 def test_each_learning_rule_has_one_owner():
     # the array contract is decided in transform, and support projection
     # of modes (clip or min(max(...)) against m_lo/m_hi) lives only in
-    # TransformedModel
+    # TransformedModel; learning certifies R = g1 g2 with no additive term,
+    # scalar roots are solved through rootfind.solve_decreasing, and the
+    # LQ certainty equivalent is one method
     import ast
     import re
     from pathlib import Path
@@ -411,7 +417,8 @@ def test_each_learning_rule_has_one_owner():
     helpers = [f"{path.name}:{i}"
                for path in sorted(src.glob("*.py"))
                for i, line in enumerate(path.read_text().splitlines(), 1)
-               if re.search(r"\b(_vec|_array_map)\b", line)]
+               if re.search(r"\b(_vec|_array_map|g3|solve_increasing_to"
+                            r"|_closed_assessment)\b", line)]
     assert helpers == []
 
     def name(call):
