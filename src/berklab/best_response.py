@@ -41,6 +41,20 @@ def _broadcast(*args):
     return np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
 
 
+def _population(betas, weights):
+    """(betas, weights) as matching arrays of positive productivities
+    and positive weights summing to one; ValueError otherwise."""
+    betas = np.asarray(betas, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if betas.shape != weights.shape:
+        raise ValueError("betas and weights must have matching shapes")
+    if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError("weights must be positive and sum to one")
+    if np.any(betas <= 0.0):
+        raise ValueError("all productivities must be positive")
+    return betas, weights
+
+
 def _elementwise(fn, *args, pair: bool = False):
     """Apply a scalar map to scalars (its float out) or entry by entry to the
     broadcast arrays (an array of their shape out; with ``pair``, the two
@@ -108,18 +122,18 @@ class BestResponseEngine:
     takes scalars, giving floats, or broadcastable arrays, giving arrays (a
     pair of them for pairs), on both paths: closed forms once over the
     arrays.  ``certainty_equivalent`` is the LQ closed form alone.  On the
-    numeric path ``effort``, ``effective_effort``, ``effort_sensitivities``,
-    ``r_partials`` and ``_dv_dh`` solve all points in one masked Brent pass
-    (point by point below ``ARRAY_SOLVE_MIN`` points), the assessment maps
-    and ``best_fit`` solve point by point, each through
-    ``rootfind.solve_decreasing``.  Arrays give the scalar calls' bits
-    wherever the primitives map arrays with their scalar bits (both paths
-    of the LQ forms, and every primitive applied entry by entry).
-    ``build_power`` effort on arrays agrees to about 1e-12 (and ``_dv_dh``,
-    through a second difference, to about 1e-9), because numpy's vectorized
-    ``a ** gamma`` rounds some entries differently from Python's scalar
-    power.  ``interior_fixed_points`` solves the LQ fixed-point quadratic in
-    place of the certified enumeration.
+    numeric path every point map but ``best_fit`` (point by point) solves
+    all points in one masked Brent pass of ``rootfind.solve_decreasing``
+    (point by point below ``ARRAY_SOLVE_MIN`` points); the assessment maps
+    solve ``_evaluator_condition`` in h, whose every step over an array is
+    a masked effort pass.  Arrays give the scalar calls' bits wherever the
+    primitives map arrays with their scalar bits (both paths of the LQ
+    forms, and every primitive applied entry by entry).  ``build_power``
+    effort on arrays agrees to about 1e-12 (``_dv_dh``, through a second
+    difference, to about 1e-9, and so assessments to about 1e-10), because
+    numpy's vectorized ``a ** gamma`` rounds some entries differently from
+    Python's scalar power.  ``interior_fixed_points`` solves the LQ
+    fixed-point quadratic in place of the certified enumeration.
 
     Each primitive callable (``r``, ``cost``, ``v_e``, ``assess_cost``) is
     probed once by ``array_form``, on the first numeric use; one that does
@@ -334,9 +348,12 @@ class BestResponseEngine:
 
         return _pointwise(at, h, beta, beta if belief is None else belief)
 
-    def _marginal_cost(self, h):
-        """kappa'(h), differenced inside [0, 1]; scalars or arrays."""
-        return fd1(self._assess_cost, h, lo=0.0, hi=1.0)
+    def _evaluator_condition(self, h, weights, betas, belief=None):
+        """The evaluator's condition sum_j w_j dV_E/dh(h, beta_j) - kappa'(h),
+        decreasing in h: one productivity per group (a float or an array
+        broadcast with h), effort read under ``belief`` (default: its own)."""
+        marginal = sum(w * self._dv_dh(h, b, belief) for w, b in zip(weights, betas))
+        return marginal - fd1(self._assess_cost, h, lo=0.0, hi=1.0)
 
     def assessment(self, beta):
         """Evaluator's optimal h given a degenerate belief at beta."""
@@ -344,23 +361,16 @@ class BestResponseEngine:
             h = self.certainty_equivalent(beta * beta)
             self._require_interior(h, beta)
             return h
-        return _elementwise(lambda b: self._interior_assessment([(1.0, b)]), beta)
+        return _pointwise(lambda b: self._assessment_numeric((1.0,), (b,)), beta)
 
     def assessment_multigroup(self, betas, weights):
         """Optimal shared h for a weighted population of productivities."""
-        betas = np.asarray(betas, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if betas.shape != weights.shape:
-            raise ValueError("betas and weights must have matching shapes")
-        if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must be positive and sum to one")
-        if np.any(betas <= 0.0):
-            raise ValueError("all productivities must be positive")
+        betas, weights = _population(betas, weights)
         if self._closed:
             h = self.certainty_equivalent(float(np.dot(weights, betas ** 2)))
             self._require_interior(h, betas)
             return h
-        return self._interior_assessment(list(zip(weights.tolist(), betas.tolist())))
+        return self._assessment_numeric(weights.tolist(), betas.tolist())
 
     def certainty_equivalent(self, s):
         """LQ optimal assessment for a belief with mean s of beta^2, in
@@ -376,52 +386,43 @@ class BestResponseEngine:
         if self._closed:
             num = self._l1 * beta * m.beta_star
             return num / (self._l2 * m.beta_star ** 2 + self._kc)
-        return _elementwise(
-            lambda b: self._assessment_numeric([(1.0, b)], belief=m.beta_star), beta)
+        return _pointwise(
+            lambda b: self._assessment_numeric((1.0,), (b,), belief=m.beta_star), beta)
 
     def assessment_gradient(self, betas, weights) -> np.ndarray:
         """Gradient of the shared assessment in the productivities."""
-        betas = np.asarray(betas, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        betas, weights = _population(betas, weights)
         if self._closed:
             lq = self.model.lq
             s = float(np.dot(weights, betas ** 2))
             denom = (self._l2 * s + self._kc) ** 2
             return self._l1 * lq.kappa * lq.c * 2.0 * weights * betas / denom
-        out = np.empty(betas.size)
-        for j in range(betas.size):
-            def h_of(bj, j=j):
-                b = betas.copy()
-                b[j] = bj
-                return self.assessment_multigroup(b, weights)
-            out[j] = fd1(h_of, float(betas[j]), lo=self.model.beta_lo,
-                         rel_step=SOLVE_REL_STEP)
-        return out
+        own = np.eye(betas.size, dtype=bool)
 
-    def _interior_assessment(self, weighted: list[tuple[float, float]]) -> float:
-        """Numeric optimal assessment; no bracket means no interior optimum."""
-        try:
-            return self._assessment_numeric(weighted)
-        except NumericalError as exc:
-            raise InvariantViolation(
-                f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
+        def h_of(x):  # entry j: the assessment with beta_j moved to x[j]
+            return self._assessment_numeric(weights.tolist(),
+                                            np.where(own, x, betas[:, None]))
 
-    def _assessment_numeric(self, weighted: list[tuple[float, float]],
-                            belief: float | None = None) -> float:
-        """Root in h of sum_i w_i dV_E/dh(h, beta_i) - kappa'(h); raises
-        NumericalError when it cannot be bracketed.  A fixed ``belief`` for
-        effort (first-order misspecification) lifts the lambda1/lambda2 cap."""
-        if all(b <= 0.0 for _, b in weighted):
-            return 0.0
+        return fd1(h_of, betas, lo=self.model.beta_lo, rel_step=SOLVE_REL_STEP)
 
-        def foc(h):
-            marginal = sum(w * self._dv_dh(h, b, belief) for w, b in weighted if b > 0.0)
-            return marginal - self._marginal_cost(h)
+    def _assessment_numeric(self, weights, betas, belief=None):
+        """Root in h of ``_evaluator_condition``: a float for float
+        productivities, one root per entry for 1-d arrays.  No bracket means
+        no interior optimum: an InvariantViolation, or a NumericalError under
+        a fixed effort ``belief`` (first-order misspecification; no
+        lambda1/lambda2 cap)."""
+
+        def foc(h, *bs):
+            return self._evaluator_condition(h, weights, bs, belief)
 
         cap = self._h_cap if belief is None else 1.0
-        h = solve_decreasing(foc, H_EDGE, cap - H_EDGE)
-        self._require_interior(h, [b for _, b in weighted])
-        return h
+        try:
+            return solve_decreasing(foc, H_EDGE, cap - H_EDGE, args=tuple(betas))
+        except NumericalError as exc:
+            if belief is not None:
+                raise
+            raise InvariantViolation(
+                f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
 
     def _require_interior(self, h, beta) -> None:
         h_arr = np.asarray(h)

@@ -385,8 +385,8 @@ def _foc_table(tm: TransformedModel) -> _FocTable:
     b_half = 0.5 * (mdl.beta_hi - mdl.beta_lo)
 
     def integrand(theta_h, theta_b):
-        h = h_mid - h_half * np.cos(theta_h)
-        return eng._dv_dh(h, b_mid - b_half * np.cos(theta_b)) - eng._marginal_cost(h)
+        return eng._evaluator_condition(h_mid - h_half * np.cos(theta_h), (1.0,),
+                                        (b_mid - b_half * np.cos(theta_b),))
 
     coef, _, _ = certified_series(integrand, 2, TABLE_POINTS)
     return _FocTable(coef=coef, h_lo=tm.h_lo, h_hi=tm.h_hi,

@@ -319,21 +319,19 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
 
     a_max = max(float(a_grid.max()) * 1.05, 1e-3)
     a_pts = np.linspace(0.0, a_max, n_a)
-    cost_vals = np.array([model.cost(float(a)) for a in a_pts])
-    d2 = np.diff(cost_vals, 2)
+    d2 = np.diff(engine._cost(a_pts), 2)
     bad = np.argwhere(d2 <= 0.0)
     checks["effort_cost_convex"] = CheckResult(
         not bad.size, (int(bad[0][0]),) if bad.size else None)
 
     k_pts = np.linspace(0.0, 1.0, n_a)
-    k_vals = np.array([model.assess_cost(float(h)) for h in k_pts])
-    d2 = np.diff(k_vals, 2)
+    d2 = np.diff(engine._assess_cost(k_pts), 2)
     bad = np.argwhere(d2 <= 0.0)
     checks["assessment_cost_convex"] = CheckResult(
         not bad.size, (int(bad[0][0]),) if bad.size else None)
 
-    r_zero_a = np.array([model.r(0.0, float(b)) for b in betas])
-    r_zero_b = np.array([model.r(float(a), 0.0) for a in a_pts])
+    r_zero_a = engine._r(np.zeros(n_beta), betas)
+    r_zero_b = engine._r(a_pts, np.zeros(n_a))
     bad_a = np.argwhere(np.abs(r_zero_a) > BOUNDARY_TOL)
     bad_b = np.argwhere(np.abs(r_zero_b) > BOUNDARY_TOL)
     if bad_a.size:

@@ -15,9 +15,11 @@ from scipy.optimize import brentq
 from scipy.special import erfc, erfcx
 
 from berklab import LQParams, ModelPrimitives, build_lq
+from berklab.best_response import SOLVE_REL_STEP
 from berklab.learning import (CHUNK, TransformedModel, TruncNormalPrior,
                               _foc_table, _group_quadrature,
                               _quadrature_assessment, _RunResult, noise_stream)
+from berklab.rootfind import fd1
 
 
 def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
@@ -64,13 +66,30 @@ def direct_quadrature_assessment(tm, alphas, m_vec, s_vec, nodes: int) -> float:
     ``s_vec``) by a direct effort solve at every quadrature node: the
     engine's numeric first-order solve over the learning step's nodes,
     clipped to the assessment range as the learning step clips it."""
-    weighted = []
+    weights, betas = [], []
     for alpha, mj, sj in zip(alphas, m_vec, s_vec):
         pts, wts = _group_quadrature(tm, float(mj), float(sj), nodes)
-        weighted += [(float(alpha * w), float(tm.g1_inv(float(p))))
-                     for p, w in zip(pts, wts)]
-    h = tm.engine._assessment_numeric(weighted)
+        weights += [float(alpha * w) for w in wts]
+        betas += [float(tm.g1_inv(float(p))) for p in pts]
+    h = tm.engine._assessment_numeric(weights, betas)
     return min(max(h, tm.h_lo), tm.h_hi)
+
+
+def per_group_assessment_gradient(engine, betas, weights) -> np.ndarray:
+    """Gradient of the shared numeric assessment by one scalar difference
+    per group, each a fresh ``assessment_multigroup`` solve with that
+    group's productivity moved: the reference the engine's single array
+    difference must reproduce bit for bit."""
+    betas = np.asarray(betas, dtype=float)
+    out = np.empty(betas.size)
+    for j in range(betas.size):
+        def h_of(bj, j=j):
+            b = betas.copy()
+            b[j] = bj
+            return engine.assessment_multigroup(b, weights)
+        out[j] = fd1(h_of, float(betas[j]), lo=engine.model.beta_lo,
+                     rel_step=SOLVE_REL_STEP)
+    return out
 
 
 def lq_assessment(lq: LQParams, beta: float) -> float:

@@ -152,7 +152,7 @@ def _entry_by_entry(model):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("gamma", [2.5, 4.0])
+@pytest.mark.parametrize("gamma", [2.5, 4.0, 6.0])
 def test_power_arrays_match_scalars_and_the_closed_form(gamma):
     model = _power(gamma)
     plain = BestResponseEngine(model)
@@ -176,6 +176,13 @@ def test_power_arrays_match_scalars_and_the_closed_form(gamma):
     assert np.max(np.abs(plain.effective_effort(h, b) - b * a)) <= 3e-11
     dv = (b - 0.5 * a ** (gamma - 1.0)) * a / ((gamma - 1.0) * h)
     assert np.allclose(plain._dv_dh(h, b), dv, rtol=2e-9, atol=0.0)
+    # the assessment's outer solve in h over 50 productivities: _dv_dh's
+    # ~1e-9 array rounding moves its roots by about 1e-10
+    b = np.linspace(model.beta_lo, model.beta_hi, 50)
+    for method in ("assessment", "first_order_assessment"):
+        want = np.array([getattr(plain, method)(float(bb)) for bb in b])
+        assert getattr(wrapped, method)(b).tobytes() == want.tobytes()
+        assert np.allclose(getattr(plain, method)(b), want, rtol=1e-9, atol=0.0)
 
 
 def _count_scalar_effort_solves(monkeypatch):

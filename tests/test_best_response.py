@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from berklab import (BestResponseEngine, InvariantViolation, LQParams,
                      NumericalError, build_lq, build_power)
 
-from helpers import (lq_assessment, power_assessment_gradient, random_lq_instance,
+from helpers import (lq_assessment, per_group_assessment_gradient,
+                     power_assessment_gradient, random_lq_instance,
                      unique_equilibrium_model)
 
 
@@ -114,9 +115,11 @@ class TestAssessmentMultigroup:
             singles = [engine.assessment(b) for b in betas]
             assert min(singles) <= h <= max(singles)
 
-    def test_rejects_bad_weights(self, engine):
-        with pytest.raises(ValueError):
-            engine.assessment_multigroup([1.0, 2.0], [0.7, 0.7])
+    def test_rejects_bad_weights(self, lq_unit, engine):
+        for eng in (engine, BestResponseEngine(lq_unit, force_numeric=True)):
+            for method in (eng.assessment_multigroup, eng.assessment_gradient):
+                with pytest.raises(ValueError):
+                    method([1.0, 2.0], [0.7, 0.7])
 
 
 class TestEffortSensitivities:
@@ -180,6 +183,8 @@ def test_assessment_interior_property(c, kappa_mult, lambda_e, lambda_a, beta):
        h=st.floats(0.2, 0.9), beta=st.floats(0.6, 2.9),
        beta2=st.floats(0.6, 2.9), weight=st.floats(0.1, 0.9),
        delta_mu=st.floats(-1.5, 1.5))
+@example(c=1.0, kappa_mult=2.0, lambda_e=1.0, lambda_a=0.5, h=0.5, beta=0.5001,
+         beta2=2.2, weight=0.4, delta_mu=0.3)  # forward difference at beta_lo
 def test_engine_operations_match_numeric_property(c, kappa_mult, lambda_e,
                                                   lambda_a, h, beta, beta2,
                                                   weight, delta_mu):
@@ -208,6 +213,8 @@ def test_engine_operations_match_numeric_property(c, kappa_mult, lambda_e,
     want = closed.assessment_gradient(betas, weights)
     got = numeric.assessment_gradient(betas, weights)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    want = per_group_assessment_gradient(numeric, betas, weights)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_only_the_engine_knows_the_lq_closed_forms():
@@ -231,6 +238,7 @@ def test_only_the_engine_knows_the_lq_closed_forms():
        beta2=st.floats(0.6, 2.9), weight=st.floats(0.1, 0.9))
 @example(gamma=2.7260363963845937, beta=0.6424971626744002,
          beta2=2.746564605541006, weight=0.3888651181692232)  # 2.2e-6 at step 1e-4
+@example(gamma=2.5, beta=0.5001, beta2=2.2, weight=0.4)  # forward difference
 def test_numeric_assessment_gradient_matches_power_oracle(gamma, beta, beta2,
                                                          weight):
     # general primitives: the gradient differences the numeric assessment
@@ -238,8 +246,12 @@ def test_numeric_assessment_gradient_matches_power_oracle(gamma, beta, beta2,
     m = build_power(gamma, 1.0, 6.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
     betas, weights = np.array([beta, beta2]), np.array([weight, 1.0 - weight])
     want = power_assessment_gradient(gamma, 1.0, 6.0, 1.0, 0.5, betas, weights)
-    got = BestResponseEngine(m).assessment_gradient(betas, weights)
+    eng = BestResponseEngine(m)
+    got = eng.assessment_gradient(betas, weights)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    # one array difference over the productivities: one scalar difference
+    # per group, bit for bit
+    assert got.tobytes() == per_group_assessment_gradient(eng, betas, weights).tobytes()
 
 
 def test_first_order_assessment_without_bracket_is_numerical():
@@ -291,7 +303,8 @@ def test_array_calls_are_the_scalar_calls_bit_for_bit(numeric, hs, betas,
         for args in shapes:
             assert _same_bits(method(*args), _scalar_calls(method, args))
     for method in (eng.assessment, eng.first_order_assessment):
-        for arg in (b[0], np.array(b[0]), b, b[:, None]):
+        # 64 points: one outer masked solve in h
+        for arg in (b[0], np.array(b[0]), b, b[:, None], np.linspace(*b, 64)):
             assert _same_bits(method(arg), _scalar_calls(method, (arg,)))
     t, d = np.array(truths), np.array(deltas)
     for args in [(h[0], t[0], d[0]), (h[0], t, d), (h[:, None], t, d)]:
@@ -366,3 +379,19 @@ def test_no_caller_loops_over_the_engine():
     offenders += [f"multigroup.py:{n.lineno}" for n in ast.walk(iteration)
                   if isinstance(n, ast.Call) and called(n) == "with_beta_star"]
     assert offenders == []
+
+    # inside the engine only the array contract itself and best_fit apply a
+    # map entry by entry, and one method states the evaluator's condition,
+    # which no other module rewrites from its parts
+    def names(tree):
+        return {getattr(n, "id", None) or getattr(n, "attr", None)
+                or getattr(n, "name", None) for n in ast.walk(tree)}
+
+    engine = ast.parse((src / "best_response.py").read_text())
+    assert {f.name for f in ast.walk(engine) if isinstance(f, ast.FunctionDef)
+            and "_elementwise" in names(f) - {f.name}} == {
+                "_pointwise", "array_form", "best_fit"}
+    assert not {"_interior_assessment", "_marginal_cost"} & set().union(
+        *(names(ast.parse(path.read_text())) for path in src.glob("*.py")))
+    assert not {"_dv_dh", "_marginal_cost"} & names(
+        ast.parse((src / "learning.py").read_text()))

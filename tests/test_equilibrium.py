@@ -194,5 +194,7 @@ def test_belief_map_rejects_non_interior_assessment_on_both_paths():
     for eng in (BestResponseEngine(m), BestResponseEngine(m, force_numeric=True)):
         with pytest.raises(InvariantViolation, match="not interior"):
             psi_tilde(m, betas, engine=eng)
+        with pytest.raises(InvariantViolation, match="not interior"):
+            eng.assessment(0.0)  # h = 0 at zero productivity
     with pytest.raises(InvariantViolation, match="not interior"):
         find_equilibria(m)
