@@ -9,7 +9,10 @@ bracketed Brent iteration through ``rootfind.solve_decreasing``: scipy's
 ``brentq`` for a scalar point, one masked Brent pass for an array of
 points.  The evaluator's condition uses the implicit-function expression
 for the effort slope rather than differencing the solved effort map, so
-root tolerances do not stack.
+root tolerances do not stack.  It is solved over effort, not over h: the
+agent's condition gives the assessment that draws effort a in closed form,
+h(a) = c'(a)/r_a(a, beta), so a numeric assessment solves effort only at
+the two ends of its bracket (and for groups after the first).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .chebyshev import Roots, certified_roots
 from .errors import InvariantViolation, NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import fd1, fd2, solve_decreasing
+from .rootfind import brentq_masked, fd1, fd2, solve_decreasing
 
 H_EDGE = 1e-12  # open-interval margin for assessment brackets
 WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
@@ -30,7 +33,8 @@ WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
 # a 1e-4 step leaves ~2e-6 relative gradient error, over 1e-3 about 2e-7
 SOLVE_REL_STEP = 1e-3
 # fewest points for one masked solve: below, a loop of scalar solves is
-# faster (a masked pass costs about as much as 40 scalar ones)
+# faster (CPU time on one core, build_power(2.5): a masked effort pass costs
+# about as much as 35 scalar solves, a masked assessment pass about 24)
 ARRAY_SOLVE_MIN = 40
 
 
@@ -125,8 +129,9 @@ class BestResponseEngine:
     numeric path every point map but ``best_fit`` (point by point) solves
     all points in one masked Brent pass of ``rootfind.solve_decreasing``
     (point by point below ``ARRAY_SOLVE_MIN`` points); the assessment maps
-    solve ``_evaluator_condition`` in h, whose every step over an array is
-    a masked effort pass.  Arrays give the scalar calls' bits wherever the
+    solve the evaluator's condition over the first group's effort a, at
+    h(a) = c'(a)/r_a(a, beta), with no effort solve inside the iteration
+    for one group.  Arrays give the scalar calls' bits wherever the
     primitives map arrays with their scalar bits (both paths of the LQ
     forms, and every primitive applied entry by entry).  ``build_power``
     effort on arrays agrees to about 1e-12 (``_dv_dh``, through a second
@@ -274,11 +279,16 @@ class BestResponseEngine:
                 return target - self.effective_effort(hh, x)
 
             if clamp:
-                if excess(m.beta_lo) <= 0.0:
+                # the clamp test's end values start Brent's iteration, which
+                # one-entry arrays take with scipy's steps and scalar bits
+                f_lo = excess(m.beta_lo)
+                if f_lo <= 0.0:
                     return m.beta_lo
-                if excess(m.beta_hi) >= 0.0:
+                f_hi = excess(m.beta_hi)
+                if f_hi >= 0.0:
                     return m.beta_hi
-                return solve_decreasing(excess, m.beta_lo, m.beta_hi)
+                ends = np.array([m.beta_lo, m.beta_hi, f_lo, f_hi])[:, None]
+                return float(brentq_masked(excess, *ends)[0])
             if target <= 0.0:
                 return 0.0 if target == 0.0 else math.nan
             try:
@@ -335,25 +345,38 @@ class BestResponseEngine:
 
     # -- evaluator ------------------------------------------------------
 
+    def _marginal_value(self, a, h, beta, b_a):
+        """dV_E/dh = v_e,a(a, beta) r_a / (c'' - h r_aa) at assessment h and
+        the effort a it draws under belief b_a."""
+        r_a, denom = self._effort_slope(h, b_a, a)
+        v_e = self._v_e
+        return fd1(lambda x: v_e(x, beta), a, lo=0.0) * (r_a / denom)
+
     def _dv_dh(self, h, beta, belief=None):
         """Marginal evaluator value of assessment, dV_E/dh, at productivity
         beta when effort responds to ``belief`` (default: beta itself);
         scalars or broadcastable arrays, as the point maps."""
 
         def at(h, beta, b_a):
-            a = self._effort_numeric(h, b_a)
-            r_a, denom = self._effort_slope(h, b_a, a)
-            v_e = self._v_e
-            return fd1(lambda x: v_e(x, beta), a, lo=0.0) * (r_a / denom)
+            return self._marginal_value(self._effort_numeric(h, b_a), h, beta, b_a)
 
         return _pointwise(at, h, beta, beta if belief is None else belief)
 
     def _evaluator_condition(self, h, weights, betas, belief=None):
         """The evaluator's condition sum_j w_j dV_E/dh(h, beta_j) - kappa'(h),
         decreasing in h: one productivity per group (a float or an array
-        broadcast with h), effort read under ``belief`` (default: its own)."""
+        broadcast with h), effort read under ``belief`` (default: its own).
+        Tabulated in h by ``_foc_table``; ``_assessment_numeric`` solves it
+        over effort."""
         marginal = sum(w * self._dv_dh(h, b, belief) for w, b in zip(weights, betas))
         return marginal - fd1(self._assess_cost, h, lo=0.0, hi=1.0)
+
+    def _assessment_of_effort(self, a, beta):
+        """The assessment at which a is the effort best response under beta:
+        h = c'(a) / r_a(a, beta), the agent's condition solved for h by the
+        differences of ``_effort_foc``."""
+        r = self._r
+        return fd1(self._cost, a, lo=0.0) / fd1(lambda x: r(x, beta), a, lo=0.0)
 
     def assessment(self, beta):
         """Evaluator's optimal h given a degenerate belief at beta."""
@@ -406,23 +429,41 @@ class BestResponseEngine:
         return fd1(h_of, betas, lo=self.model.beta_lo, rel_step=SOLVE_REL_STEP)
 
     def _assessment_numeric(self, weights, betas, belief=None):
-        """Root in h of ``_evaluator_condition``: a float for float
-        productivities, one root per entry for 1-d arrays.  No bracket means
-        no interior optimum: an InvariantViolation, or a NumericalError under
-        a fixed effort ``belief`` (first-order misspecification; no
-        lambda1/lambda2 cap)."""
+        """Root of ``_evaluator_condition``: a float for float
+        productivities, one root per entry for 1-d arrays.
 
-        def foc(h, *bs):
-            return self._evaluator_condition(h, weights, bs, belief)
+        Solved over the first group's effort a rather than over h: effort
+        rises strictly in h, so h(a) = ``_assessment_of_effort`` is explicit
+        and the condition at h(a) decreases in a.  The bracket is the effort
+        at the ends of (0, cap); only groups after the first solve effort
+        at h(a).  No bracket (or no effort response, as at zero
+        productivity) means no interior optimum: an InvariantViolation, or
+        a NumericalError under a fixed effort ``belief`` (first-order
+        misspecification; no lambda1/lambda2 cap).
+        """
+
+        def condition(a, *bs):  # floats or 1-d arrays, decreasing in a
+            b_a = bs[0] if belief is None else belief
+            h = self._assessment_of_effort(a, b_a)
+            return (weights[0] * self._marginal_value(a, h, bs[0], b_a)
+                    + self._evaluator_condition(h, weights[1:], bs[1:], belief))
 
         cap = self._h_cap if belief is None else 1.0
+        b_a = betas[0] if belief is None else belief
         try:
-            return solve_decreasing(foc, H_EDGE, cap - H_EDGE, args=tuple(betas))
+            a_lo, a_hi = (_pointwise(self._effort_numeric, h, b_a)
+                          for h in (H_EDGE, cap - H_EDGE))
+            if np.any(a_hi <= a_lo):
+                raise NumericalError("no bracket: effort does not respond "
+                                     "to assessment")
+            a = solve_decreasing(lambda a, *bs: _pointwise(condition, a, *bs),
+                                 a_lo, a_hi, args=tuple(betas))
         except NumericalError as exc:
             if belief is not None:
                 raise
             raise InvariantViolation(
                 f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
+        return _pointwise(self._assessment_of_effort, a, b_a)
 
     def _require_interior(self, h, beta) -> None:
         h_arr = np.asarray(h)

@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 
 import berklab.chebyshev
 import berklab.rootfind
-from berklab import BestResponseEngine, build_power, transform
+from berklab import BestResponseEngine, build_power, find_equilibria, transform
 from berklab.best_response import ARRAY_SOLVE_MIN, array_form
 from berklab.learning import _foc_table
 from berklab.rootfind import (RTOL, XTOL, brentq_masked, fd1, fd2,
@@ -218,6 +218,19 @@ def test_certificates_make_no_scalar_effort_solve(monkeypatch):
     assert calls == []
 
 
+def test_assessment_solves_effort_only_for_its_bracket(monkeypatch):
+    # the evaluator's condition is solved over effort, where h is explicit:
+    # an assessment solves effort only at the two ends of its bracket, and
+    # the certified enumeration (one assessment per sample) follows
+    model = build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
+    calls = _count_scalar_effort_solves(monkeypatch)
+    BestResponseEngine(model).assessment(1.3)
+    assert len(calls) == 2
+    del calls[:]
+    find_equilibria(model, grid_points=128)
+    assert len(calls) <= 250
+
+
 def _numeric_engine(kind, delta_mu=None):
     """A numeric engine on the three-equilibria LQ model (``force_numeric``)
     or on ``_power()``, with misspecification ``delta_mu`` if given."""
@@ -260,6 +273,23 @@ def test_numeric_best_fit_is_scipys_root(kind, clamp, h, beta_star, delta_mu):
     want = _scipy_best_fit(eng, h, beta_star, delta_mu, clamp)
     assert type(got) is float
     assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+def test_clamped_best_fit_evaluates_each_support_edge_once(monkeypatch):
+    # the clamp test's end values start Brent's iteration, so neither edge
+    # is evaluated again by the bracket check or the solver's start
+    eng = _numeric_engine("power")
+    m, seen = eng.model, []
+    original = BestResponseEngine.effective_effort
+
+    def recorded(self, h, beta):
+        seen.append(float(np.asarray(beta).flat[0]))
+        return original(self, h, beta)
+
+    monkeypatch.setattr(BestResponseEngine, "effective_effort", recorded)
+    assert m.beta_lo < eng.best_fit(0.5, 2.0, -0.1) < m.beta_hi
+    assert seen.count(m.beta_lo) == seen.count(m.beta_hi) == 1
+    assert len(seen) <= 17
 
 
 @settings(max_examples=12, deadline=None)

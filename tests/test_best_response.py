@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from berklab import (BestResponseEngine, InvariantViolation, LQParams,
                      NumericalError, build_lq, build_power)
 
-from helpers import (lq_assessment, per_group_assessment_gradient,
+from helpers import (_power_assessment, lq_assessment,
+                     per_group_assessment_gradient,
                      power_assessment_gradient, random_lq_instance,
                      unique_equilibrium_model)
 
@@ -252,6 +253,26 @@ def test_numeric_assessment_gradient_matches_power_oracle(gamma, beta, beta2,
     # one array difference over the productivities: one scalar difference
     # per group, bit for bit
     assert got.tobytes() == per_group_assessment_gradient(eng, betas, weights).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(gamma=st.floats(2.5, 6.0), beta=st.floats(0.5, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.0))
+def test_assessment_solved_over_effort_property(gamma, beta, seed, share):
+    # the evaluator's condition is solved over the first group's effort,
+    # with h(a) = c'(a) / r_a(a, beta) explicit: the same root as the exact
+    # solve over h, and one code path for one group and for a population
+    eng = BestResponseEngine(
+        build_power(gamma, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0))
+    h = eng.assessment(beta)
+    q = gamma / (gamma - 1.0)
+    assert abs(h - _power_assessment(gamma, 1.0, 4.0, 1.0, 0.5, beta ** q)[0]) <= 1e-9
+    assert eng.assessment_multigroup([beta], [1.0]).hex() == h.hex()
+    # first-order misspecification: effort read under the truth
+    m = random_lq_instance(np.random.default_rng(seed), 0.0)
+    b = m.beta_lo + share * (m.beta_hi - m.beta_lo)
+    assert BestResponseEngine(m, force_numeric=True).first_order_assessment(
+        b) == pytest.approx(BestResponseEngine(m).first_order_assessment(b), rel=1e-8)
 
 
 def test_first_order_assessment_without_bracket_is_numerical():

@@ -9,7 +9,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 import berklab
 from berklab import (BestResponseEngine, GroupPopulation, LQParams, build_lq,
@@ -95,6 +95,8 @@ def saddle_node_distance(lq, beta_star, delta_mu):
 @given(c=st.floats(0.5, 2.0), kappa_mult=st.floats(1.1, 3.0),
        lambda_e=st.floats(0.5, 1.5), lambda_a=st.floats(0.0, 1.0),
        delta_mu=st.floats(-1.5, 1.5))
+@example(c=1.8125, kappa_mult=2.0, lambda_e=0.875, lambda_a=0.3125,
+         delta_mu=-1.171875)  # G(beta_hi) is 1.3e-3 of |delta_mu|
 def test_interior_fixed_points_match_numeric_property(c, kappa_mult, lambda_e,
                                                       lambda_a, delta_mu):
     # the admissible family of the engine property test: h(beta_hi) < 1
@@ -111,8 +113,11 @@ def test_interior_fixed_points_match_numeric_property(c, kappa_mult, lambda_e,
     assert np.array_equal(numeric.rising, closed.rising)
     assert np.allclose(numeric.slopes, closed.slopes, rtol=0.0, atol=1e-5)
     assert numeric.near_tangent.size == 0
+    # G = delta_mu + R(h, beta) - R(h, 2) cancels terms of size |delta_mu|,
+    # and the numeric h carries the ~1e-10 noise of dV_E/dh's second
+    # difference, which a small G does not shrink
     for got, want in ((numeric.f_lo, closed.f_lo), (numeric.f_hi, closed.f_hi)):
-        assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+        assert abs(got - want) <= max(1e-8 * max(abs(want), abs(delta_mu)), 1e-12)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
