@@ -22,8 +22,8 @@ from .learning import (ConvergenceReport, LearningState, OdeSystem,
                        posterior_exact_density, posterior_params, simulate,
                        transform)
 from .multigroup import (EigenReport, GroupPopulation, MultigroupEquilibrium,
-                         color_blind_equilibria, color_sighted_equilibrium,
-                         eigen_check, monte_carlo_multigroup,
+                         color_blind_equilibria, color_sighted_equilibria,
+                         color_sighted_equilibrium, eigen_check, monte_carlo_multigroup,
                          sensitivity, sherman_morrison_inverse,
                          simulate_multigroup)
 from .primitives import (AssumptionReport, Factorization, LQParams,

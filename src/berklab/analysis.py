@@ -261,7 +261,10 @@ def first_order_comparison(model: ModelPrimitives,
         a0 = eng.effort(h, m.beta_star)
         return m.delta_mu + eng._r(a0, beta) - eng._r(a0, m.beta_star)
 
-    found = certified_roots(gap_f, m.beta_lo, m.beta_hi, DEFAULT_GRID)
+    # the first-order belief map is defined where its assessment is interior
+    lo, hi = ((m.beta_lo, m.beta_hi) if frozen_assessment
+              else eng.first_order_range())
+    found = certified_roots(gap_f, lo, hi, DEFAULT_GRID)
     for b in found.near_tangent:
         warnings.warn(f"first-order fit gap comes within its certified error "
                       f"of zero at {b:.9g} without crossing")

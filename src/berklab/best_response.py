@@ -7,12 +7,13 @@ branch on the model type.  General primitives (and LQ models built with
 ``force_numeric``) are solved from their first-order conditions by
 bracketed Brent iteration through ``rootfind.solve_decreasing``: scipy's
 ``brentq`` for a scalar point, one masked Brent pass for an array of
-points.  The evaluator's condition uses the implicit-function expression
-for the effort slope rather than differencing the solved effort map, so
-root tolerances do not stack.  It is solved over effort, not over h: the
-agent's condition gives the assessment that draws effort a in closed form,
-h(a) = c'(a)/r_a(a, beta), so a numeric assessment solves effort only at
-the two ends of its bracket (and for groups after the first).
+points.  The evaluator's condition and ``r_partials`` use the
+implicit-function expression for the effort slope rather than differencing
+the solved effort map, so root tolerances do not stack.  The condition is
+solved over effort, not over h: the agent's condition gives the assessment
+that draws effort a in closed form, h(a) = c'(a)/r_a(a, beta), so a
+numeric assessment solves effort only at the two ends of its bracket (and
+for groups after the first).
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .primitives import ModelPrimitives
 from .rootfind import brentq_masked, fd1, fd2, solve_decreasing
 
 H_EDGE = 1e-12  # open-interval margin for assessment brackets
+# first_order_range keeps the first-order assessment this far below 1, clear
+# of the ~1e-12 noise of its condition at the solve's bracket end
+FIRST_ORDER_MARGIN = 1e-9
 WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
 # relative step for differencing an assessment solve: its ~1e-11 error over
 # a 1e-4 step leaves ~2e-6 relative gradient error, over 1e-3 about 2e-7
@@ -46,12 +50,12 @@ def _broadcast(*args):
 
 
 def _population(betas, weights):
-    """(betas, weights) as matching arrays of positive productivities
-    and positive weights summing to one; ValueError otherwise."""
+    """(betas, weights) as arrays: positive productivities, J or (N, J), and
+    J positive weights summing to one; ValueError otherwise."""
     betas = np.asarray(betas, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if betas.shape != weights.shape:
-        raise ValueError("betas and weights must have matching shapes")
+    if weights.ndim != 1 or betas.shape[-1:] != weights.shape:
+        raise ValueError("betas must have the weights' length along their last axis")
     if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError("weights must be positive and sum to one")
     if np.any(betas <= 0.0):
@@ -216,15 +220,17 @@ class BestResponseEngine:
             c = self.model.lq.c
             h, beta = _broadcast(h, beta)
             return beta / c, h / c
-        return _pointwise(self._sensitivities_at, h, beta, pair=True)
+        return _pointwise(lambda hh, b: self._sensitivities_at(hh, b)[2:],
+                          h, beta, pair=True)
 
     def _sensitivities_at(self, h, beta):
-        """Numeric ``effort_sensitivities`` at floats or 1-d arrays."""
+        """(a, r_a, da/dh, da/dbeta) at floats or 1-d arrays, from one effort
+        solve a = a(h, beta)."""
         a = self._effort_numeric(h, beta)
         r = self._r
         r_a, denom = self._effort_slope(h, beta, a)
         r_ab = fd1(lambda b: fd1(lambda x: r(x, b), a, lo=0.0), beta, lo=0.0)
-        return r_a / denom, h * r_ab / denom
+        return a, r_a, r_a / denom, h * r_ab / denom
 
     def _effort_slope(self, h, beta, a):
         """(r_a, c'' - h r_aa) at the effort a solved for (h, beta), so that
@@ -245,10 +251,9 @@ class BestResponseEngine:
             h, beta = _broadcast(h, beta)
             return beta * beta / c, 2.0 * h * beta / c
 
-        def partials(h, beta):
-            r_h = fd1(lambda hh: self.effective_effort(hh, beta), h, lo=0.0, hi=1.0)
-            r_b = fd1(lambda bb: self.effective_effort(h, bb), beta, lo=0.0)
-            return r_h, r_b
+        def partials(h, beta):  # the chain rule through R = r(a(h, beta), beta)
+            a, r_a, a_h, a_b = self._sensitivities_at(h, beta)
+            return r_a * a_h, r_a * a_b + fd1(lambda b: self._r(a, b), beta, lo=0.0)
 
         return _pointwise(partials, h, beta, pair=True)
 
@@ -320,11 +325,12 @@ class BestResponseEngine:
         quadratic in x = beta^2; others run ``certified_roots`` on G with at
         most ``max_points`` points, the slope being 1 - G'/R_beta."""
         m = self.model
-
-        def gap(beta):
-            return self._fit_gap(self.assessment(beta), beta, beta_star, delta_mu)
-
         if not self._closed:
+            def gap(beta):  # R(h, beta) read at the assessment solve's own effort
+                a = _pointwise(lambda b: self._assessment_effort((1.0,), (b,)), beta)
+                h = _pointwise(self._assessment_of_effort, a, beta)
+                return delta_mu + self._r(a, beta) - self.effective_effort(h, beta_star)
+
             found = certified_roots(gap, m.beta_lo, m.beta_hi, max_points)
             _, r_b = self.r_partials(self.assessment(found.roots), found.roots)
             return found._replace(slopes=1.0 - found.slopes / r_b)
@@ -339,7 +345,8 @@ class BestResponseEngine:
             xs = np.unique([q / self._l1, c0 / q])
             xs = xs[(xs > m.beta_lo ** 2) & (xs < m.beta_hi ** 2)]
         slopes = c0 / (self._l1 * xs * xs)
-        f_lo, f_hi = gap(np.array([m.beta_lo, m.beta_hi]))
+        ends = np.array([m.beta_lo, m.beta_hi])
+        f_lo, f_hi = self._fit_gap(self.assessment(ends), ends, beta_star, delta_mu)
         return Roots(np.sqrt(xs), slopes < 1.0, slopes, np.empty(0),
                      float(f_lo), float(f_hi))
 
@@ -387,13 +394,16 @@ class BestResponseEngine:
         return _pointwise(lambda b: self._assessment_numeric((1.0,), (b,)), beta)
 
     def assessment_multigroup(self, betas, weights):
-        """Optimal shared h for a weighted population of productivities."""
+        """Optimal shared h for a weighted population of productivities:
+        a float for J of them, an array of N for an (N, J) array."""
         betas, weights = _population(betas, weights)
         if self._closed:
-            h = self.certainty_equivalent(float(np.dot(weights, betas ** 2)))
+            s = np.dot(betas ** 2, weights)
+            h = self.certainty_equivalent(float(s) if s.ndim == 0 else s)
             self._require_interior(h, betas)
             return h
-        return self._assessment_numeric(weights.tolist(), betas.tolist())
+        groups = betas.tolist() if betas.ndim == 1 else betas.T
+        return self._assessment_numeric(weights.tolist(), groups)
 
     def certainty_equivalent(self, s):
         """LQ optimal assessment for a belief with mean s of beta^2, in
@@ -408,9 +418,32 @@ class BestResponseEngine:
         m = self.model
         if self._closed:
             num = self._l1 * beta * m.beta_star
-            return num / (self._l2 * m.beta_star ** 2 + self._kc)
+            h = num / (self._l2 * m.beta_star ** 2 + self._kc)
+            # as the numeric path: no interior optimum is no bracket
+            self._require_interior(h, beta, NumericalError)
+            return h
         return _pointwise(
             lambda b: self._assessment_numeric((1.0,), (b,), belief=m.beta_star), beta)
+
+    def first_order_range(self) -> tuple[float, float]:
+        """(beta_lo, hi): the productivities of the support at which the
+        first-order assessment, rising in beta, stays below 1 -
+        ``FIRST_ORDER_MARGIN``; NumericalError where there are none."""
+        m = self.model
+        top = 1.0 - FIRST_ORDER_MARGIN
+        if self._closed:
+            den = self._l2 * m.beta_star ** 2 + self._kc
+            hi = top * den / (self._l1 * m.beta_star)
+        else:  # the evaluator's condition at h = top rises in beta
+            def excess(b):
+                return -self._evaluator_condition(top, (1.0,), (b,), m.beta_star)
+
+            hi = (m.beta_hi if excess(m.beta_hi) >= 0.0
+                  else solve_decreasing(excess, m.beta_lo, m.beta_hi))
+        if hi <= m.beta_lo:
+            raise NumericalError("the first-order assessment is interior "
+                                 "nowhere on the support")
+        return m.beta_lo, min(hi, m.beta_hi)
 
     def assessment_gradient(self, betas, weights) -> np.ndarray:
         """Gradient of the shared assessment in the productivities."""
@@ -430,11 +463,18 @@ class BestResponseEngine:
 
     def _assessment_numeric(self, weights, betas, belief=None):
         """Root of ``_evaluator_condition``: a float for float
-        productivities, one root per entry for 1-d arrays.
+        productivities, one root per entry for 1-d arrays; h(a) at the
+        effort a that ``_assessment_effort`` solves for."""
+        a = self._assessment_effort(weights, betas, belief)
+        return _pointwise(self._assessment_of_effort, a,
+                          betas[0] if belief is None else belief)
 
-        Solved over the first group's effort a rather than over h: effort
-        rises strictly in h, so h(a) = ``_assessment_of_effort`` is explicit
-        and the condition at h(a) decreases in a.  The bracket is the effort
+    def _assessment_effort(self, weights, betas, belief=None):
+        """The first group's effort at the root of ``_evaluator_condition``.
+
+        Solved over that effort a rather than over h: effort rises strictly
+        in h, so h(a) = ``_assessment_of_effort`` is explicit and the
+        condition at h(a) decreases in a.  The bracket is the effort
         at the ends of (0, cap); only groups after the first solve effort
         at h(a).  No bracket (or no effort response, as at zero
         productivity) means no interior optimum: an InvariantViolation, or
@@ -463,16 +503,16 @@ class BestResponseEngine:
                 raise
             raise InvariantViolation(
                 f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
-        return _pointwise(self._assessment_of_effort, a, b_a)
+        return a
 
-    def _require_interior(self, h, beta) -> None:
+    def _require_interior(self, h, beta, error=InvariantViolation) -> None:
         h_arr = np.asarray(h)
         bad = (h_arr <= 0.0) | (h_arr >= 1.0)
         if np.any(bad):
-            if h_arr.ndim:  # report the first offending entry of an array
-                i = int(np.argmax(bad))
-                h, beta = float(h_arr.flat[i]), float(np.asarray(beta).flat[i])
-            raise InvariantViolation(
+            if h_arr.ndim:  # report the first offending entry (a population's row)
+                i = np.unravel_index(int(np.argmax(bad)), h_arr.shape)
+                h, beta = float(h_arr[i]), np.asarray(beta)[i].tolist()
+            raise error(
                 f"assessment {h!r} at beta={beta!r} is not interior to (0, 1); "
                 "primitives violate the interiority assumption")
 

@@ -204,7 +204,7 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
             "sce_flags": list(eq.sce_flags),
             "eigenvalues": list(eq.eigenvalues),
             "residual": eq.residual, "iterations": eq.iterations,
-            "contraction_modulus": eq.contraction_modulus,
+            "contraction_modulus": eigen.bound,
         },
         "eigen_check": {
             "eigenvalues": list(eigen.eigenvalues),

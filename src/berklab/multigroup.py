@@ -3,9 +3,13 @@
 Blind assessment pools the groups into one average agent, so its equilibria
 are the single-agent ones at the population-weighted misspecification.
 Sighted impartial assessment keeps per-group beliefs but forces a common
-assessment intensity; for small misspecifications the joint belief map is a
-contraction whose Jacobian is rank-one, which yields closed-form
-Sherman-Morrison sensitivities and an explicit eigenvalue bound.
+assessment intensity.  The groups interact only through that scalar, so the
+sighted equilibria are the roots of one function of it, enumerated by
+``certified_roots`` like the single-agent ones.  At every member the
+Jacobian of the joint belief map is rank-one, which yields closed-form
+Sherman-Morrison sensitivities and an explicit eigenvalue bound; whether
+the map contracts there (a sink) is a property of the member, read from its
+spectrum, not of the method that found it.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ import numpy as np
 
 from .analysis import LQ_PARAMETERS, _with_lq_value
 from .best_response import WEIGHT_SUM_TOL, BestResponseEngine
-from .equilibrium import SCE_KL_TOL, EquilibriumSet, find_equilibria
+from .chebyshev import certified_roots
+from .equilibrium import (DEDUP_TOL, DEFAULT_GRID, SCE_KL_TOL, EquilibriumSet,
+                          find_equilibria)
 from .errors import NumericalError
 from .learning import (DEFAULT_RADIUS, TruncNormalPrior, _as_transformed,
                        _record_stride, _run_engine)
 from .primitives import ModelPrimitives
+from .rootfind import brentq_masked
 
-FIXED_POINT_TOL = 1e-10
-MAX_ITER = 500
 DENSE_LIMIT = 32  # largest J whose spectrum eigen_check solves densely
 
 
@@ -95,17 +100,21 @@ class MultigroupEquilibrium:
                              # 0 for a group pinned at a support edge
     grad_h: np.ndarray       # assessment gradient at the fixed point
     eigenvalues: np.ndarray  # spectrum of the fixed-point Jacobian minus identity
-    residual: float
-    iterations: int
-    contraction_modulus: float
+    slope: float             # F'(h_hat) from the enumerator, -1 + grad_h . g
+    residual: float          # one step of the joint belief map, sup norm
+    iterations: int          # belief-map evaluations of the enumeration
     domain_lo: np.ndarray
     domain_hi: np.ndarray
-    history: tuple = ()
 
     @property
     def in_domain(self) -> bool:
         return bool(np.all(self.beta_hat >= self.domain_lo - 1e-12)
                     and np.all(self.beta_hat <= self.domain_hi + 1e-12))
+
+    @property
+    def stable(self) -> bool:
+        """A sink of the joint belief dynamics: every eigenvalue negative."""
+        return bool(np.all(self.eigenvalues < 0.0))
 
 
 def _free_groups(eng: BestResponseEngine, h: float, truths, deltas) -> np.ndarray:
@@ -115,73 +124,110 @@ def _free_groups(eng: BestResponseEngine, h: float, truths, deltas) -> np.ndarra
     return (free > eng.model.beta_lo) & (free < eng.model.beta_hi)
 
 
-def color_sighted_equilibrium(pop: GroupPopulation,
-                              keep_history: bool = False) -> MultigroupEquilibrium:
-    """Unique small-misspecification equilibrium by fixed-point iteration.
+class _SharedAssessment:
+    """The joint belief map beta -> best_fit(H(beta)), H the shared
+    assessment, has its fixed points at beta = best_fit(h) for the roots h
+    of F(h) = H(best_fit(h)) - h on the range of H; ``evaluations`` counts
+    the points at which F is evaluated."""
 
-    Iterates the joint belief map from the truth vector; plain iteration is
-    the contraction construction itself.  When the computed contraction
-    modulus reaches one, iteration is damped by half and a warning is
-    emitted (the small-misspecification guarantee no longer applies).
-    """
-    model = pop.model
-    eng = BestResponseEngine(model)
-    alphas = np.asarray(pop.alphas)
-    truths = np.asarray(pop.beta_stars, dtype=float)
-    deltas = np.asarray(pop.deltas, dtype=float)
-    betas = truths.copy()
-    if np.any(np.abs(deltas) > 0.1 * truths):
-        warnings.warn("misspecifications are large relative to the group "
-                      "truths; uniqueness/contraction is not guaranteed")
+    def __init__(self, pop: GroupPopulation):
+        self.eng = BestResponseEngine(pop.model)
+        self.alphas = np.asarray(pop.alphas)
+        self.truths = np.asarray(pop.beta_stars, dtype=float)
+        self.deltas = np.asarray(pop.deltas, dtype=float)
+        self.evaluations = 0
 
-    lo = np.where(deltas > 0, model.beta_lo, truths)
-    hi = np.where(deltas > 0, truths, model.beta_hi)
+    def fit(self, h):  # (J,) best fits at a float h, (N, J) at N of them
+        return self.eng.best_fit(np.asarray(h)[..., None], self.truths, self.deltas)
 
-    def factors(h, psi):
-        # g_j = (R_h(h, b*_j) - R_h(h, psi_j)) / R_b(h, psi_j) for a free
-        # group; a pinned group's clamped best fit is locally constant in h
-        rh_psi, rb_psi = eng.r_partials(h, psi)
-        g = (eng.r_partials(h, truths)[0] - rh_psi) / rb_psi
-        return np.where(_free_groups(eng, h, truths, deltas), g, 0.0)
+    def excess(self, h):
+        self.evaluations += np.size(h)
+        return self.eng.assessment_multigroup(self.fit(h), self.alphas) - h
 
-    history = [betas.copy()] if keep_history else []
-    modulus = 0.0
-    damping = 1.0
-    residual = np.inf
-    for it in range(1, MAX_ITER + 1):
+    def roots(self) -> list[tuple[float, float]]:
+        """(h, F'(h)) at every root of F, ascending, each counted once:
+        ``certified_roots`` on each piece between the kinks of F, where a
+        group's unclamped fit meets a support edge (the one sign change of
+        the fit gap at that edge, monotone in h), and a support corner where
+        every group is pinned at it (F = H(edge) - h there)."""
+        eng, m = self.eng, self.eng.model
+        lo, hi = eng.assessment_bounds()
+        edge, truth, delta = (a.ravel() for a in np.broadcast_arrays(
+            [m.beta_lo, m.beta_hi], self.truths[:, None], self.deltas[:, None]))
+        g_lo, g_hi = (eng._fit_gap(h, edge, truth, delta) for h in (lo, hi))
+        cross = g_lo * g_hi < 0.0
+        kinks = brentq_masked(eng._fit_gap, np.full(cross.sum(), lo),
+                              np.full(cross.sum(), hi), g_lo[cross], g_hi[cross],
+                              args=(edge[cross], truth[cross], delta[cross]))
+        pts = np.unique(np.concatenate(([lo, hi], kinks)))
+        found = [(h, -1.0) for h, b in ((lo, m.beta_lo), (hi, m.beta_hi))
+                 if np.all(self.fit(h) == b)]
+        for a, b in zip(pts[:-1], pts[1:]):
+            piece = certified_roots(self.excess, a, b, DEFAULT_GRID)
+            found += zip(piece.roots.tolist(), piece.slopes.tolist())
+            for t in piece.near_tangent:
+                warnings.warn(f"near-tangent point at h = {t:.9g}: H(best fit) - h "
+                              "comes within its certified error of zero without "
+                              "crossing; an equilibrium pair may be missing")
+        out: list[tuple[float, float]] = []
+        for h, slope in sorted(found):
+            if not out or h - out[-1][0] >= DEDUP_TOL:
+                out.append((h, slope))
+        return out
+
+    def member(self, h: float, slope: float) -> MultigroupEquilibrium:
+        """The equilibrium at the root h of F: beta = best_fit(h), confirmed
+        by one step of the joint belief map, whose size is the residual."""
+        eng, alphas, truths, deltas = self.eng, self.alphas, self.truths, self.deltas
+        prev = self.fit(h)
+        betas = self.fit(eng.assessment_multigroup(prev, alphas))
         h = float(eng.assessment_multigroup(betas, alphas))
-        nxt = eng.best_fit(h, truths, deltas)
-        step_mod = float(np.linalg.norm(factors(h, nxt))
-                         * np.linalg.norm(eng.assessment_gradient(nxt, alphas)))
-        modulus = max(modulus, step_mod)
-        if step_mod >= 1.0 and damping == 1.0:
-            warnings.warn(f"contraction modulus {step_mod:.3g} >= 1; "
-                          "falling back to damped iteration")
-            damping = 0.5
-        new = betas + damping * (nxt - betas)
-        residual = float(np.max(np.abs(new - betas)))
-        betas = new
-        if keep_history:
-            history.append(betas.copy())
-        if residual < FIXED_POINT_TOL:
-            break
-    else:
-        raise NumericalError(f"fixed-point iteration did not reach {FIXED_POINT_TOL:g} "
-                             f"within {MAX_ITER} steps (residual {residual:.3g})")
+        # g_j = (R_h(h, b*_j) - R_h(h, beta_j)) / R_b(h, beta_j) for a free
+        # group; a pinned group's clamped best fit is locally constant in h
+        rh, rb = eng.r_partials(h, betas)
+        g = np.where(_free_groups(eng, h, truths, deltas),
+                     (eng.r_partials(h, truths)[0] - rh) / rb, 0.0)
+        gh = eng.assessment_gradient(betas, alphas)
+        eigs = np.full(alphas.size, -1.0)
+        eigs[0] = -1.0 + float(gh @ g)
+        sce = tuple((eng._divergence(h, betas, truths, deltas) <= SCE_KL_TOL).tolist())
+        return MultigroupEquilibrium(
+            beta_hat=betas, h_hat=h, sce_flags=sce, g=g, grad_h=gh,
+            eigenvalues=np.sort(eigs), slope=slope,
+            residual=float(np.max(np.abs(betas - prev))),
+            iterations=self.evaluations,
+            domain_lo=np.where(deltas > 0, eng.model.beta_lo, truths),
+            domain_hi=np.where(deltas > 0, truths, eng.model.beta_hi))
 
-    h = float(eng.assessment_multigroup(betas, alphas))
-    g = factors(h, betas)
-    gh = eng.assessment_gradient(betas, alphas)
-    shift = float(gh @ g)
-    eigs = np.full(pop.size, -1.0)
-    eigs[0] = -1.0 + shift
-    sce = tuple((eng._divergence(h, betas, truths, deltas) <= SCE_KL_TOL).tolist())
-    return MultigroupEquilibrium(beta_hat=betas, h_hat=h, sce_flags=sce,
-                                 g=g, grad_h=gh, eigenvalues=np.sort(eigs),
-                                 residual=residual, iterations=it,
-                                 contraction_modulus=modulus,
-                                 domain_lo=lo, domain_hi=hi,
-                                 history=tuple(history))
+
+def color_sighted_equilibria(pop: GroupPopulation) -> tuple[MultigroupEquilibrium, ...]:
+    """Every equilibrium under sighted impartial assessment, by descending
+    shared assessment h: the roots of H(best_fit(h)) - h, enumerated by
+    ``certified_roots``.  A member is a sink when ``stable``."""
+    problem = _SharedAssessment(pop)
+    return tuple(problem.member(h, s) for h, s in reversed(problem.roots()))
+
+
+def color_sighted_equilibrium(pop: GroupPopulation) -> MultigroupEquilibrium:
+    """The equilibrium that undamped iteration of the joint belief map from
+    the truth vector reaches: the only member of ``color_sighted_equilibria``,
+    or else the nearest one from h0 = H(beta*) in the direction of
+    H(best_fit(h0)) - h0, where the iterates head; a warning names the others.
+    """
+    problem = _SharedAssessment(pop)
+    roots = problem.roots()
+    chosen = roots[0]
+    if len(roots) > 1:
+        h0 = problem.eng.assessment_multigroup(problem.truths, problem.alphas)
+        f0 = problem.excess(h0)
+        ahead = [r for r in roots if (r[0] - h0) * f0 >= 0.0] or roots
+        chosen = min(ahead, key=lambda r: abs(r[0] - h0))
+        others = "; ".join(f"h = {r[0]:.9g}, beliefs {problem.fit(r[0])}"
+                           for r in roots if r is not chosen)
+        warnings.warn(f"{len(roots)} color-sighted equilibria; returning the one "
+                      f"iteration from the truths reaches, at h = {chosen[0]:.9g}; "
+                      f"the others: {others}")
+    return problem.member(*chosen)
 
 
 def sherman_morrison_inverse(u, v) -> np.ndarray:

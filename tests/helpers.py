@@ -181,6 +181,53 @@ def lq_joint_best_fit(model: ModelPrimitives, betas: Sequence[float],
                          model.beta_hi) for t, d in zip(truths, deltas)])
 
 
+def undamped_sighted_iteration(model: ModelPrimitives, alphas: Sequence[float],
+                               truths: Sequence[float], deltas: Sequence[float],
+                               tol: float = 1e-13, max_iter: int = 20_000):
+    """The joint belief map of ``lq_joint_best_fit`` iterated plainly from
+    the truth vector until a step is below ``tol``: (the limit, or None when
+    it does not settle in ``max_iter`` steps, and the list of iterates)."""
+    betas = np.array(truths, dtype=float)
+    path = [betas]
+    for _ in range(max_iter):
+        nxt = lq_joint_best_fit(model, betas, alphas, truths, deltas)
+        path.append(nxt)
+        if np.max(np.abs(nxt - betas)) < tol:
+            return nxt, path
+        betas = nxt
+    return None, path
+
+
+def lq_sighted_oracle(model: ModelPrimitives, alphas: Sequence[float],
+                      truths: Sequence[float],
+                      deltas: Sequence[float]) -> list[np.ndarray]:
+    """The color-sighted equilibria of LQ primitives at which every group's
+    best fit is free, from a quadratic.
+
+    With S = sum_j alpha_j b_j^2, each free fit is b_j^2 = t_j^2 - d_j c / h
+    and h = lambda1 S / (lambda2 S + kappa c), so S solves the single-group
+    fixed-point quadratic with beta_star^2 replaced by sum_j alpha_j t_j^2
+    and delta_mu by sum_j alpha_j d_j.  A root counts only where every b_j
+    is real and strictly inside the support.
+    """
+    lq = model.lq
+    lambda1 = lq.lambda_e + lq.delta * lq.lambda_a
+    t2 = sum(a * t * t for a, t in zip(alphas, truths))
+    dm = sum(a * d for a, d in zip(alphas, deltas))
+    out = []
+    for s in np.roots([lambda1, -(lambda1 * t2 - dm * lq.c * lq.lambda_a),
+                       dm * lq.kappa * lq.c ** 2]):
+        if abs(s.imag) > 1e-12 or s.real <= 0.0:
+            continue
+        h = lambda1 * s.real / (lq.lambda_a * s.real + lq.kappa * lq.c)
+        sq = np.array([t * t - d * lq.c / h for t, d in zip(truths, deltas)])
+        if np.all(sq >= 0.0):
+            b = np.sqrt(sq)
+            if np.all((b > model.beta_lo) & (b < model.beta_hi)):
+                out.append(b)
+    return out
+
+
 def lq_psi(model: ModelPrimitives, beta: float) -> float:
     """Closed-form belief map for LQ models, written independently."""
     lq = model.lq

@@ -221,14 +221,31 @@ def test_certificates_make_no_scalar_effort_solve(monkeypatch):
 def test_assessment_solves_effort_only_for_its_bracket(monkeypatch):
     # the evaluator's condition is solved over effort, where h is explicit:
     # an assessment solves effort only at the two ends of its bracket, and
-    # the certified enumeration (one assessment per sample) follows
+    # the certified enumeration (one assessment per sample) follows: its fit
+    # gap reads R(h, beta) at the solve's own root effort
     model = build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
     calls = _count_scalar_effort_solves(monkeypatch)
     BestResponseEngine(model).assessment(1.3)
     assert len(calls) == 2
     del calls[:]
     find_equilibria(model, grid_points=128)
-    assert len(calls) <= 250
+    assert len(calls) <= 160
+
+
+def test_numeric_r_partials_are_the_chain_rule(monkeypatch):
+    # R = g1(beta) g2(h) with g1 = beta^q, g2 = h^p on build_power (c = 1),
+    # so R_h = g1 g2' and R_beta = g1' g2; one effort solve per point
+    gamma = 2.5
+    p, q = 1.0 / (gamma - 1.0), gamma / (gamma - 1.0)
+    eng = BestResponseEngine(
+        build_power(gamma, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0))
+    calls = _count_scalar_effort_solves(monkeypatch)
+    eng.r_partials(0.4, 1.7)
+    assert len(calls) == 1
+    h, b = np.array([0.4, 0.15, 0.9, 0.6]), np.array([1.7, 0.6, 2.8, 2.2])
+    r_h, r_b = eng.r_partials(h, b)
+    np.testing.assert_allclose(r_h, b ** q * p * h ** (p - 1.0), rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(r_b, q * b ** (q - 1.0) * h ** p, rtol=1e-8, atol=0.0)
 
 
 def _numeric_engine(kind, delta_mu=None):

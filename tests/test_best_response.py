@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from berklab import (BestResponseEngine, InvariantViolation, LQParams,
-                     NumericalError, build_lq, build_power)
+from berklab import (BerklabError, BestResponseEngine, InvariantViolation,
+                     LQParams, NumericalError, build_lq, build_power,
+                     first_order_comparison)
 
 from helpers import (_power_assessment, lq_assessment,
                      per_group_assessment_gradient,
@@ -282,6 +283,41 @@ def test_first_order_assessment_without_bracket_is_numerical():
                  0.0, 2.0, 0.0, 0.5, 3.0)
     with pytest.raises(NumericalError, match="no bracket"):
         BestResponseEngine(m, force_numeric=True).first_order_assessment(3.0)
+
+
+def test_first_order_assessment_outside_the_unit_interval_raises(monkeypatch):
+    # h = 10 beta leaves (0, 1) at beta = 3 (h = 30) and at beta = 0 (h = 0):
+    # the closed form raises as the numeric solve does, and no first-order
+    # comparison reads effort there
+    m = build_lq(LQParams(c=1.0, kappa=1.0, lambda_e=5.0, lambda_a=0.0),
+                 0.0, 2.0, 0.0, 0.5, 3.0)
+    for eng in (BestResponseEngine(m), BestResponseEngine(m, force_numeric=True)):
+        for beta in (3.0, 0.0):
+            with pytest.raises(NumericalError):
+                eng.first_order_assessment(beta)
+        with pytest.raises(NumericalError):
+            eng.first_order_range()
+    read = []
+    effort = BestResponseEngine.effort
+
+    def spy(self, h, beta):
+        read.append(np.max(h))
+        return effort(self, h, beta)
+
+    monkeypatch.setattr(BestResponseEngine, "effort", spy)
+    with pytest.raises(BerklabError):
+        first_order_comparison(m.with_delta_mu(0.05))
+    assert all(h < 1.0 for h in read)
+    # on lq_unit the first-order assessment 0.4 beta passes 1 at beta = 2.5:
+    # the comparison searches below, on both paths
+    unit = unique_equilibrium_model(-0.5).with_delta_mu(0.05)
+    res = first_order_comparison(unit)
+    assert read and max(read) < 1.0
+    ranges = [BestResponseEngine(unit, force_numeric=f).first_order_range()
+              for f in (False, True)]
+    assert ranges[0] == pytest.approx((0.5, 2.5), abs=1e-8)
+    assert ranges[1] == pytest.approx(ranges[0], abs=1e-8)
+    assert res.gap_ours < res.gap_fom
 
 
 def _scalar_calls(method, args, **kw):

@@ -139,9 +139,9 @@ GOLDEN = {
     }),
     ("two_groups", "multigroup"): (0, {
         "manifest.json":
-            "ed7625f9318b04cc3571f5c63e2e6cd4e27c4351a4dbad0a6104dcc0d1732879",
+            "5d63882515159512a20850ea7d5261f35b0f86f07a35e71160142d045fa1e420",
         "multigroup.json":
-            "a6493128bbbe1c8f10cd1f050ccc1451dd24bcfdec8863d4dcf0b211ff3affee",
+            "b2b26d4974efea4a0e13c45042085d1d169580c97c3e2bbe06002c70bbb030e6",
     }),
     ("two_groups", "learn --runs 8 --horizon 2000"): (0, {
         "convergence.json":
@@ -153,9 +153,9 @@ GOLDEN = {
     }),
     ("two_groups", "multigroup --horizon 2000"): (0, {
         "manifest.json":
-            "245fb0cef06720f4ea243bac7d062bd20eb72d24cafc31030fbba8aa4798907c",
+            "2688910e30fa1df603602cd0fc69d15c9ab4ad3c57c40b1fbaf13be182a9b8f7",
         "multigroup.json":
-            "a6493128bbbe1c8f10cd1f050ccc1451dd24bcfdec8863d4dcf0b211ff3affee",
+            "b2b26d4974efea4a0e13c45042085d1d169580c97c3e2bbe06002c70bbb030e6",
         "trajectory_groups.csv":
             "0e0ecd18afdd7d4f6ae1e246b3028a47b779bddadcacd50d98131c8f5ab4f3e5",
     }),
