@@ -56,9 +56,9 @@ def _population(betas, weights):
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or betas.shape[-1:] != weights.shape:
         raise ValueError("betas must have the weights' length along their last axis")
-    if np.any(weights <= 0.0) or abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+    if not (np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
         raise ValueError("weights must be positive and sum to one")
-    if np.any(betas <= 0.0):
+    if not np.all(betas > 0.0):
         raise ValueError("all productivities must be positive")
     return betas, weights
 

@@ -27,8 +27,8 @@ from .equilibrium import find_equilibria, psi_tilde
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .learning import (DEFAULT_RADIUS, TruncNormalPrior,
                        monte_carlo_convergence, phase_field, transform)
-from .multigroup import (color_blind_equilibria, color_sighted_equilibrium,
-                         eigen_check, simulate_multigroup)
+from .multigroup import (color_blind_equilibria, color_sighted_equilibria,
+                         color_sighted_equilibrium, eigen_check, simulate_multigroup)
 from .primitives import check_assumptions
 
 SCHEMA_VERSION = 1
@@ -150,9 +150,10 @@ def _prior_from_args(args) -> TruncNormalPrior | None:
     if args.prior_sd is None or args.prior_center is None:
         raise ConfigError("--prior-center and --prior-sd must be given "
                           "together")
-    if not args.prior_sd > 0.0:
-        raise ConfigError("--prior-sd must be positive")
-    return TruncNormalPrior(mean=args.prior_center, sd=args.prior_sd)
+    try:
+        return TruncNormalPrior(mean=args.prior_center, sd=args.prior_sd)
+    except ValueError as exc:
+        raise ConfigError(f"--prior-center/--prior-sd: {exc}") from exc
 
 
 def _require_positive(args, *names):
@@ -196,6 +197,7 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
     _require_positive(args, "stride")
     pop = cfg.population()
     eq = color_sighted_equilibrium(pop)
+    members = color_sighted_equilibria(pop)
     eigen = eigen_check(eq)
     payload = {
         "delta_bar": pop.delta_bar,
@@ -204,8 +206,9 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
             "sce_flags": list(eq.sce_flags),
             "eigenvalues": list(eq.eigenvalues),
             "residual": eq.residual, "iterations": eq.iterations,
-            "contraction_modulus": eigen.bound,
         },
+        "members": [{"beta_hat": list(e.beta_hat), "h_hat": e.h_hat,
+                     "slope": e.slope, "stable": e.stable} for e in members],
         "eigen_check": {
             "eigenvalues": list(eigen.eigenvalues),
             "bound": eigen.bound, "bound_holds": eigen.bound_holds,
@@ -217,7 +220,7 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
     writer.json("multigroup.json", payload)
     if args.horizon:
         traj = simulate_multigroup(pop, horizon=args.horizon, seed=args.seed,
-                                   stride=args.stride, equilibrium=eq)
+                                   stride=args.stride, equilibria=members)
         header = (["n", "h"] + [f"m_{j}" for j in range(pop.size)]
                   + [f"xi_{j}" for j in range(pop.size)]
                   + [f"x_{j}" for j in range(pop.size)])
@@ -281,9 +284,9 @@ def cmd_disparity(args, cfg: RunConfig, writer: _Writer) -> int:
                               "mu_hat - mu_star in the config")
         delta_m = abs(cfg.delta_mu) if delta_m is None else delta_m
         delta_w = -abs(cfg.delta_mu) if delta_w is None else delta_w
-    if not delta_m > 0.0 > delta_w:
-        raise ConfigError(f"need --delta-m > 0 > --delta-w, got delta_m = "
-                          f"{delta_m:g} and delta_w = {delta_w:g}")
+    if not np.inf > delta_m > 0.0 > delta_w > -np.inf:
+        raise ConfigError(f"need --delta-m > 0 > --delta-w, both finite, got "
+                          f"delta_m = {delta_m:g} and delta_w = {delta_w:g}")
     report = disparity_report(model, delta_m, delta_w, selector=args.selector)
     payload = dataclasses.asdict(report)
     writer.json("disparity.json", payload)

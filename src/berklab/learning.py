@@ -73,13 +73,15 @@ class TransformedModel:
         g2h = self.g2(h)
         return g2h * g2h * h, self.g1(self.model.beta_star) - self.model.delta_mu / g2h
 
-    def distances(self, modes, targets) -> np.ndarray:
-        """Max-norm over groups between support-projected modes: rows of
-        ``modes`` (runs, groups) against rows of ``targets`` (k, groups),
-        shape (runs, k)."""
+    def nearest_target(self, modes, targets) -> tuple[np.ndarray, np.ndarray]:
+        """Index of the nearest row of ``targets`` (k, groups) to each row of
+        ``modes`` (runs, groups), and the distance to it: the max-norm over
+        groups between support-projected modes."""
         diff = (self._project(np.asarray(modes, dtype=float))[:, None, :]
                 - self._project(np.asarray(targets, dtype=float))[None, :, :])
-        return np.abs(diff).max(axis=2)
+        dists = np.abs(diff).max(axis=2)
+        idx = np.argmin(dists, axis=1)
+        return idx, dists[np.arange(idx.size), idx]
 
 
 def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
@@ -202,6 +204,8 @@ class TruncNormalPrior:
     def __post_init__(self):
         if not self.sd > 0.0:
             raise ValueError("prior sd must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError("prior mean must be finite")
 
     @property
     def precision(self) -> float:
@@ -622,14 +626,13 @@ def simulate(model, horizon: int, seed: int, run: int = 0,
     ode = limiting_ode(tm, grid_points=grid_points)
     m_term = float(res.m[0, 0])
     xi_term = float(res.s[0, 0]) / horizon
-    dists = tm.distances(res.m[:1], [[ss.m] for ss in ode.steady_states])[0]
-    idx = int(np.argmin(dists))
+    idx, dist = tm.nearest_target(res.m[:1], [[ss.m] for ss in ode.steady_states])
     return Trajectory(periods=res.rec_n, m=res.rec_m[:, 0], xi=res.rec_xi[:, 0],
                       h=res.rec_h, x=res.rec_x[:, 0],
                       terminal=LearningState(n=horizon, m=m_term, xi=xi_term,
                                              seed=seed, run=run),
                       steady_states=ode.steady_states,
-                      nearest_index=idx, nearest_distance=float(dists[idx]),
+                      nearest_index=int(idx[0]), nearest_distance=float(dist[0]),
                       batch_m=res.m[:, 0])
 
 
@@ -742,7 +745,8 @@ def phase_field(model, grid: int = 200,
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Terminal classification frequencies over independent runs, plus the
-    thinned path of run 0."""
+    thinned path of run 0; one count per steady state (one group) or per
+    color-sighted equilibrium (J groups)."""
 
     steady_states: tuple[SteadyState, ...]
     counts: tuple[int, ...]
@@ -782,20 +786,25 @@ def monte_carlo_convergence(model, runs: int, horizon: int, seed: int,
     runs go through one lockstep ``simulate`` pass, which also records run
     0's path (``stride`` as in ``simulate``).
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius!r}")
     tm = _as_transformed(model)
     traj = simulate(tm, horizon=horizon, seed=seed, run=0, prior=prior,
                     stride=stride, zero_noise=zero_noise,
                     grid_points=grid_points, runs=runs)
-    steady = traj.steady_states
-    dists = tm.distances(traj.batch_m[:, None], [[ss.m] for ss in steady])
-    nearest = np.argmin(dists, axis=1)
-    within = dists[np.arange(runs), nearest] <= radius
-    counts = [int(np.sum((nearest == i) & within)) for i in range(len(steady))]
-    return ConvergenceReport(steady_states=steady, counts=tuple(counts),
+    return _convergence_report(tm, traj, [[ss.m] for ss in traj.steady_states],
+                               horizon, seed, radius)
+
+
+def _convergence_report(tm: TransformedModel, traj, targets, horizon: int,
+                        seed: int, radius: float) -> ConvergenceReport:
+    """Count each run of ``traj.batch_m`` at its nearest row of ``targets``
+    (one per steady state) within ``radius``; the others are unclassified."""
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be >= 0, got {radius!r}")
+    modes = traj.batch_m.reshape(len(traj.batch_m), -1)
+    nearest, dist = tm.nearest_target(modes, targets)
+    within = dist <= radius
+    counts = [int(np.sum((nearest == i) & within)) for i in range(len(targets))]
+    return ConvergenceReport(steady_states=traj.steady_states, counts=tuple(counts),
                              unclassified=int(np.sum(~within)),
-                             runs=runs, horizon=horizon, radius=radius,
+                             runs=len(modes), horizon=horizon, radius=radius,
                              seed=seed, trajectory=traj)

@@ -26,8 +26,9 @@ from .chebyshev import certified_roots
 from .equilibrium import (DEDUP_TOL, DEFAULT_GRID, SCE_KL_TOL, EquilibriumSet,
                           find_equilibria)
 from .errors import NumericalError
-from .learning import (DEFAULT_RADIUS, TruncNormalPrior, _as_transformed,
-                       _record_stride, _run_engine)
+from .learning import (DEFAULT_RADIUS, ConvergenceReport, TruncNormalPrior,
+                       _as_transformed, _convergence_report, _record_stride,
+                       _run_engine)
 from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
 
@@ -53,9 +54,11 @@ class GroupPopulation:
         j = len(self.alphas)
         if not (len(self.deltas) == len(self.beta_stars) == j) or j < 1:
             raise ValueError("alphas, deltas, beta_stars must share a length >= 1")
-        if (any(a <= 0.0 for a in self.alphas)
-                or abs(sum(self.alphas) - 1.0) > WEIGHT_SUM_TOL):
+        if not (all(a > 0.0 for a in self.alphas)
+                and abs(sum(self.alphas) - 1.0) <= WEIGHT_SUM_TOL):
             raise ValueError("weights must be positive and sum to one")
+        if not np.all(np.isfinite(np.concatenate((self.deltas, self.mu_stars)))):
+            raise ValueError("deltas and mu_stars must be finite")
         lo, hi = self.model.beta_lo, self.model.beta_hi
         if any(not lo < b < hi for b in self.beta_stars):
             raise ValueError("each group truth must lie inside the support")
@@ -115,6 +118,8 @@ class MultigroupEquilibrium:
     def stable(self) -> bool:
         """A sink of the joint belief dynamics: every eigenvalue negative."""
         return bool(np.all(self.eigenvalues < 0.0))
+
+    is_sink = stable  # as ``SteadyState`` names it, for ``ConvergenceReport``
 
 
 def _free_groups(eng: BestResponseEngine, h: float, truths, deltas) -> np.ndarray:
@@ -332,80 +337,65 @@ def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
 
 @dataclass(frozen=True)
 class MultigroupTrajectory:
-    """Per-group thinned learning paths with the shared assessment path."""
+    """Per-group thinned learning paths with the shared assessment path, and
+    the terminal classification against the color-sighted equilibria."""
 
     periods: np.ndarray
     m: np.ndarray   # (T, J)
     xi: np.ndarray  # (T, J)
     h: np.ndarray   # (T,)
     x: np.ndarray   # (T, J)
-    terminal_m: np.ndarray
     terminal_xi: np.ndarray
-    equilibrium_m: np.ndarray
-    distance_to_equilibrium: float
+    steady_states: tuple[MultigroupEquilibrium, ...]
+    nearest_index: int
+    nearest_distance: float
+    batch_m: np.ndarray  # (runs, J)
+
+
+def _member_modes(tm, members) -> np.ndarray:
+    return tm.g1(np.array([eq.beta_hat for eq in members]))
 
 
 def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                         run: int = 0,
                         prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
-                        stride: Optional[int] = None,
-                        zero_noise: bool = False,
-                        equilibrium: Optional[MultigroupEquilibrium] = None
-                        ) -> MultigroupTrajectory:
+                        stride: Optional[int] = None, zero_noise: bool = False,
+                        equilibria: Optional[Sequence[MultigroupEquilibrium]] = None,
+                        runs: int = 1) -> MultigroupTrajectory:
     """Simulate the shared-assessment learning process for all groups.
 
     Each period the evaluator maximizes the population-weighted expected
     value under the groups' independent posteriors; outcomes are drawn
     independently per group.  With one group this reduces exactly (same
-    noise streams, same arithmetic) to the single-agent simulator.  The
-    terminal beliefs are compared with ``equilibrium``, the population's
-    color-sighted equilibrium (solved here when not given).
+    noise streams, same arithmetic) to the single-agent simulator, runs
+    ``run + 1 .. run + runs - 1`` included.  The terminal beliefs are
+    classified against every member of ``equilibria``, the population's
+    color-sighted equilibria (enumerated here when not given).
     """
     tm = _as_transformed(pop.model)
     res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
-                      runs=1, horizon=horizon, seed=seed, prior=prior,
+                      runs=runs, horizon=horizon, seed=seed, prior=prior,
                       zero_noise=zero_noise,
                       record_stride=_record_stride(stride, horizon),
                       first_run=run)
-    eq = color_sighted_equilibrium(pop) if equilibrium is None else equilibrium
-    eq_m = tm.g1(eq.beta_hat)
-    term_m = res.m[0]
-    dist = float(tm.distances(res.m, [eq_m])[0, 0])
+    members = color_sighted_equilibria(pop) if equilibria is None else equilibria
+    idx, dist = tm.nearest_target(res.m[:1], _member_modes(tm, members))
     return MultigroupTrajectory(periods=res.rec_n, m=res.rec_m, xi=res.rec_xi,
                                 h=res.rec_h, x=res.rec_x,
-                                terminal_m=term_m,
                                 terminal_xi=res.s[0] / horizon,
-                                equilibrium_m=eq_m,
-                                distance_to_equilibrium=dist)
-
-
-@dataclass(frozen=True)
-class MultigroupConvergenceReport:
-    equilibrium_m: np.ndarray
-    distances: np.ndarray
-    runs: int
-    horizon: int
-    radius: float
-    seed: int
-
-    @property
-    def fraction_within(self) -> float:
-        return float(np.mean(self.distances <= self.radius))
+                                steady_states=members, nearest_index=int(idx[0]),
+                                nearest_distance=float(dist[0]),
+                                batch_m=res.m)
 
 
 def monte_carlo_multigroup(pop: GroupPopulation, runs: int, horizon: int,
                            seed: int, radius: float = DEFAULT_RADIUS,
                            prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None
-                           ) -> MultigroupConvergenceReport:
-    """Fraction of runs whose terminal belief vector lands near the equilibrium."""
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius!r}")
+                           ) -> ConvergenceReport:
+    """The J-group twin of ``monte_carlo_convergence``: one lockstep
+    ``simulate_multigroup`` pass, each terminal belief vector counted at the
+    nearest color-sighted equilibrium within ``radius``, or unclassified."""
     tm = _as_transformed(pop.model)
-    res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
-                      runs=runs, horizon=horizon, seed=seed, prior=prior)
-    eq = color_sighted_equilibrium(pop)
-    eq_m = tm.g1(eq.beta_hat)
-    dists = tm.distances(res.m, [eq_m])[:, 0]
-    return MultigroupConvergenceReport(equilibrium_m=eq_m, distances=dists,
-                                       runs=runs, horizon=horizon,
-                                       radius=radius, seed=seed)
+    traj = simulate_multigroup(pop, horizon, seed, prior=prior, runs=runs)
+    return _convergence_report(tm, traj, _member_modes(tm, traj.steady_states),
+                               horizon, seed, radius)

@@ -139,9 +139,9 @@ GOLDEN = {
     }),
     ("two_groups", "multigroup"): (0, {
         "manifest.json":
-            "5d63882515159512a20850ea7d5261f35b0f86f07a35e71160142d045fa1e420",
+            "b1b905bfb42ec0ae2c2b4f9107db1301e33b3e4b4add34a8333e21fe25deb7ea",
         "multigroup.json":
-            "b2b26d4974efea4a0e13c45042085d1d169580c97c3e2bbe06002c70bbb030e6",
+            "42307de74217ad9326aad3754273964347d57adf2bd3e726c7e18789f0dea49c",
     }),
     ("two_groups", "learn --runs 8 --horizon 2000"): (0, {
         "convergence.json":
@@ -153,9 +153,9 @@ GOLDEN = {
     }),
     ("two_groups", "multigroup --horizon 2000"): (0, {
         "manifest.json":
-            "2688910e30fa1df603602cd0fc69d15c9ab4ad3c57c40b1fbaf13be182a9b8f7",
+            "b68417a1ae5065bf8fd69cf7cd944216683a40e05c0540ff67de3b364e3bd3b6",
         "multigroup.json":
-            "b2b26d4974efea4a0e13c45042085d1d169580c97c3e2bbe06002c70bbb030e6",
+            "42307de74217ad9326aad3754273964347d57adf2bd3e726c7e18789f0dea49c",
         "trajectory_groups.csv":
             "0e0ecd18afdd7d4f6ae1e246b3028a47b779bddadcacd50d98131c8f5ab4f3e5",
     }),

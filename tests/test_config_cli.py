@@ -204,7 +204,7 @@ class TestCliOthers:
         assert rep["reward_gap_misbelief_part"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("flags", [("-1", "-0.5"), ("0.2", "0.3"),
-                                       ("nan", "-0.3")])
+                                       ("nan", "-0.3"), ("inf", "-0.3")])
     def test_disparity_needs_opposite_signs_exits_2(self, tmp_path, capsys,
                                                     flags):
         cfg = write(tmp_path, THREE_EQ)
@@ -215,6 +215,19 @@ class TestCliOthers:
             capsys.readouterr().err
         assert not (out / "disparity.json").exists()
 
+    @pytest.mark.parametrize("old,new", [
+        ("alpha = 0.5 0.5", "alpha = nan 0.5"),
+        ("delta = 0.05 -0.05", "delta = inf -0.05"),
+        ("beta_star = 2.0 2.0", "beta_star = 2.0 2.0\nmu_star = nan 0.0")])
+    def test_multigroup_rejects_nonfinite_groups_exits_2(self, tmp_path, capsys,
+                                                         old, new):
+        cfg = write(tmp_path, GROUPS.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["multigroup", cfg, "--out-dir", str(out),
+                     "--horizon", "20"]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_multigroup_command(self, tmp_path):
         cfg = write(tmp_path, GROUPS)
         out = tmp_path / "out"
@@ -224,6 +237,9 @@ class TestCliOthers:
         assert rep["delta_bar"] == pytest.approx(0.0)
         assert rep["eigen_check"]["bound_holds"] is True
         assert len(rep["color_sighted"]["beta_hat"]) == 2
+        assert [m["beta_hat"] for m in rep["members"]] == [
+            rep["color_sighted"]["beta_hat"]]
+        assert rep["members"][0]["stable"] is True
         assert (out / "trajectory_groups.csv").exists()
 
     def test_check_passes_on_lq(self, tmp_path):

@@ -118,20 +118,25 @@ class TestLearnCommand:
                                                             monkeypatch):
         solves = count_calls(monkeypatch, "color_sighted_equilibrium",
                              berklab.multigroup, berklab.cli)
+        sets = count_calls(monkeypatch, "color_sighted_equilibria",
+                           berklab.multigroup, berklab.cli)
         assert main(["multigroup", GROUPS, "--out-dir", str(tmp_path / "o"),
                      "--horizon", "300"]) == 0
-        assert len(solves) == 1
+        assert (len(solves), len(sets)) == (1, 1)
 
     def test_multigroup_path_uses_the_given_equilibrium(self):
         pop = load_config(GROUPS).population()
-        eq = berklab.multigroup.color_sighted_equilibrium(pop)
+        members = berklab.multigroup.color_sighted_equilibria(pop)
         given = berklab.multigroup.simulate_multigroup(
-            pop, horizon=400, seed=3, run=2, equilibrium=eq)
+            pop, horizon=400, seed=3, run=2, equilibria=members)
         solved = berklab.multigroup.simulate_multigroup(pop, horizon=400,
                                                         seed=3, run=2)
         assert same_bits(given.m, solved.m)
-        assert same_bits(given.equilibrium_m, solved.equilibrium_m)
-        assert given.distance_to_equilibrium == solved.distance_to_equilibrium
+        assert all(g is e for g, e in zip(given.steady_states, members,
+                                          strict=True))
+        assert [e.h_hat for e in solved.steady_states] == [e.h_hat for e in members]
+        assert given.nearest_index == solved.nearest_index
+        assert given.nearest_distance == solved.nearest_distance
 
 
 class TestValidation:
@@ -140,6 +145,8 @@ class TestValidation:
         (["--stride", "0"], "stride"), (["--stride", "-3"], "stride"),
         (["--prior-center", "1", "--prior-sd", "0"], "prior-sd"),
         (["--radius", "-1"], "radius"), (["--radius", "nan"], "radius"),
+        (["--prior-center", "nan", "--prior-sd", "0.1"], "prior-center"),
+        (["--prior-center", "inf", "--prior-sd", "0.1"], "prior-center"),
     ])
     def test_learn_rejects_out_of_range_flags(self, tmp_path, capsys, flags,
                                               word):
@@ -191,6 +198,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="radius"):
             berklab.multigroup.monte_carlo_multigroup(pop, runs=2, horizon=10,
                                                       seed=0, radius=radius)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), float("-inf")])
+    def test_prior_mean_must_be_finite(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            berklab.learning.TruncNormalPrior(mean=mean, sd=0.1)
 
     @pytest.mark.parametrize("groups", [1, 3])
     def test_prior_list_needs_one_entry_per_group(self, groups):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from berklab import (BestResponseEngine, GroupPopulation, LQParams,
                      build_lq, color_blind_equilibria, color_sighted_equilibria,
                      color_sighted_equilibrium, eigen_check, find_equilibria,
-                     monte_carlo_multigroup, sensitivity,
+                     monte_carlo_convergence, monte_carlo_multigroup,
+                     sensitivity,
                      sherman_morrison_inverse, simulate, simulate_multigroup,
                      transform)
 from berklab.learning import TruncNormalPrior
@@ -44,6 +45,21 @@ class TestGroupPopulation:
         with pytest.raises(ValueError):
             GroupPopulation(model=lq_unit, alphas=(0.5, 0.6),
                             deltas=(0.1, -0.1), beta_stars=(2.0, 2.0))
+
+    @pytest.mark.parametrize("field,values", [
+        ("alphas", (math.nan, 0.5)), ("alphas", (math.inf, 0.5)),
+        ("deltas", (math.inf, -0.05)), ("deltas", (math.nan, -0.05)),
+        ("mu_stars", (math.nan, 0.0)), ("mu_stars", (0.0, -math.inf))])
+    def test_rejects_nonfinite_values(self, pop_small, field, values):
+        with pytest.raises(ValueError, match="weights|finite"):
+            dataclasses.replace(pop_small, **{field: values})
+
+    def test_assessment_rejects_nan_weights_and_beliefs(self, lq_unit):
+        eng = BestResponseEngine(lq_unit)
+        with pytest.raises(ValueError, match="weights"):
+            eng.assessment_multigroup([2.0, 2.0], [math.nan, 0.5])
+        with pytest.raises(ValueError, match="productivities"):
+            eng.assessment_multigroup([math.nan, 2.0], [0.5, 0.5])
 
     def test_rejects_truth_outside_support(self, lq_unit):
         with pytest.raises(ValueError):
@@ -312,7 +328,7 @@ class TestLearningMultigroup:
                   for b in eq.beta_hat]
         rep = monte_carlo_multigroup(pop_small, runs=20, horizon=20_000,
                                      seed=13, prior=priors)
-        assert rep.fraction_within >= 0.9
+        assert len(rep.counts) == 1 and rep.frequencies[0] >= 0.9
 
     def test_positive_probability_convergence_at_scale(self, pop_small):
         # the joint-belief attractor target: concentrated priors keep at
@@ -323,7 +339,7 @@ class TestLearningMultigroup:
                   for b in eq.beta_hat]
         rep = monte_carlo_multigroup(pop_small, runs=100, horizon=100_000,
                                      seed=19, prior=priors, radius=0.05)
-        assert rep.fraction_within >= 0.9
+        assert len(rep.counts) == 1 and rep.frequencies[0] >= 0.9
 
 
 def test_sensitivity_to_zero_valued_lq_parameter():
@@ -465,7 +481,8 @@ def _split(model, alphas):
     j = len(alphas)
     return GroupPopulation(model=model, alphas=tuple(alphas),
                            deltas=(model.delta_mu,) * j,
-                           beta_stars=(model.beta_star,) * j)
+                           beta_stars=(model.beta_star,) * j,
+                           mu_stars=(model.mu_star,) * j)
 
 
 def test_identical_groups_give_every_single_group_equilibrium():
@@ -587,3 +604,74 @@ def test_sighted_equilibria_come_from_the_certified_enumerator():
             seen.add(name)
             todo += called(defs[name])
     assert "certified_roots" in set().union(*(called(defs[n]) for n in seen))
+
+
+class TestClassifiedAgainstEveryMember:
+    """``monte_carlo_multigroup`` is the J-group twin of
+    ``monte_carlo_convergence``: runs are counted at the nearest member of
+    ``color_sighted_equilibria``, not at one selected member."""
+
+    def test_one_group_counts_match_the_single_agent_driver(self, lq_three):
+        single = monte_carlo_convergence(lq_three, runs=200, horizon=2000,
+                                         seed=11)
+        multi = monte_carlo_multigroup(_split(lq_three, (1.0,)), runs=200,
+                                       horizon=2000, seed=11)
+        assert multi.counts == single.counts
+        assert multi.unclassified == single.unclassified
+        assert (multi.sink_fraction, multi.saddle_hits) == (
+            single.sink_fraction, single.saddle_hits)
+        assert [e.stable for e in multi.steady_states] == [
+            s.is_sink for s in single.steady_states]
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), delta_mu=st.floats(-1.5, 1.5),
+           runs=st.integers(1, 12), horizon=st.integers(1, 400),
+           place=st.floats(0.0, 1.0), sd=st.floats(0.01, 0.5))
+    def test_one_group_counts_match_property(self, with_prior, seed, delta_mu,
+                                             runs, horizon, place, sd):
+        model = random_lq_instance(np.random.default_rng(seed), delta_mu)
+        single_set = find_equilibria(model)
+        assume(not single_set.warnings
+               and np.all(np.abs(np.diff(single_set.beliefs)) > 1e-3))
+        tm = transform(model)
+        prior = (TruncNormalPrior(mean=tm.m_lo + place * (tm.m_hi - tm.m_lo),
+                                  sd=sd) if with_prior else None)
+        single = monte_carlo_convergence(tm, runs=runs, horizon=horizon,
+                                         seed=seed, prior=prior)
+        multi = monte_carlo_multigroup(_split(model, (1.0,)), runs=runs,
+                                       horizon=horizon, seed=seed,
+                                       prior=[prior])
+        assert multi.counts == single.counts
+        assert multi.unclassified == single.unclassified
+
+    @pytest.mark.parametrize("sink", [0, 2])
+    def test_identical_groups_keep_each_sink(self, lq_three, sink):
+        # the split three-equilibria instance: a concentrated prior at the
+        # corner sink keeps its runs there, which counting only against the
+        # member iteration selects (the top sink) called unconverged
+        pop = _split(lq_three, (0.5, 0.5))
+        tm = transform(lq_three)
+        members = color_sighted_equilibria(pop)
+        assert [e.stable for e in members] == [True, False, True]
+        prior = [TruncNormalPrior(mean=float(tm.g1(b)), sd=0.01)
+                 for b in members[sink].beta_hat]
+        rep = monte_carlo_multigroup(pop, runs=50, horizon=20_000, seed=3,
+                                     prior=prior)
+        assert rep.counts[sink] >= 0.95 * rep.runs
+        assert rep.saddle_hits == 0
+        assert rep.trajectory.nearest_index == sink
+
+
+def test_multigroup_classifies_through_learning():
+    # the nearest-target and count rules are written once, in learning.py
+    import ast
+    import inspect
+
+    import berklab.multigroup
+
+    tree = ast.parse(inspect.getsource(berklab.multigroup))
+    called = {getattr(c.func, "attr", None) or getattr(c.func, "id", None)
+              for c in ast.walk(tree) if isinstance(c, ast.Call)}
+    assert not {"distances", "argmin"} & called
+    assert {"nearest_target", "_convergence_report"} <= called
