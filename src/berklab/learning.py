@@ -444,8 +444,13 @@ def noise_stream(seed: int, run: int, group: int = 0):
 
     Streams are independent across (run, group) and reproducible regardless
     of execution order; the period index is the position in the stream.
+    ``seed`` is any integer, taken modulo 2**64 (so a negative seed has its
+    own stream); ``run`` and ``group`` lie in [0, 2**32).
     """
-    key = [seed & SEED_MASK, ((run & 0xFFFFFFFF) << 32) | (group & 0xFFFFFFFF)]
+    if not (0 <= run < 1 << 32 and 0 <= group < 1 << 32):
+        raise ValueError(f"run and group must lie in [0, 2**32), got {run}, {group}")
+    # a uint64 array: a Python list of keys >= 2**63 would pass through float64
+    key = np.array([seed & SEED_MASK, (run << 32) | group], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -465,11 +470,11 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 mu_stars: Sequence[float], runs: int, horizon: int, seed: int,
                 prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
                 zero_noise: bool = False, clip_noise: bool = False,
-                record_stride: int = 0, record_run: int = 0,
-                first_run: int = 0) -> _RunResult:
+                record_stride: int = 0, first_run: int = 0) -> _RunResult:
     """Advance runs ``first_run .. first_run + runs - 1`` in lockstep for
-    ``horizon`` periods; ``record_run`` indexes into that batch, and
-    ``prior`` has one entry (None: uniform) per group.
+    ``horizon`` periods, recording the path of ``first_run`` every
+    ``record_stride`` periods (0: none); ``prior`` has one entry (None:
+    uniform) per group.
 
     The period loop allocates almost nothing: the state (m, s) and the
     per-period (runs, groups) and (runs,) quantities live in buffers
@@ -554,10 +559,10 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             s, s_next = s_next, s
             if record_stride and (n % record_stride == 0 or n == 1 or n == horizon):
                 rec_n.append(n)
-                rec_m.append(m[record_run].copy())
-                rec_xi.append(s[record_run] / n)
-                rec_h.append(float(h[record_run]))
-                rec_x.append(x[record_run].copy())
+                rec_m.append(m[0].copy())
+                rec_xi.append(s[0] / n)
+                rec_h.append(float(h[0]))
+                rec_x.append(x[0].copy())
         remaining -= block
 
     return _RunResult(m=m, s=s,
@@ -582,10 +587,13 @@ def _record_stride(stride: Optional[int], horizon: int) -> int:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Thinned samples of one learning path plus its terminal classification.
-
-    ``batch_m`` holds the terminal modes of every run simulated in lockstep
-    with this one (runs ``run``, ``run + 1``, ...), this path's first.
+    """Thinned samples of one learning path plus the terminal classification
+    of its batch: one group (``simulate``) has (T,) paths and a float
+    ``terminal``, J groups (``simulate_multigroup``) (T, J) paths and (J,)
+    ``terminal.m`` and ``terminal.xi``.  ``batch_m`` holds the terminal modes
+    of every run simulated in lockstep with this one (runs ``run``, ``run +
+    1``, ...), this path's first; ``batch_nearest`` and ``batch_distance``
+    each run's nearest entry of ``steady_states`` and its distance to it.
     """
 
     periods: np.ndarray
@@ -595,9 +603,35 @@ class Trajectory:
     x: np.ndarray
     terminal: LearningState
     steady_states: tuple
-    nearest_index: int
-    nearest_distance: float
     batch_m: np.ndarray
+    batch_nearest: np.ndarray
+    batch_distance: np.ndarray
+
+    @property
+    def nearest_index(self) -> int:
+        return int(self.batch_nearest[0])
+
+    @property
+    def nearest_distance(self) -> float:
+        return float(self.batch_distance[0])
+
+
+def _trajectory(tm: TransformedModel, res: _RunResult, horizon: int, seed: int,
+                run: int, steady_states, targets, one_group: bool) -> Trajectory:
+    """Package an engine result, classifying every run of the batch once:
+    ``nearest_target`` of its terminal modes among ``targets``, one row of
+    transformed modes per steady state.  ``one_group`` drops the group axis."""
+    nearest, dist = tm.nearest_target(res.m, targets)
+    m, xi, x, batch_m = res.rec_m, res.rec_xi, res.rec_x, res.m
+    m_term, xi_term = res.m[0], res.s[0] / horizon
+    if one_group:
+        m, xi, x, batch_m = m[:, 0], xi[:, 0], x[:, 0], batch_m[:, 0]
+        m_term, xi_term = float(m_term[0]), float(xi_term[0])
+    return Trajectory(periods=res.rec_n, m=m, xi=xi, h=res.rec_h, x=x,
+                      terminal=LearningState(n=horizon, m=m_term, xi=xi_term,
+                                             seed=seed, run=run),
+                      steady_states=tuple(steady_states), batch_m=batch_m,
+                      batch_nearest=nearest, batch_distance=dist)
 
 
 def simulate(model, horizon: int, seed: int, run: int = 0,
@@ -623,17 +657,9 @@ def simulate(model, horizon: int, seed: int, run: int = 0,
                       clip_noise=clip_noise,
                       record_stride=_record_stride(stride, horizon),
                       first_run=run)
-    ode = limiting_ode(tm, grid_points=grid_points)
-    m_term = float(res.m[0, 0])
-    xi_term = float(res.s[0, 0]) / horizon
-    idx, dist = tm.nearest_target(res.m[:1], [[ss.m] for ss in ode.steady_states])
-    return Trajectory(periods=res.rec_n, m=res.rec_m[:, 0], xi=res.rec_xi[:, 0],
-                      h=res.rec_h, x=res.rec_x[:, 0],
-                      terminal=LearningState(n=horizon, m=m_term, xi=xi_term,
-                                             seed=seed, run=run),
-                      steady_states=ode.steady_states,
-                      nearest_index=int(idx[0]), nearest_distance=float(dist[0]),
-                      batch_m=res.m[:, 0])
+    states = limiting_ode(tm, grid_points=grid_points).steady_states
+    return _trajectory(tm, res, horizon, seed, run, states,
+                       [[ss.m] for ss in states], one_group=True)
 
 
 # -- limiting ODE -----------------------------------------------------------
@@ -786,25 +812,21 @@ def monte_carlo_convergence(model, runs: int, horizon: int, seed: int,
     runs go through one lockstep ``simulate`` pass, which also records run
     0's path (``stride`` as in ``simulate``).
     """
-    tm = _as_transformed(model)
-    traj = simulate(tm, horizon=horizon, seed=seed, run=0, prior=prior,
-                    stride=stride, zero_noise=zero_noise,
-                    grid_points=grid_points, runs=runs)
-    return _convergence_report(tm, traj, [[ss.m] for ss in traj.steady_states],
-                               horizon, seed, radius)
+    return _convergence_report(
+        simulate(model, horizon=horizon, seed=seed, run=0, prior=prior,
+                 stride=stride, zero_noise=zero_noise, grid_points=grid_points,
+                 runs=runs), radius)
 
 
-def _convergence_report(tm: TransformedModel, traj, targets, horizon: int,
-                        seed: int, radius: float) -> ConvergenceReport:
-    """Count each run of ``traj.batch_m`` at its nearest row of ``targets``
-    (one per steady state) within ``radius``; the others are unclassified."""
+def _convergence_report(traj: Trajectory, radius: float) -> ConvergenceReport:
+    """Count each run of ``traj``'s batch at its nearest steady state within
+    ``radius`` (the others are unclassified), as the simulator classified it."""
     if not radius >= 0.0:
         raise ValueError(f"radius must be >= 0, got {radius!r}")
-    modes = traj.batch_m.reshape(len(traj.batch_m), -1)
-    nearest, dist = tm.nearest_target(modes, targets)
-    within = dist <= radius
-    counts = [int(np.sum((nearest == i) & within)) for i in range(len(targets))]
+    within = traj.batch_distance <= radius
+    counts = [int(np.sum((traj.batch_nearest == i) & within))
+              for i in range(len(traj.steady_states))]
     return ConvergenceReport(steady_states=traj.steady_states, counts=tuple(counts),
                              unclassified=int(np.sum(~within)),
-                             runs=len(modes), horizon=horizon, radius=radius,
-                             seed=seed, trajectory=traj)
+                             runs=len(traj.batch_m), horizon=traj.terminal.n,
+                             radius=radius, seed=traj.terminal.seed, trajectory=traj)

@@ -26,9 +26,9 @@ from .chebyshev import certified_roots
 from .equilibrium import (DEDUP_TOL, DEFAULT_GRID, SCE_KL_TOL, EquilibriumSet,
                           find_equilibria)
 from .errors import NumericalError
-from .learning import (DEFAULT_RADIUS, ConvergenceReport, TruncNormalPrior,
-                       _as_transformed, _convergence_report, _record_stride,
-                       _run_engine)
+from .learning import (DEFAULT_RADIUS, ConvergenceReport, Trajectory,
+                       TruncNormalPrior, _as_transformed, _convergence_report,
+                       _record_stride, _run_engine, _trajectory)
 from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
 
@@ -333,27 +333,7 @@ def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
 
 
 # -- learning under a shared assessment --------------------------------------
-
-
-@dataclass(frozen=True)
-class MultigroupTrajectory:
-    """Per-group thinned learning paths with the shared assessment path, and
-    the terminal classification against the color-sighted equilibria."""
-
-    periods: np.ndarray
-    m: np.ndarray   # (T, J)
-    xi: np.ndarray  # (T, J)
-    h: np.ndarray   # (T,)
-    x: np.ndarray   # (T, J)
-    terminal_xi: np.ndarray
-    steady_states: tuple[MultigroupEquilibrium, ...]
-    nearest_index: int
-    nearest_distance: float
-    batch_m: np.ndarray  # (runs, J)
-
-
-def _member_modes(tm, members) -> np.ndarray:
-    return tm.g1(np.array([eq.beta_hat for eq in members]))
+# ``learning.Trajectory`` with a group axis, built and classified as for one group
 
 
 def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
@@ -361,16 +341,16 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                         prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
                         stride: Optional[int] = None, zero_noise: bool = False,
                         equilibria: Optional[Sequence[MultigroupEquilibrium]] = None,
-                        runs: int = 1) -> MultigroupTrajectory:
+                        runs: int = 1) -> Trajectory:
     """Simulate the shared-assessment learning process for all groups.
 
     Each period the evaluator maximizes the population-weighted expected
     value under the groups' independent posteriors; outcomes are drawn
     independently per group.  With one group this reduces exactly (same
     noise streams, same arithmetic) to the single-agent simulator, runs
-    ``run + 1 .. run + runs - 1`` included.  The terminal beliefs are
-    classified against every member of ``equilibria``, the population's
-    color-sighted equilibria (enumerated here when not given).
+    ``run + 1 .. run + runs - 1`` included.  Its ``Trajectory`` has (T, J)
+    paths, and every run is classified against every member of
+    ``equilibria``, the color-sighted equilibria (enumerated when not given).
     """
     tm = _as_transformed(pop.model)
     res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
@@ -379,13 +359,9 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                       record_stride=_record_stride(stride, horizon),
                       first_run=run)
     members = color_sighted_equilibria(pop) if equilibria is None else equilibria
-    idx, dist = tm.nearest_target(res.m[:1], _member_modes(tm, members))
-    return MultigroupTrajectory(periods=res.rec_n, m=res.rec_m, xi=res.rec_xi,
-                                h=res.rec_h, x=res.rec_x,
-                                terminal_xi=res.s[0] / horizon,
-                                steady_states=members, nearest_index=int(idx[0]),
-                                nearest_distance=float(dist[0]),
-                                batch_m=res.m)
+    return _trajectory(tm, res, horizon, seed, run, members,
+                       tm.g1(np.array([eq.beta_hat for eq in members])),
+                       one_group=False)
 
 
 def monte_carlo_multigroup(pop: GroupPopulation, runs: int, horizon: int,
@@ -395,7 +371,5 @@ def monte_carlo_multigroup(pop: GroupPopulation, runs: int, horizon: int,
     """The J-group twin of ``monte_carlo_convergence``: one lockstep
     ``simulate_multigroup`` pass, each terminal belief vector counted at the
     nearest color-sighted equilibrium within ``radius``, or unclassified."""
-    tm = _as_transformed(pop.model)
-    traj = simulate_multigroup(pop, horizon, seed, prior=prior, runs=runs)
-    return _convergence_report(tm, traj, _member_modes(tm, traj.steady_states),
-                               horizon, seed, radius)
+    return _convergence_report(
+        simulate_multigroup(pop, horizon, seed, prior=prior, runs=runs), radius)

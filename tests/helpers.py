@@ -366,8 +366,7 @@ def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
                          mu_stars: Sequence[float], runs: int, horizon: int, seed: int,
                          prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
                          zero_noise: bool = False, clip_noise: bool = False,
-                         record_stride: int = 0, record_run: int = 0,
-                         first_run: int = 0) -> _RunResult:
+                         record_stride: int = 0, first_run: int = 0) -> _RunResult:
     """The lockstep learning step written as plain array expressions, one
     fresh temporary per operation and every guard applied each period: the
     reference ``learning._run_engine``'s buffered step must reproduce bit
@@ -427,10 +426,10 @@ def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
             s = s_new
             if record_stride and (n % record_stride == 0 or n == 1 or n == horizon):
                 rec_n.append(n)
-                rec_m.append(m[record_run].copy())
-                rec_xi.append(s[record_run] / n)
-                rec_h.append(float(h[record_run]))
-                rec_x.append(x[record_run].copy())
+                rec_m.append(m[0].copy())
+                rec_xi.append(s[0] / n)
+                rec_h.append(float(h[0]))
+                rec_x.append(x[0].copy())
         remaining -= block
 
     return _RunResult(m=m, s=s,

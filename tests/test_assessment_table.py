@@ -108,11 +108,12 @@ def test_one_table_per_simulation(monkeypatch, tm_power):
 
 def test_runs_do_not_depend_on_the_batch(tm_power):
     args = _single_group_args(tm_power)
-    batch = _run_engine(tm_power, *args, runs=3, horizon=3, seed=8,
-                        record_stride=1, record_run=2)
+    batch = _run_engine(tm_power, *args, runs=3, horizon=3, seed=8)
+    ahead = _run_engine(tm_power, *args, runs=2, horizon=3, seed=8,
+                        record_stride=1, first_run=2)
     alone = _run_engine(tm_power, *args, runs=1, horizon=3, seed=8,
                         record_stride=1, first_run=2)
-    assert batch.rec_h.tobytes() == alone.rec_h.tobytes()
+    assert ahead.rec_h.tobytes() == alone.rec_h.tobytes()
     assert batch.m[2].tobytes() == alone.m[0].tobytes()
 
 

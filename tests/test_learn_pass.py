@@ -2,6 +2,7 @@
 noise streams, work done once per command, and input validation."""
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import berklab.multigroup
 from berklab import monte_carlo_convergence, simulate, transform
 from berklab.cli import main
 from berklab.config import load_config
-from berklab.learning import _run_engine, _single_group_args
+from berklab.learning import _run_engine, _single_group_args, noise_stream
 
 from helpers import three_equilibria_model
 
@@ -73,13 +74,16 @@ class TestRecordedRun:
         alone = simulate(tm3, horizon=horizon, seed=seed, run=r, stride=stride)
         assert len(streams) == 1  # run r alone, not runs 0..r
         batch = _run_engine(tm3, *_single_group_args(tm3), runs=runs,
-                            horizon=horizon, seed=seed, prior=[None],
-                            record_stride=stride, record_run=r)
-        assert same_bits(alone.periods, batch.rec_n)
-        assert same_bits(alone.m, batch.rec_m[:, 0])
-        assert same_bits(alone.xi, batch.rec_xi[:, 0])
-        assert same_bits(alone.h, batch.rec_h)
-        assert same_bits(alone.x, batch.rec_x[:, 0])
+                            horizon=horizon, seed=seed, prior=[None])
+        tail = _run_engine(tm3, *_single_group_args(tm3), runs=runs - r,
+                           horizon=horizon, seed=seed, prior=[None],
+                           record_stride=stride, first_run=r)
+        assert same_bits(alone.periods, tail.rec_n)
+        assert same_bits(alone.m, tail.rec_m[:, 0])
+        assert same_bits(alone.xi, tail.rec_xi[:, 0])
+        assert same_bits(alone.h, tail.rec_h)
+        assert same_bits(alone.x, tail.rec_x[:, 0])
+        assert same_bits(tail.m, batch.m[r:])
         assert alone.terminal.m == batch.m[r, 0]
         assert alone.terminal.xi == batch.s[r, 0] / horizon
         assert same_bits(simulate(tm3, horizon=horizon, seed=seed,
@@ -89,6 +93,36 @@ class TestRecordedRun:
         rep = monte_carlo_convergence(tm3, runs=6, horizon=1500, seed=2)
         assert rep.trajectory.batch_m.shape == (6,)
         assert sum(rep.counts) + rep.unclassified == 6
+
+
+class TestNoiseStreams:
+    def test_negative_seeds_have_their_own_streams(self, tm3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {noise_stream(seed, 3, 1).standard_normal(4).tobytes()
+                     for seed in (-5, -6, -1000, 2**63)}
+            paths = {simulate(tm3, horizon=30, seed=seed).m.tobytes()
+                     for seed in (-5, -6)}
+        assert (len(draws), len(paths)) == (4, 2)
+        # a seed is taken modulo 2**64
+        assert (noise_stream(-5, 3, 1).standard_normal(4).tobytes()
+                == noise_stream(2**64 - 5, 3, 1).standard_normal(4).tobytes())
+
+    @pytest.mark.parametrize("seed,run,group", [
+        (0, 0, 0), (7, 3, 1), (2**32 + 9, 2**31 - 1, 2**32 - 1),
+        (2**63 - 1, 12, 0)])
+    def test_streams_keep_their_bits(self, seed, run, group):
+        # the Philox key of every (seed, run, group) whose words stay below
+        # 2**63, as it was built from a list of Python ints
+        key = [seed, (run << 32) | group]
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(5)
+        got = noise_stream(seed, run, group).standard_normal(5)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("run,group", [(2**32, 0), (-1, 0), (0, 2**32)])
+    def test_run_and_group_must_fit_32_bits(self, run, group):
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            noise_stream(1, run, group)
 
 
 class TestLearnCommand:
@@ -123,6 +157,25 @@ class TestLearnCommand:
         assert main(["multigroup", GROUPS, "--out-dir", str(tmp_path / "o"),
                      "--horizon", "300"]) == 0
         assert (len(solves), len(sets)) == (1, 1)
+
+    @pytest.mark.parametrize("groups", [0, 1, 2])
+    def test_drivers_transform_and_classify_once(self, monkeypatch, groups):
+        # each Monte Carlo driver classifies its batch in the simulator, so
+        # neither needs a transformed model of its own
+        transforms = count_calls(monkeypatch, "transform", berklab.learning)
+        nearest = count_calls(monkeypatch, "nearest_target",
+                              berklab.learning.TransformedModel)
+        model = three_equilibria_model()
+        if groups:
+            pop = berklab.multigroup.GroupPopulation(
+                model=model, alphas=(1.0 / groups,) * groups,
+                deltas=(model.delta_mu,) * groups,
+                beta_stars=(model.beta_star,) * groups)
+            berklab.multigroup.monte_carlo_multigroup(pop, runs=4, horizon=50,
+                                                      seed=1)
+        else:
+            monte_carlo_convergence(model, runs=4, horizon=50, seed=1)
+        assert (len(transforms), len(nearest)) == (1, 1)
 
     def test_multigroup_path_uses_the_given_equilibrium(self):
         pop = load_config(GROUPS).population()

@@ -51,17 +51,17 @@ def group_args(tm, groups):
        sd=st.sampled_from((0.01, 0.3)),
        noise=st.sampled_from(("plain", "clip", "zero")),
        stride=st.sampled_from((1, 7)), horizon=st.integers(1, 120),
-       seed=st.integers(0, 2**32), record_run=st.integers(0, 16))
+       seed=st.integers(0, 2**32), first_run=st.integers(0, 16))
 def test_step_is_bit_identical_to_the_reference(tm3, runs, groups, prior_on,
                                                 mean, sd, noise, stride,
-                                                horizon, seed, record_run):
+                                                horizon, seed, first_run):
     prior = None
     if prior_on != "none":
         p = TruncNormalPrior(mean, sd)
         prior = [p] + [p if prior_on == "all" else None] * (groups - 1)
     kwargs = dict(runs=runs, horizon=horizon, seed=seed, prior=prior,
                   zero_noise=noise == "zero", clip_noise=noise == "clip",
-                  record_stride=stride, record_run=record_run % runs)
+                  record_stride=stride, first_run=first_run)
     args = group_args(tm3, groups)
     assert_same_run(_run_engine(tm3, *args, **kwargs),
                     run_engine_reference(tm3, *args, **kwargs))

@@ -14,7 +14,7 @@ from berklab import (BestResponseEngine, GroupPopulation, LQParams,
                      sensitivity,
                      sherman_morrison_inverse, simulate, simulate_multigroup,
                      transform)
-from berklab.learning import TruncNormalPrior
+from berklab.learning import Trajectory, TruncNormalPrior
 
 from berklab.multigroup import DENSE_LIMIT
 
@@ -616,6 +616,13 @@ class TestClassifiedAgainstEveryMember:
                                          seed=11)
         multi = monte_carlo_multigroup(_split(lq_three, (1.0,)), runs=200,
                                        horizon=2000, seed=11)
+        # one Trajectory type, classified run by run as simulate classifies
+        one, each = single.trajectory, multi.trajectory
+        assert isinstance(each, Trajectory)
+        assert (each.m.shape, each.terminal.xi.shape) == ((one.m.size, 1), (1,))
+        assert each.batch_nearest.tobytes() == one.batch_nearest.tobytes()
+        assert each.batch_distance.tobytes() == one.batch_distance.tobytes()
+        assert (multi.counts, multi.unclassified) == ((174, 0, 0), 26)
         assert multi.counts == single.counts
         assert multi.unclassified == single.unclassified
         assert (multi.sink_fraction, multi.saddle_hits) == (
@@ -673,5 +680,5 @@ def test_multigroup_classifies_through_learning():
     tree = ast.parse(inspect.getsource(berklab.multigroup))
     called = {getattr(c.func, "attr", None) or getattr(c.func, "id", None)
               for c in ast.walk(tree) if isinstance(c, ast.Call)}
-    assert not {"distances", "argmin"} & called
-    assert {"nearest_target", "_convergence_report"} <= called
+    assert not {"distances", "argmin", "nearest_target"} & called
+    assert {"_trajectory", "_convergence_report"} <= called
