@@ -5,6 +5,10 @@ matches direct evaluations at off-grid check angles.  ``certified_roots``
 then splits the interval at the series' critical points and polishes every
 sign change of the true function in one masked Brent pass (Boyd, SIAM J.
 Numer. Anal. 40, 2002; Battles and Trefethen, SISC 25, 2004).
+
+This module iterates to no root itself: every polish, here and in the
+learning table built on ``certified_series`` and ``_cheb_basis``, goes
+through ``rootfind.brentq_masked``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ FIRST_LEVEL = 17  # points per axis of the coarsest grid; after n come 2n - 1
 CERT_RTOL = 1e-8  # series error allowed at check angles, relative to max |f| sampled
 # pi (2j + 1) / 17 is no dyadic fraction of pi, so on none of the nested grids
 CHECK_THETA = np.pi * np.arange(1, 17, 2) / 17.0
-_SERIES_MAX_ITER = 100
 
 
 def _lobatto(n: int):
@@ -38,39 +41,6 @@ def _lobatto(n: int):
 def _cheb_basis(theta, n: int):
     """T_k(cos theta) = cos(k theta) for k < n, one row per angle."""
     return np.cos(np.multiply.outer(theta, np.arange(n)))
-
-
-def _bracketed_roots(c, f_lo, f_hi, tol: float) -> np.ndarray:
-    """Root in (-1, 1) of f(u) = sum_k c_k T_k(-u) for each row of ``c``,
-    with f(-1) = ``f_lo`` > 0 > ``f_hi`` = f(1): Newton steps inside the
-    shrinking bracket, bisection when a step leaves it, until a step or the
-    bracket is below ``tol``."""
-    k = np.arange(c.shape[1])
-    out = np.empty(c.shape[0])
-    ids = np.arange(c.shape[0])
-    a, b = np.full(ids.size, -1.0), np.ones(ids.size)
-    u = -1.0 + 2.0 * f_lo / (f_lo - f_hi)
-    for _ in range(_SERIES_MAX_ITER):
-        theta = np.arccos(-u)
-        kt = np.multiply.outer(theta, k)
-        f = (np.cos(kt) * c).sum(axis=1)
-        pos = f > 0.0
-        a, b = np.where(pos, u, a), np.where(pos, b, u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            df = -(np.sin(kt) * (k * c)).sum(axis=1) / np.sin(theta)
-            step = np.where(f == 0.0, 0.0, f / df)
-        newton = u - step
-        converged = np.abs(step) <= tol
-        nxt = np.where(converged | ((newton > a) & (newton < b)), newton,
-                       0.5 * (a + b))
-        done = converged | (b - a <= tol)
-        out[ids[done]] = nxt[done]
-        if done.all():
-            return out
-        keep = ~done
-        ids, c, a, b, u = ids[keep], c[keep], a[keep], b[keep], nxt[keep]
-    raise NumericalError(
-        f"tabulated assessment root did not settle in {_SERIES_MAX_ITER} steps")
 
 
 def _along_axes(mat, arr):

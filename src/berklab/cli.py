@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import comparative_statics, disparity_report, perturb_model
+from .analysis import (PERTURBABLE, comparative_statics, disparity_report,
+                       perturb_model)
 from .config import RunConfig, load_config
 from .equilibrium import find_equilibria, psi_tilde
 from .errors import ConfigError, InvariantViolation, NumericalError
@@ -167,8 +168,8 @@ def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
     _require_positive(args, "horizon", "runs", "stride")
     if not args.radius >= 0.0:
         raise ConfigError("radius must be >= 0")
-    tm = transform(cfg.model())
     prior = _prior_from_args(args)
+    tm = transform(cfg.model())
     report = monte_carlo_convergence(tm, runs=args.runs,
                                      horizon=args.horizon, seed=args.seed,
                                      radius=args.radius, prior=prior,
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="comparative statics of distortions")
     common(p)
     p.add_argument("--param", required=True,
-                   choices=("delta_mu", "lambda_e", "delta", "c", "kappa"))
+                   choices=PERTURBABLE)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--sweep-span", type=float, default=0.05)
     p.add_argument("--sweep-points", type=int, default=11)

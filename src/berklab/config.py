@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -86,11 +87,14 @@ class RunConfig:
 
 def _parse_float(text: str, raw: str, section: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
         line = _line_of(text, section, key)
-        raise ConfigError(f"line {line}: [{section}] {key} = {raw!r} "
-                          "is not a number") from None
+        raise ConfigError(f"line {line}: [{section}] {key} = {raw!r} is not "
+                          f"{'a number' if value is None else 'finite'}")
+    return value
 
 
 def _parse_floats(text: str, raw: str, section: str, key: str) -> tuple[float, ...]:

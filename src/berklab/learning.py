@@ -22,11 +22,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .best_response import BestResponseEngine, array_form
-from .chebyshev import _bracketed_roots, _cheb_basis, certified_series
+from .chebyshev import _cheb_basis, certified_series
 from .equilibrium import DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
-from .rootfind import XTOL
+from .rootfind import brentq_masked
 from .truncnorm import trunc_mean, trunc_pdf
 
 CHUNK = 8192
@@ -206,6 +206,10 @@ class TruncNormalPrior:
             raise ValueError("prior sd must be positive")
         if not math.isfinite(self.mean):
             raise ValueError("prior mean must be finite")
+        # sd * sd underflows to zero or overflows for extreme sd
+        if not (self.sd * self.sd > 0.0 and 0.0 < self.precision < math.inf):
+            raise ValueError(f"prior sd {self.sd!r} gives no finite, "
+                             "positive precision 1 / sd^2")
 
     @property
     def precision(self) -> float:
@@ -347,7 +351,11 @@ class _FocTable:
     beta_hi] as a Chebyshev series, dV_E/dh(h, beta) - kappa'(h) =
     sum_kl coef[k, l] T_k(x) T_l(y) with x = (h_mid - h) / h_half and
     y = (b_mid - beta) / b_half: the angle arccos(x) runs from 0 at h_lo
-    to pi at h_hi, and likewise in beta."""
+    to pi at h_hi, and likewise in beta.  A posterior's condition is a
+    series in h alone (``expected_series``); ``roots`` reads its values at
+    the edges from the coefficients and polishes the interior roots of all
+    rows in one ``rootfind.brentq_masked`` pass (tolerances ``XTOL`` and
+    ``RTOL`` in h)."""
 
     coef: np.ndarray
     h_lo: float
@@ -360,6 +368,12 @@ class _FocTable:
         y = np.clip((self.b_mid - betas) / self.b_half, -1.0, 1.0)
         return self.coef @ (weights @ _cheb_basis(np.arccos(y), self.coef.shape[1]))
 
+    def _series_at(self, h, series) -> np.ndarray:
+        """Each row of ``series`` at that row's own h in [h_lo, h_hi]."""
+        mid, half = 0.5 * (self.h_lo + self.h_hi), 0.5 * (self.h_hi - self.h_lo)
+        theta = np.arccos(np.clip((mid - h) / half, -1.0, 1.0))
+        return (_cheb_basis(theta, series.shape[1]) * series).sum(axis=1)
+
     def roots(self, series) -> np.ndarray:
         """The h in [h_lo, h_hi] where each row of ``series`` (a first-order
         condition, decreasing in h) vanishes; without a sign change there, the
@@ -371,10 +385,9 @@ class _FocTable:
         h = np.where(f_lo <= 0.0, self.h_lo, self.h_hi)
         open_ = np.flatnonzero((f_lo > 0.0) & (f_hi < 0.0))
         if open_.size:
-            half = 0.5 * (self.h_hi - self.h_lo)
-            u = _bracketed_roots(series[open_], f_lo[open_], f_hi[open_],
-                                 XTOL / half)
-            h[open_] = 0.5 * (self.h_lo + self.h_hi) + half * u
+            h[open_] = brentq_masked(self._series_at, np.full(open_.size, self.h_lo),
+                                     np.full(open_.size, self.h_hi), f_lo[open_],
+                                     f_hi[open_], (series[open_],))
         return h
 
 
@@ -382,7 +395,8 @@ def _foc_table(tm: TransformedModel) -> _FocTable:
     """Tabulate the first-order integrand by ``certified_series``: nested
     Chebyshev-Lobatto grids of up to ``TABLE_POINTS`` per axis, certified
     against direct solves at off-grid points; NumericalError when the
-    finest grid still misses."""
+    finest grid still misses.  Past this, the learning step solves nothing
+    of the model: ``_FocTable.roots`` polishes on the series alone."""
     eng, mdl = tm.engine, tm.model
     h_mid, h_half = 0.5 * (tm.h_lo + tm.h_hi), 0.5 * (tm.h_hi - tm.h_lo)
     b_mid = 0.5 * (mdl.beta_lo + mdl.beta_hi)

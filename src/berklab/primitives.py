@@ -47,6 +47,9 @@ class LQParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("c", "kappa", "lambda_e", "lambda_a"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.c > 0.0:
             raise ValueError("effort cost scale c must be positive")
         if not self.kappa > 0.0:
@@ -113,6 +116,8 @@ class ModelPrimitives:
     factorization: Optional[Factorization] = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.beta_lo) and math.isfinite(self.beta_hi)):
+            raise ValueError("beta_lo and beta_hi must be finite")
         if not self.beta_lo > 0.0:
             raise ValueError("beta_lo must be positive: a zero lower bound leaves "
                              "productivity unidentified at zero assessment")
@@ -239,12 +244,15 @@ class AssumptionReport:
         return None
 
 
-def _strict_increase(values: np.ndarray, axis: int) -> tuple[bool, tuple | None]:
-    d = np.diff(values, axis=axis)
-    bad = np.argwhere(d <= 0.0)
-    if bad.size:
-        return False, tuple(int(i) for i in bad[0])
-    return True, None
+def _first_failure(*cases: tuple[np.ndarray, str]) -> CheckResult:
+    """Each case is a mask over grid points, true where the check fails,
+    and its detail: failed at the first index (row-major) of the first case
+    that fails anywhere, else passed."""
+    for bad, detail in cases:
+        where = np.argwhere(bad)
+        if where.size:
+            return CheckResult(False, tuple(int(i) for i in where[0]), detail)
+    return CheckResult(True)
 
 
 def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
@@ -274,73 +282,45 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
         h_of_beta = None
         assessment_failure = str(exc)
 
-    checks: dict[str, CheckResult] = {}
-
-    # effort vanishes at zero assessment / zero productivity
-    bad_h0 = np.argwhere(np.abs(a_grid[0]) > BOUNDARY_TOL)
-    zero_beta = engine.effort(hs, 0.0)
-    bad_b0 = np.argwhere(np.abs(zero_beta) > BOUNDARY_TOL)
-    if bad_h0.size:
-        checks["effort_zero_boundary"] = CheckResult(False, (0, int(bad_h0[0][0])),
-                                                     "a(0, beta) != 0")
-    elif bad_b0.size:
-        checks["effort_zero_boundary"] = CheckResult(False, (int(bad_b0[0][0]), 0),
-                                                     "a(h, 0) != 0")
-    else:
-        checks["effort_zero_boundary"] = CheckResult(True)
-
-    ok, loc = _strict_increase(a_grid, axis=0)
-    checks["effort_increasing_in_assessment"] = CheckResult(ok, loc)
-    ok, loc = _strict_increase(a_grid[1:], axis=1)
-    checks["effort_increasing_in_productivity"] = CheckResult(ok, loc)
-
-    ok, loc = _strict_increase(r_grid, axis=0)
-    checks["effective_effort_increasing_in_assessment"] = CheckResult(ok, loc)
-    ok, loc = _strict_increase(r_grid[1:], axis=1)
-    checks["effective_effort_increasing_in_productivity"] = CheckResult(ok, loc)
-
-    cross = np.diff(np.diff(r_grid, axis=0), axis=1)
-    bad = np.argwhere(cross <= 0.0)
-    checks["effective_effort_increasing_differences"] = CheckResult(
-        not bad.size, tuple(int(i) for i in bad[0]) if bad.size else None)
-
+    # a difference fails at the first point of its stencil; effort and
+    # effective effort vanish at h = 0, so their rise in productivity is
+    # checked on the rows h > 0 only
+    positive_h = hs[:, None] > 0.0
+    a_pts = np.linspace(0.0, max(float(a_grid.max()) * 1.05, 1e-3), n_a)
+    k_pts = np.linspace(0.0, 1.0, n_a)
+    checks = {
+        "effort_zero_boundary": _first_failure(
+            (np.abs(a_grid[:1]) > BOUNDARY_TOL, "a(0, beta) != 0"),
+            (np.abs(engine.effort(hs, 0.0))[:, None] > BOUNDARY_TOL,
+             "a(h, 0) != 0")),
+        "effort_increasing_in_assessment": _first_failure(
+            (np.diff(a_grid, axis=0) <= 0.0, "")),
+        "effort_increasing_in_productivity": _first_failure(
+            ((np.diff(a_grid, axis=1) <= 0.0) & positive_h, "")),
+        "effective_effort_increasing_in_assessment": _first_failure(
+            (np.diff(r_grid, axis=0) <= 0.0, "")),
+        "effective_effort_increasing_in_productivity": _first_failure(
+            ((np.diff(r_grid, axis=1) <= 0.0) & positive_h, "")),
+        "effective_effort_increasing_differences": _first_failure(
+            (np.diff(np.diff(r_grid, axis=0), axis=1) <= 0.0, "")),
+    }
     if h_of_beta is None:
         checks["assessment_increasing"] = CheckResult(False, None,
                                                       assessment_failure)
         checks["assessment_interior"] = CheckResult(False, None,
                                                     assessment_failure)
     else:
-        ok, loc = _strict_increase(h_of_beta, axis=0)
-        checks["assessment_increasing"] = CheckResult(ok, loc)
-        interior = (h_of_beta > 0.0) & (h_of_beta < 1.0)
-        bad = np.argwhere(~interior)
-        checks["assessment_interior"] = CheckResult(
-            not bad.size, (int(bad[0][0]),) if bad.size else None)
-
-    a_max = max(float(a_grid.max()) * 1.05, 1e-3)
-    a_pts = np.linspace(0.0, a_max, n_a)
-    d2 = np.diff(engine._cost(a_pts), 2)
-    bad = np.argwhere(d2 <= 0.0)
-    checks["effort_cost_convex"] = CheckResult(
-        not bad.size, (int(bad[0][0]),) if bad.size else None)
-
-    k_pts = np.linspace(0.0, 1.0, n_a)
-    d2 = np.diff(engine._assess_cost(k_pts), 2)
-    bad = np.argwhere(d2 <= 0.0)
-    checks["assessment_cost_convex"] = CheckResult(
-        not bad.size, (int(bad[0][0]),) if bad.size else None)
-
-    r_zero_a = engine._r(np.zeros(n_beta), betas)
-    r_zero_b = engine._r(a_pts, np.zeros(n_a))
-    bad_a = np.argwhere(np.abs(r_zero_a) > BOUNDARY_TOL)
-    bad_b = np.argwhere(np.abs(r_zero_b) > BOUNDARY_TOL)
-    if bad_a.size:
-        checks["effort_effect_zero"] = CheckResult(False, (int(bad_a[0][0]),),
-                                                   "r(0, beta) != 0")
-    elif bad_b.size:
-        checks["effort_effect_zero"] = CheckResult(False, (int(bad_b[0][0]),),
-                                                   "r(a, 0) != 0")
-    else:
-        checks["effort_effect_zero"] = CheckResult(True)
+        checks["assessment_increasing"] = _first_failure(
+            (np.diff(h_of_beta) <= 0.0, ""))
+        checks["assessment_interior"] = _first_failure(
+            (~((h_of_beta > 0.0) & (h_of_beta < 1.0)), ""))
+    checks["effort_cost_convex"] = _first_failure(
+        (np.diff(engine._cost(a_pts), 2) <= 0.0, ""))
+    checks["assessment_cost_convex"] = _first_failure(
+        (np.diff(engine._assess_cost(k_pts), 2) <= 0.0, ""))
+    checks["effort_effect_zero"] = _first_failure(
+        (np.abs(engine._r(np.zeros(n_beta), betas)) > BOUNDARY_TOL,
+         "r(0, beta) != 0"),
+        (np.abs(engine._r(a_pts, np.zeros(n_a))) > BOUNDARY_TOL, "r(a, 0) != 0"))
 
     return AssumptionReport(checks=checks, grid_shape=(n_h, n_beta))

@@ -9,7 +9,8 @@ from berklab import (LQParams, build_lq, comparative_statics,
                      disparity_report, find_equilibria,
                      first_order_comparison, gap_decomposition,
                      weak_set_order_leq)
-from berklab.analysis import perturb_model
+from berklab.analysis import _select_sce, perturb_model
+from berklab.equilibrium import EquilibriumPoint, EquilibriumSet
 
 from helpers import lq_oracle_equilibria, random_lq_instance
 
@@ -62,6 +63,17 @@ class TestComparativeStatics:
             res = comparative_statics(model, param, rel_step=0.01)
             assert res.assessment_shift == direction
 
+    def test_passthrough_without_agent_weight_leaves_assessment(self):
+        # lambda1 = lambda_e + delta lambda_a does not move with delta when
+        # lambda_a = 0, so neither the assessment map nor the equilibria do
+        params = LQParams(c=1.0, kappa=10.0, lambda_e=1.0, lambda_a=0.0,
+                          delta=0.5)
+        model = build_lq(params, 0.0, 2.0, 0.2, 0.5, 3.0)
+        res = comparative_statics(model, "delta", rel_step=0.01)
+        assert res.assessment_shift == "none"
+        assert res.perturbed_distortions == res.baseline_distortions
+        assert res.weak_set_order_increase and res.weak_set_order_decrease
+
     def test_custom_model_only_supports_delta_mu(self, lq_unit):
         import dataclasses
         custom = dataclasses.replace(lq_unit, lq=None, factorization=None)
@@ -104,6 +116,10 @@ class TestDisparityReport:
         assert rep.welfare_m - rep.welfare_w == pytest.approx(
             1.0 - (0.5 * (h_m * 2.0) ** 2 - 0.5 * (h_w * 2.0) ** 2), abs=1e-9)
         assert rep.all_orderings_hold
+        # each group has one stable self-confirming equilibrium, which every
+        # selector picks
+        for selector in ("largest_belief", "smallest_belief"):
+            assert disparity_report(lq_unit, 0.5, -0.5, selector=selector) == rep
 
     def test_market_effort_value_can_reverse_the_gap(self):
         # lambda_a = 0 so the passthrough only affects rewards, not play
@@ -119,6 +135,23 @@ class TestDisparityReport:
         assert gaps[0] > 0.0
         assert min(gaps) < 0.0 < max(gaps)
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+    def test_selectors_pick_among_stable_self_confirming_points(self):
+        def point(beta, stability="stable", is_sce=True):
+            return EquilibriumPoint(beta_hat=beta, h_hat=0.5, stability=stability,
+                                    is_sce=is_sce, kl=0.0, residual=0.0,
+                                    slope=0.0)
+
+        eqs = EquilibriumSet(points=(point(2.5), point(2.2), point(1.5),
+                                     point(1.0, "unstable"), point(0.3, is_sce=False)),
+                             delta_mu=0.1)
+        picked = {sel: _select_sce(eqs, 2.0, sel).beta_hat
+                  for sel in ("least_distorted", "largest_belief",
+                              "smallest_belief")}
+        assert picked == {"least_distorted": 2.2, "largest_belief": 2.5,
+                          "smallest_belief": 1.5}
+        with pytest.raises(ValueError, match="unknown selector"):
+            _select_sce(eqs, 2.0, "median_belief")
 
     def test_requires_opposite_signs(self, lq_unit):
         with pytest.raises(ValueError):

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import berklab.learning
 from berklab import (BestResponseEngine, LearningState, NumericalError,
                      build_power, evaluator_step, transform)
-from berklab.learning import (_foc_table, _run_engine, _single_group_args,
-                              _table_assessments)
+from berklab.learning import (_foc_table, _group_quadrature, _run_engine,
+                              _single_group_args, _table_assessments)
+from berklab.rootfind import RTOL, XTOL
 
 from helpers import direct_quadrature_assessment, three_equilibria_model
 
@@ -78,6 +80,31 @@ def test_series_roots_and_edges(tm_power):
     want = [mid + half * 0.3, mid - half * 0.35, mid, hi, lo]
     assert np.allclose(got, want, rtol=0.0, atol=1e-14)
     assert got[3] == hi and got[4] == lo
+
+
+@settings(max_examples=10, deadline=None)
+@given(gamma=st.floats(2.5, 6.0), data=st.data())
+def test_each_row_is_scipys_brent_root_of_its_series(gamma, data):
+    # one masked Brent pass over the rows; scipy's brentq on each row's
+    # series alone starts from its own end values, which may differ in the
+    # last bit from the coefficient sums the pass starts from
+    tm = transform(power_model(gamma), grid=16)
+    table = _foc_table(tm)
+    rows = []
+    for m, s in data.draw(st.lists(posteriors(tm), min_size=1, max_size=6)):
+        pts, wts = _group_quadrature(tm, m, s, 64)
+        rows.append(table.expected_series(tm.g1_inv(pts), wts))
+    series = np.array(rows)
+    got = table.roots(series)
+    for row, h in zip(series, got):
+        f = lambda x: table._series_at(np.array([x]), row[None])[0]
+        if table.h_lo < h < table.h_hi:
+            want = brentq(f, table.h_lo, table.h_hi, xtol=XTOL, rtol=RTOL)
+            assert abs(h - want) <= XTOL
+        elif h == table.h_lo:  # the condition already falls below zero
+            assert f(table.h_lo) <= 1e-12
+        else:
+            assert h == table.h_hi and f(table.h_hi) >= -1e-12
 
 
 def count_dv_dh(monkeypatch):

@@ -111,6 +111,23 @@ class TestCliSolve:
         assert main(["solve", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert "beta_lo must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key,value,line", [
+        ("solve", "beta_hi", "inf", 15), ("learn", "beta_hi", "inf", 15),
+        ("solve", "lambda_a", "inf", 5), ("solve", "c", "inf", 2),
+        ("solve", "lambda_e", "inf", 4), ("solve", "kappa", "nan", 3),
+        ("solve", "mu_hat", "-inf", 11)])
+    def test_nonfinite_value_exits_2_at_its_line(self, tmp_path, capsys,
+                                                  command, key, value, line):
+        old = next(row for row in THREE_EQ.splitlines()
+                   if row.startswith(f"{key} ="))
+        cfg = write(tmp_path, THREE_EQ.replace(old, f"{key} = {value}"))
+        out = tmp_path / "o"
+        assert main([command, cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: line {line}: [" in err
+        assert f"{key} = '{value}' is not finite" in err
+        assert not out.exists()
+
     def test_non_interior_assessment_exits_4(self, tmp_path, capsys):
         cfg = write(tmp_path, THREE_EQ.replace("lambda_e = 1.0",
                                                "lambda_e = 5.0")
@@ -149,6 +166,16 @@ class TestCliLearn:
         assert main(["learn", cfg, "--out-dir", str(tmp_path / "o"),
                      "--horizon", "0"]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sd", ["1e-170", "inf", "0"])
+    def test_prior_without_finite_precision_exits_2(self, tmp_path, capsys, sd):
+        # 1e-170 squared underflows to zero: no finite precision 1 / sd^2
+        cfg = write(tmp_path, THREE_EQ)
+        out = tmp_path / "o"
+        assert main(["learn", cfg, "--out-dir", str(out), "--prior-center",
+                     "1.0", "--prior-sd", sd]) == 2
+        assert "config error: --prior-center/--prior-sd" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_convergence_report_contents(self, tmp_path):
         cfg = write(tmp_path, THREE_EQ)
@@ -202,6 +229,16 @@ class TestCliOthers:
         assert rep["orderings"]["m_out_earns_w"] is True
         assert rep["orderings"]["effort_chain"] is True
         assert rep["reward_gap_misbelief_part"] == pytest.approx(1.0)
+        # each group has one stable self-confirming equilibrium, which every
+        # selector picks
+        for selector in ("largest_belief", "smallest_belief"):
+            other = tmp_path / selector
+            assert main(["disparity", cfg, "--out-dir", str(other),
+                         "--selector", selector]) == 0
+            assert ((other / "disparity.json").read_bytes()
+                    == (out / "disparity.json").read_bytes())
+            manifest = json.loads((other / "manifest.json").read_text())
+            assert manifest["parameters"]["selector"] == selector
 
     @pytest.mark.parametrize("flags", [("-1", "-0.5"), ("0.2", "0.3"),
                                        ("nan", "-0.3"), ("inf", "-0.3")])

@@ -208,17 +208,31 @@ def test_one_enumerator_for_every_fixed_point():
                      if isinstance(f, ast.FunctionDef) and calls(f, "linspace"))
     assert gridded == ["comparative_statics"]
 
-    kernels = ("_lobatto", "_cheb_basis", "_bracketed_roots")
-    homes = {(path.name, node.name)
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    kernels = ("_lobatto", "_cheb_basis")
+    homes = {(name, node.name) for name, tree in trees.items()
+             for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and node.name in kernels}
     assert homes == {("chebyshev.py", k) for k in kernels}
 
+    # rootfind owns every iteration to a root, so no other module caps one;
+    # the learning table polishes its roots through the masked Brent solve
+    caps = sorted((name, node.id) for name, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                  and node.id.endswith("MAX_ITER"))
+    assert caps == [("rootfind.py", "MAX_ITER")]
+    (table,) = (node for node in trees["learning.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "_FocTable")
+    (roots,) = (node for node in table.body
+                if isinstance(node, ast.FunctionDef) and node.name == "roots")
+    assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "brentq_masked" for n in ast.walk(roots))
+
     # scipy's root finders are reached through rootfind alone
     importers = sorted(
-        path.name for path in src.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
+        name for name, tree in trees.items() for node in ast.walk(tree)
         if (isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize")
         or (isinstance(node, ast.Import)
             and any(a.name.startswith("scipy.optimize") for a in node.names)))

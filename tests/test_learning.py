@@ -164,6 +164,15 @@ class TestEvaluatorStep:
         target = BestResponseEngine(tm3.model).assessment(math.sqrt(0.25))
         assert h == pytest.approx(target, abs=0.02)
 
+    @pytest.mark.parametrize("mean,sd", [(0.25, 1e-170), (0.25, 1e-160),
+                                         (0.25, math.inf), (0.25, 0.0),
+                                         (math.nan, 0.05)])
+    def test_prior_needs_finite_positive_precision(self, mean, sd):
+        # 1e-170 squared underflows to zero, 1e-160 squared to a subnormal
+        # whose reciprocal overflows, and an infinite sd has zero precision
+        with pytest.raises(ValueError):
+            TruncNormalPrior(mean=mean, sd=sd)
+
 
 class TestNoiseStreams:
     def test_reproducible_and_order_independent(self):

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from berklab import (BestResponseEngine, LQParams, build_lq, build_power,
@@ -21,6 +23,11 @@ class TestLQParams:
         dict(c=1.0, kappa=1.0, lambda_e=0.0),
         dict(c=1.0, kappa=1.0, lambda_e=1.0, lambda_a=-0.1),
         dict(c=1.0, kappa=1.0, lambda_e=1.0, delta=1.5),
+        dict(c=math.inf, kappa=1.0, lambda_e=1.0),
+        dict(c=1.0, kappa=math.inf, lambda_e=1.0),
+        dict(c=1.0, kappa=1.0, lambda_e=math.inf),
+        dict(c=1.0, kappa=1.0, lambda_e=1.0, lambda_a=math.inf),
+        dict(c=1.0, kappa=math.nan, lambda_e=1.0),
     ])
     def test_rejects_bad_scales(self, kwargs):
         with pytest.raises(ValueError):
@@ -37,6 +44,14 @@ class TestBuildLQ:
         p = LQParams(c=1.0, kappa=1.0, lambda_e=1.0)
         with pytest.raises(ValueError, match="beta_star"):
             build_lq(p, 0.0, 4.0, -0.5, 0.5, 3.0)
+
+    @pytest.mark.parametrize("beta_lo,beta_hi", [(0.5, math.inf),
+                                                 (0.5, math.nan),
+                                                 (math.nan, 3.0)])
+    def test_rejects_nonfinite_support(self, beta_lo, beta_hi):
+        p = LQParams(c=1.0, kappa=1.0, lambda_e=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            build_lq(p, 0.0, 2.0, -0.5, beta_lo, beta_hi)
 
     def test_delta_mu_sign_convention(self, lq_unit):
         # society underestimates ability: mu_hat < mu_star <=> delta_mu < 0
@@ -81,6 +96,45 @@ class TestCheckAssumptions:
         assert not report.all_passed
         name, _ = report.first_failure()
         assert name  # some check failed and is reported, not raised
+
+
+    def test_productivity_failure_is_reported_at_its_row(self, lq_unit):
+        # r = a min(beta, 3 - beta) peaks inside [0.5, 3]: on a 5 x 5 grid
+        # effort first falls from beta = 1.75 to 2.375 (column 2) at the
+        # first row with h > 0, h = 0.25 (row 1)
+        peaked = dataclasses.replace(
+            lq_unit, r=lambda a, b: a * np.minimum(b, 3.0 - b),
+            lq=None, factorization=None)
+        report = check_assumptions(peaked, n_h=5, n_beta=5)
+        for name in ("effort_increasing_in_productivity",
+                     "effective_effort_increasing_in_productivity"):
+            assert report.checks[name].location == (1, 2), name
+
+    @pytest.mark.parametrize("shift,location,detail", [
+        (lambda h: 0.1 + 0.0 * h, (0, 0), "a(0, beta) != 0"),
+        (lambda h: 0.1 * np.greater(h, 0.0), (1, 0), "a(h, 0) != 0"),
+    ])
+    def test_nonvanishing_effort_names_its_point(self, monkeypatch, lq_unit,
+                                                 shift, location, detail):
+        # the engine's effort vanishes at h = 0 and beta = 0 by construction,
+        # so the check's failures are reached by shifting the engine's effort
+        effort = BestResponseEngine.effort
+        monkeypatch.setattr(BestResponseEngine, "effort",
+                            lambda self, h, beta: effort(self, h, beta) + shift(h))
+        res = check_assumptions(lq_unit, n_h=6, n_beta=6).checks[
+            "effort_zero_boundary"]
+        assert (res.passed, res.location, res.detail) == (False, location, detail)
+
+    @pytest.mark.parametrize("r,location,detail", [
+        (lambda a, b: b * a + 0.01, (0,), "r(0, beta) != 0"),
+        (lambda a, b: (b + 0.1) * a, (1,), "r(a, 0) != 0"),
+    ])
+    def test_nonvanishing_effect_names_its_point(self, lq_unit, r, location,
+                                                 detail):
+        model = dataclasses.replace(lq_unit, r=r, lq=None, factorization=None)
+        res = check_assumptions(model, n_h=6, n_beta=6, n_a=8).checks[
+            "effort_effect_zero"]
+        assert (res.passed, res.location, res.detail) == (False, location, detail)
 
 
 class TestBuildPower:
