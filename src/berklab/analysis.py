@@ -295,15 +295,15 @@ class GapDecomposition:
     total: float              # R(h, beta) - R(h, beta_star)
 
 
-def gap_decomposition(model: ModelPrimitives, h: float, beta: float,
-                      engine: BestResponseEngine | None = None) -> GapDecomposition:
+def gap_decomposition(model: ModelPrimitives, h: float,
+                      beta: float) -> GapDecomposition:
     """Split R(h, beta) - R(h, beta_star) into choice and productivity terms.
 
     The identity term_choice + term_productivity = total holds exactly by
     construction; the productivity term equals the whole gap under
     first-order misspecification.
     """
-    eng = engine if engine is not None else BestResponseEngine(model)
+    eng = BestResponseEngine(model)
     m = model
     a_b = float(eng.effort(h, beta))
     a_s = float(eng.effort(h, m.beta_star))

@@ -3,8 +3,8 @@
 This is the one module that knows the closed forms of the linear-quadratic
 (LQ) specialization.  Every operation that has one keeps it next to its
 numeric path in a single ``BestResponseEngine`` method; callers never
-branch on the model type.  General primitives (and LQ models built with
-``force_numeric``) are solved from their first-order conditions by
+branch on the model type.  General primitives (every model whose ``lq`` is
+None) are solved from their first-order conditions by
 bracketed Brent iteration through ``rootfind.solve_decreasing``: scipy's
 ``brentq`` for a scalar point, one masked Brent pass for an array of
 points.  The evaluator's condition and ``r_partials`` use the
@@ -149,26 +149,19 @@ class BestResponseEngine:
     not map arrays is applied entry by entry.
 
     Pure and reentrant: no mutable state beyond cached constants, so one
-    engine can be shared across threads.  ``force_numeric`` routes LQ
-    models through the general solvers (used to validate them against the
-    closed forms).
+    engine can be shared across threads.
     """
 
     _r, _v_e = _probed("r", True), _probed("v_e", True)
     _cost, _assess_cost = _probed("cost", False), _probed("assess_cost", False)
 
-    def __init__(self, model: ModelPrimitives, force_numeric: bool = False):
+    def __init__(self, model: ModelPrimitives):
         self.model = model
         lq = model.lq
-        self._closed = lq is not None and not force_numeric
-        self._h_cap = 1.0
-        if lq is not None:
+        self._closed = lq is not None
+        if self._closed:
             # the LQ scales, read once (lambda1 and lambda2 are properties)
             self._l1, self._l2, self._kc = lq.lambda1, lq.lambda2, lq.kappa * lq.c
-            if self._l2 > 0.0:
-                # beyond lambda1/lambda2 the evaluator's marginal value of
-                # assessment is negative, so the search can stop there
-                self._h_cap = min(1.0, self._l1 / self._l2)
 
     # -- agent ----------------------------------------------------------
 
@@ -407,8 +400,8 @@ class BestResponseEngine:
 
     def certainty_equivalent(self, s):
         """LQ optimal assessment for a belief with mean s of beta^2, in
-        closed form on both paths: the LQ evaluator condition is linear in
-        beta^2.  Scalars or arrays; LQ models only."""
+        closed form: the LQ evaluator condition is linear in beta^2.
+        Scalars or arrays; LQ models only."""
         return self._l1 * s / (self._l2 * s + self._kc)
 
     def first_order_assessment(self, beta):
@@ -475,11 +468,11 @@ class BestResponseEngine:
         Solved over that effort a rather than over h: effort rises strictly
         in h, so h(a) = ``_assessment_of_effort`` is explicit and the
         condition at h(a) decreases in a.  The bracket is the effort
-        at the ends of (0, cap); only groups after the first solve effort
+        at the ends of (0, 1); only groups after the first solve effort
         at h(a).  No bracket (or no effort response, as at zero
         productivity) means no interior optimum: an InvariantViolation, or
         a NumericalError under a fixed effort ``belief`` (first-order
-        misspecification; no lambda1/lambda2 cap).
+        misspecification).
         """
 
         def condition(a, *bs):  # floats or 1-d arrays, decreasing in a
@@ -488,11 +481,10 @@ class BestResponseEngine:
             return (weights[0] * self._marginal_value(a, h, bs[0], b_a)
                     + self._evaluator_condition(h, weights[1:], bs[1:], belief))
 
-        cap = self._h_cap if belief is None else 1.0
         b_a = betas[0] if belief is None else belief
         try:
             a_lo, a_hi = (_pointwise(self._effort_numeric, h, b_a)
-                          for h in (H_EDGE, cap - H_EDGE))
+                          for h in (H_EDGE, 1.0 - H_EDGE))
             if np.any(a_hi <= a_lo):
                 raise NumericalError("no bracket: effort does not respond "
                                      "to assessment")
@@ -502,7 +494,7 @@ class BestResponseEngine:
             if belief is not None:
                 raise
             raise InvariantViolation(
-                f"assessment is not interior on (0, {self._h_cap}): {exc}") from exc
+                f"assessment is not interior on (0, 1.0): {exc}") from exc
         return a
 
     def _require_interior(self, h, beta, error=InvariantViolation) -> None:

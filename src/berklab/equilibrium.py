@@ -73,34 +73,32 @@ def _engine(model: ModelPrimitives, engine: BestResponseEngine | None):
 
 
 def kl_divergence(model: ModelPrimitives, h: float, beta: float,
-                  delta_mu: float | None = None,
                   engine: BestResponseEngine | None = None) -> float:
     """Divergence between perceived and true outcome laws at assessment h.
 
     Both are Gaussian with variance 1/h, so this is
     (h/2) * (delta_mu + R(h, beta) - R(h, beta_star))^2.
     """
-    dm = model.delta_mu if delta_mu is None else delta_mu
-    return _engine(model, engine)._divergence(h, beta, model.beta_star, dm)
+    return _engine(model, engine)._divergence(h, beta, model.beta_star,
+                                              model.delta_mu)
 
 
-def kl_root(model: ModelPrimitives, h: float, delta_mu: float | None = None,
-            engine: BestResponseEngine | None = None) -> float | None:
+def kl_root(model: ModelPrimitives, h: float) -> float | None:
     """Unconstrained best-fit productivity at assessment h; None if no root.
 
     Solves R(h, x) = R(h, beta_star) - delta_mu on [0, inf).  Searching
     below the support relies on the primitives being defined there.
     """
-    dm = model.delta_mu if delta_mu is None else delta_mu
-    root = _engine(model, engine).best_fit(h, model.beta_star, dm, clamp=False)
+    root = BestResponseEngine(model).best_fit(h, model.beta_star, model.delta_mu,
+                                              clamp=False)
     return None if np.isnan(root) else float(root)
 
 
-def kl_minimizer(model: ModelPrimitives, h: float, delta_mu: float | None = None,
-                 engine: BestResponseEngine | None = None) -> float:
+def kl_minimizer(model: ModelPrimitives, h: float,
+                 delta_mu: float | None = None) -> float:
     """Divergence-minimizing productivity on the support, given assessment h."""
     dm = model.delta_mu if delta_mu is None else delta_mu
-    return float(_engine(model, engine).best_fit(h, model.beta_star, dm))
+    return float(BestResponseEngine(model).best_fit(h, model.beta_star, dm))
 
 
 def psi_tilde(model: ModelPrimitives, beta,
@@ -114,11 +112,10 @@ def psi_tilde(model: ModelPrimitives, beta,
     return eng.best_fit(eng.assessment(beta), model.beta_star, model.delta_mu)
 
 
-def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float,
-                  engine: BestResponseEngine | None = None) -> float:
+def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float) -> float:
     """Belief of an observer with misspecification delta_m at the fixed
     equilibrium assessment h_eq (heterogeneous-prior scenario)."""
-    return kl_minimizer(model, h_eq, delta_mu=delta_m, engine=engine)
+    return kl_minimizer(model, h_eq, delta_mu=delta_m)
 
 
 def _make_point(model, eng, beta_hat: float, stability: str,

@@ -38,6 +38,7 @@ WINDOW_SIGMAS = 8.0
 DEFAULT_RADIUS = 0.05
 TABLE_POINTS = 65  # finest nested Chebyshev-Lobatto grid, per axis
 RECON_TOL = 1e-10  # factorization reconstruction error transform accepts
+RECON_GRID = 64  # points per axis on which transform certifies it
 EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
 EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
 _MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
@@ -84,7 +85,7 @@ class TransformedModel:
         return idx, dists[np.arange(idx.size), idx]
 
 
-def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
+def transform(model: ModelPrimitives) -> TransformedModel:
     """Certify the factorization R = g1 g2 on a grid and package it.
 
     Refuses to proceed when the reconstruction error exceeds ``RECON_TOL``:
@@ -99,8 +100,8 @@ def transform(model: ModelPrimitives, grid: int = 64) -> TransformedModel:
             "R(h, beta) = g1(beta) g2(h)")
     eng = BestResponseEngine(model)
     h_lo, h_hi = eng.assessment_bounds()
-    hs = np.linspace(h_lo, h_hi, grid)
-    betas = np.linspace(model.beta_lo, model.beta_hi, grid)
+    hs = np.linspace(h_lo, h_hi, RECON_GRID)
+    betas = np.linspace(model.beta_lo, model.beta_hi, RECON_GRID)
     # each callable probed once, so that every consumer may pass arrays
     g1, g2 = array_form(fac.g1, betas), array_form(fac.g2, hs)
     g1_betas = g1(betas)
@@ -759,13 +760,12 @@ class PhaseField:
     steady_states: tuple[SteadyState, ...]
 
 
-def phase_field(model, grid: int = 200,
-                grid_points: int = DEFAULT_GRID) -> PhaseField:
+def phase_field(model, grid: int = 200) -> PhaseField:
     """Evaluate the ODE field for plotting on a ``grid`` x ``grid`` (m, xi)
     grid spanning the support, the steady states and the Fisher information
     range, with margins."""
     tm = _as_transformed(model)
-    ode = limiting_ode(tm, grid_points=grid_points)
+    ode = limiting_ode(tm)
     lo = min([tm.m_lo] + [ss.m for ss in ode.steady_states])
     span = tm.m_hi - lo
     m_values = np.linspace(lo - 0.05 * span, tm.m_hi + 0.05 * span, grid)
@@ -815,7 +815,6 @@ class ConvergenceReport:
 def monte_carlo_convergence(model, runs: int, horizon: int, seed: int,
                             radius: float = DEFAULT_RADIUS,
                             prior: Optional[TruncNormalPrior] = None,
-                            zero_noise: bool = False,
                             grid_points: int = DEFAULT_GRID,
                             stride: Optional[int] = None) -> ConvergenceReport:
     """Run independent learning paths and classify their terminal beliefs.
@@ -828,7 +827,7 @@ def monte_carlo_convergence(model, runs: int, horizon: int, seed: int,
     """
     return _convergence_report(
         simulate(model, horizon=horizon, seed=seed, run=0, prior=prior,
-                 stride=stride, zero_noise=zero_noise, grid_points=grid_points,
+                 stride=stride, grid_points=grid_points,
                  runs=runs), radius)
 
 

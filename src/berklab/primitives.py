@@ -265,6 +265,7 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     """
     from .best_response import BestResponseEngine
     from .errors import BerklabError
+    from .rootfind import REL_STEP
 
     if n_h < 2 or n_beta < 2 or n_a < 3:
         raise ValueError("the checks need n_h >= 2, n_beta >= 2 and n_a >= 3 "
@@ -282,6 +283,10 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
         h_of_beta = None
         assessment_failure = str(exc)
 
+    # the agent's condition h r_a - c' at zero effort, by secants over one fd1
+    # step: fd1's edge rule reads c'(0) = -3.3e-7 on c = a^2.5 / 2.5
+    c_a = (engine._cost(REL_STEP) - engine._cost(0.0)) / REL_STEP
+    r_a = (engine._r(REL_STEP, 0.0) - engine._r(0.0, 0.0)) / REL_STEP
     # a difference fails at the first point of its stencil; effort and
     # effective effort vanish at h = 0, so their rise in productivity is
     # checked on the rows h > 0 only
@@ -290,9 +295,8 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     k_pts = np.linspace(0.0, 1.0, n_a)
     checks = {
         "effort_zero_boundary": _first_failure(
-            (np.abs(a_grid[:1]) > BOUNDARY_TOL, "a(0, beta) != 0"),
-            (np.abs(engine.effort(hs, 0.0))[:, None] > BOUNDARY_TOL,
-             "a(h, 0) != 0")),
+            (np.full((1, n_beta), -c_a > BOUNDARY_TOL), "a(0, beta) != 0"),
+            ((hs * r_a - c_a > BOUNDARY_TOL)[:, None], "a(h, 0) != 0")),
         "effort_increasing_in_assessment": _first_failure(
             (np.diff(a_grid, axis=0) <= 0.0, "")),
         "effort_increasing_in_productivity": _first_failure(

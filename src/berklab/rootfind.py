@@ -85,17 +85,16 @@ def fd1(f: Callable, x, lo: float | None = None, hi: float | None = None,
                              _central(fp2, fp1, fm1, fm2, e)))
 
 
-def fd2(f: Callable, x, lo: float | None = None, hi: float | None = None,
-        rel_step: float = REL_STEP2):
+def fd2(f: Callable, x, lo: float | None = None, hi: float | None = None):
     """Five-point second difference, shifted inward at domain edges."""
     if not isinstance(x, np.ndarray):
-        e = rel_step * max(1.0, abs(x))
+        e = REL_STEP2 * max(1.0, abs(x))
         if lo is not None and x - 2.0 * e < lo:
             x = lo + 2.0 * e
         if hi is not None and x + 2.0 * e > hi:
             x = hi - 2.0 * e
     else:
-        e = rel_step * np.maximum(1.0, np.abs(x))
+        e = REL_STEP2 * np.maximum(1.0, np.abs(x))
         if lo is not None:
             x = np.where(x - 2.0 * e < lo, lo + 2.0 * e, x)
         if hi is not None:

@@ -71,10 +71,12 @@ def _by_branch(u, w, far, near):
     """``far(u, w)`` where u >= 0 and ``near(u, w)`` elsewhere, each
     evaluated only on the elements it applies to; the one ``errstate``
     block of a tail evaluation, since both forms under- and overflow by
-    design."""
+    design.  Past ~1e154 sigmas the far forms' u^2 - w^2 is inf - inf, which
+    they read as 0: the mean is then the mode, which the clip puts on the
+    nearer edge, and the log mass is -inf."""
     is_far = u >= 0.0
     n_far = np.count_nonzero(is_far)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if n_far == is_far.size:
             return far(u, w)
         if n_far == 0:
@@ -88,7 +90,7 @@ def _by_branch(u, w, far, near):
 
 def _ratio_far(u, w):
     # hazard-style form, safe when both tail arguments are large positive
-    decay = np.exp(u * u - w * w)  # <= 1 since |u| <= w after reflection
+    decay = np.exp(np.fmin(u * u - w * w, 0.0))  # <= 1: |u| <= w after reflection
     den = erfcx(u) - erfcx(w) * decay
     return _SQRT_2_OVER_PI * (1.0 - decay) / np.where(den > 0.0, den, 1.0)
 
@@ -106,7 +108,7 @@ def _tail_ratio(mm, sigma, lo: float, hi: float):
 
 
 def _log_mass_far(u, w):
-    decay = np.exp(u * u - w * w)
+    decay = np.exp(np.fmin(u * u - w * w, 0.0))
     return np.log(0.5) - u * u + np.log(
         np.maximum(erfcx(u) - erfcx(w) * decay, 1e-300))
 

@@ -7,6 +7,7 @@ tests compare two genuinely separate routes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Optional, Sequence
 
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, erfcx
 
-from berklab import LQParams, ModelPrimitives, build_lq
+from berklab import BestResponseEngine, LQParams, ModelPrimitives, build_lq
 from berklab.best_response import SOLVE_REL_STEP
 from berklab.learning import (CHUNK, TransformedModel, TruncNormalPrior,
                               _foc_table, _group_quadrature,
@@ -59,6 +60,13 @@ def log_mass_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
             np.maximum(erfcx(np.maximum(u, 0.0)) - erfcx(w) * decay, 1e-300))
         near = np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
     return np.where(u >= 0.0, far, near)
+
+
+def general_engine(model: ModelPrimitives) -> BestResponseEngine:
+    """The engine on ``model`` without its LQ parameters: the general
+    (root-finding) path that a user's own primitives take, which tests
+    check the LQ closed forms against."""
+    return BestResponseEngine(dataclasses.replace(model, lq=None))
 
 
 def direct_quadrature_assessment(tm, alphas, m_vec, s_vec, nodes: int) -> float:

@@ -21,7 +21,7 @@ from berklab import (BestResponseEngine, GroupPopulation, LQParams,
                      posterior_params, sensitivity, transform)
 from berklab.truncnorm import trunc_pdf
 
-from helpers import (lq_oracle_equilibria, random_lq_instance,
+from helpers import (general_engine, lq_oracle_equilibria, random_lq_instance,
                      three_equilibria_model, unique_equilibrium_model)
 
 SEED = 20260809
@@ -53,7 +53,7 @@ def test_criterion_01_closed_form_equivalence():
         beta = float(rng.uniform(0.2 * beta_hi, beta_hi))
         h = float(rng.uniform(0.05, 0.95))
         model = build_lq(lq, 0.0, 0.5 * beta_hi, 0.0, 0.1 * beta_hi, beta_hi)
-        numeric = BestResponseEngine(model, force_numeric=True)
+        numeric = general_engine(model)
         ok &= abs(numeric.effort(h, beta) - h * beta / c) <= 1e-8 * (h * beta / c)
         r_exp = h * beta * beta / c
         ok &= abs(numeric.effective_effort(h, beta) - r_exp) <= 1e-8 * r_exp

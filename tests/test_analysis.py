@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from berklab import (LQParams, build_lq, comparative_statics,
-                     disparity_report, find_equilibria,
+from berklab import (InvariantViolation, LQParams, build_lq,
+                     comparative_statics, disparity_report, find_equilibria,
                      first_order_comparison, gap_decomposition,
                      weak_set_order_leq)
 from berklab.analysis import _select_sce, perturb_model
@@ -190,6 +191,25 @@ class TestFirstOrderComparison:
         root = brentq(fixed_point, 1.0, 3.0, xtol=1e-13)
         res = first_order_comparison(m)
         assert res.beta_fom == pytest.approx(root, abs=1e-8)
+
+    @pytest.mark.parametrize("gap", [-1e-9, 1e-9])
+    def test_first_order_saddle_node(self, lq_three, gap):
+        # on lq_three the first-order fit gap is dm + 0.8 beta (beta - 2):
+        # its roots 1 +- sqrt(1 - dm / 0.8) meet at beta = 1 for dm = 0.8
+        m = lq_three.with_delta_mu(0.8 + gap)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if gap > 0.0:
+                with pytest.raises(InvariantViolation, match="first-order"):
+                    first_order_comparison(m)
+            else:
+                res = first_order_comparison(m)
+                assert res.beta_fom == pytest.approx(
+                    1.0 + math.sqrt(1.0 - m.delta_mu / 0.8), abs=1e-9)
+        notes = [str(w.message) for w in caught
+                 if "first-order fit gap" in str(w.message)]
+        assert notes == ["first-order fit gap comes within its certified error "
+                         "of zero at 1 without crossing"] * (gap > 0.0)
 
     def test_frozen_assessment_variant_also_orders(self, lq_unit):
         res = first_order_comparison(lq_unit.with_delta_mu(0.05),

@@ -28,7 +28,7 @@ from berklab.learning import _foc_table
 from berklab.rootfind import (RTOL, XTOL, brentq_masked, fd1, fd2,
                               solve_decreasing)
 
-from helpers import random_lq_instance, three_equilibria_model
+from helpers import general_engine, random_lq_instance, three_equilibria_model
 
 
 def _decreasing(kind, x, c0, c1, c3):
@@ -113,12 +113,12 @@ def test_difference_rules_per_entry_are_the_scalar_rules(x, p):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_effort_condition_of_random_lq_instances(seed):
-    # force_numeric solves the effort condition numerically, in one masked
-    # pass from ARRAY_SOLVE_MIN points on; the arrays include zero
+    # the general path solves the effort condition numerically, in one
+    # masked pass from ARRAY_SOLVE_MIN points on; the arrays include zero
     # assessment and the support edges
     rng = np.random.default_rng(seed)
     model = random_lq_instance(rng, -0.2)
-    eng = BestResponseEngine(model, force_numeric=True)
+    eng = general_engine(model)
     n = ARRAY_SOLVE_MIN + 5
     h = np.concatenate((rng.uniform(0.0, 0.95, n), [0.0, 0.5, 0.95]))
     b = np.concatenate((rng.uniform(model.beta_lo, model.beta_hi, n),
@@ -249,12 +249,13 @@ def test_numeric_r_partials_are_the_chain_rule(monkeypatch):
 
 
 def _numeric_engine(kind, delta_mu=None):
-    """A numeric engine on the three-equilibria LQ model (``force_numeric``)
-    or on ``_power()``, with misspecification ``delta_mu`` if given."""
+    """A numeric engine on the three-equilibria LQ model (its general path,
+    ``general_engine``) or on ``_power()``, with misspecification
+    ``delta_mu`` if given."""
     model = three_equilibria_model() if kind == "lq" else _power()
     if delta_mu is not None:
         model = model.with_delta_mu(delta_mu)
-    return BestResponseEngine(model, force_numeric=True)
+    return general_engine(model)
 
 
 def _scipy_best_fit(eng, h, beta_star, delta_mu, clamp):

@@ -48,7 +48,7 @@ def posteriors(draw, tm):
 @settings(max_examples=12, deadline=None)
 @given(gamma=st.floats(2.5, 6.0), alpha=st.floats(0.05, 0.95), data=st.data())
 def test_table_matches_direct_solves_over_the_same_nodes(gamma, alpha, data):
-    tm = transform(power_model(gamma), grid=16)
+    tm = transform(power_model(gamma))
     alphas = np.array([alpha, 1.0 - alpha])
     (m1, s1), (m2, s2) = data.draw(posteriors(tm)), data.draw(posteriors(tm))
     m, s = np.array([[m1, m2]]), np.array([[s1, s2]])
@@ -88,7 +88,7 @@ def test_each_row_is_scipys_brent_root_of_its_series(gamma, data):
     # one masked Brent pass over the rows; scipy's brentq on each row's
     # series alone starts from its own end values, which may differ in the
     # last bit from the coefficient sums the pass starts from
-    tm = transform(power_model(gamma), grid=16)
+    tm = transform(power_model(gamma))
     table = _foc_table(tm)
     rows = []
     for m, s in data.draw(st.lists(posteriors(tm), min_size=1, max_size=6)):
@@ -164,6 +164,6 @@ def test_kink_in_productivity_is_refused():
     def v_e(a, beta):
         return (beta + 0.3 * abs(beta - 1.7)) * a - 0.5 * base.cost(a)
 
-    tm = transform(dataclasses.replace(base, v_e=v_e), grid=16)
+    tm = transform(dataclasses.replace(base, v_e=v_e))
     with pytest.raises(NumericalError, match="not smooth"):
         evaluator_step(tm, LearningState(n=0, m=0.0, xi=0.0))

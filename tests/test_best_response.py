@@ -7,7 +7,7 @@ from berklab import (BerklabError, BestResponseEngine, InvariantViolation,
                      LQParams, NumericalError, build_lq, build_power,
                      first_order_comparison)
 
-from helpers import (_power_assessment, lq_assessment,
+from helpers import (_power_assessment, general_engine, lq_assessment,
                      per_group_assessment_gradient,
                      power_assessment_gradient, random_lq_instance,
                      unique_equilibrium_model)
@@ -24,9 +24,8 @@ class TestEffort:
 
     def test_zero_assessment_means_zero_effort(self, engine):
         assert engine.effort(0.0, 5.0) == 0.0
-        assert BestResponseEngine(
-            random_lq_instance(np.random.default_rng(0), -0.2),
-            force_numeric=True).effort(0.0, 5.0) == 0.0
+        assert general_engine(random_lq_instance(
+            np.random.default_rng(0), -0.2)).effort(0.0, 5.0) == 0.0
 
     def test_power_cost_by_hand(self):
         m = build_power(4.0, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
@@ -118,7 +117,7 @@ class TestAssessmentMultigroup:
             assert min(singles) <= h <= max(singles)
 
     def test_rejects_bad_weights(self, lq_unit, engine):
-        for eng in (engine, BestResponseEngine(lq_unit, force_numeric=True)):
+        for eng in (engine, general_engine(lq_unit)):
             for method in (eng.assessment_multigroup, eng.assessment_gradient):
                 with pytest.raises(ValueError):
                     method([1.0, 2.0], [0.7, 0.7])
@@ -154,7 +153,7 @@ class TestNumericAgainstClosedForm:
         for _ in range(10):
             m = random_lq_instance(rng, float(rng.uniform(-0.5, 0.5)))
             closed = BestResponseEngine(m)
-            numeric = BestResponseEngine(m, force_numeric=True)
+            numeric = general_engine(m)
             for _ in range(10):
                 h = float(rng.uniform(0.05, 0.95))
                 b = float(rng.uniform(m.beta_lo, m.beta_hi))
@@ -196,7 +195,7 @@ def test_engine_operations_match_numeric_property(c, kappa_mult, lambda_e,
                           lambda_a=lambda_a),
                  0.0, 2.0, 0.0, 0.5, 3.0)
     closed = BestResponseEngine(m)
-    numeric = BestResponseEngine(m, force_numeric=True)
+    numeric = general_engine(m)
 
     assert numeric.best_fit(h, 2.0, delta_mu) == pytest.approx(
         closed.best_fit(h, 2.0, delta_mu), rel=1e-8)
@@ -233,6 +232,73 @@ def test_only_the_engine_knows_the_lq_closed_forms():
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if pattern.search(line)]
     assert offenders == []
+
+
+# every optional parameter of a public function or method in the package:
+# an option added or removed is an edit here
+OPTIONS = {
+    "analysis.comparative_statics": ("rel_step",),
+    "analysis.disparity_report": ("selector",),
+    "analysis.first_order_comparison": ("frozen_assessment",),
+    "best_response.BestResponseEngine.best_fit": ("clamp",),
+    "cli.main": ("argv",),
+    "equilibrium.kl_divergence": ("engine",),
+    "equilibrium.kl_minimizer": ("delta_mu",),
+    "equilibrium.psi_tilde": ("engine",),
+    "equilibrium.find_equilibria": ("grid_points", "engine"),
+    "learning.evaluator_step": ("prior",),
+    "learning.noise_stream": ("group",),
+    "learning.simulate": ("run", "prior", "stride", "zero_noise", "clip_noise",
+                          "grid_points", "runs"),
+    "learning.limiting_ode": ("grid_points",),
+    "learning.phase_field": ("grid",),
+    "learning.monte_carlo_convergence": ("radius", "prior", "grid_points",
+                                         "stride"),
+    "multigroup.simulate_multigroup": ("run", "prior", "stride", "zero_noise",
+                                       "equilibria", "runs"),
+    "multigroup.monte_carlo_multigroup": ("radius", "prior"),
+    "primitives.build_power": ("market_share",),
+    "primitives.check_assumptions": ("n_h", "n_beta", "n_a"),
+    "rootfind.fd1": ("lo", "hi", "rel_step"),
+    "rootfind.fd2": ("lo", "hi"),
+    "rootfind.solve_decreasing": ("expand", "max_hi", "args"),
+    "rootfind.brentq_masked": ("args",),
+}
+
+
+def test_options_are_the_pinned_inventory():
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import berklab
+
+    found = {}
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, prefix + child.name + ".")
+            elif (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not child.name.startswith("_")
+                  or getattr(child, "name", "") == "__init__"):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                names = [x.arg for x in positional[len(positional) - len(a.defaults):]]
+                names += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+                if names:
+                    found[f"{module}.{prefix}{child.name}"] = tuple(names)
+
+    src = Path(berklab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 46
+    # the engine takes a model and nothing else: no switch to the general
+    # path and no assessment cap that only such a switch would reach
+    assert list(inspect.signature(BestResponseEngine).parameters) == ["model"]
+    assert "_h_cap" not in (src / "best_response.py").read_text()
 
 
 @settings(max_examples=15, deadline=None)
@@ -272,8 +338,8 @@ def test_assessment_solved_over_effort_property(gamma, beta, seed, share):
     # first-order misspecification: effort read under the truth
     m = random_lq_instance(np.random.default_rng(seed), 0.0)
     b = m.beta_lo + share * (m.beta_hi - m.beta_lo)
-    assert BestResponseEngine(m, force_numeric=True).first_order_assessment(
-        b) == pytest.approx(BestResponseEngine(m).first_order_assessment(b), rel=1e-8)
+    assert general_engine(m).first_order_assessment(b) == pytest.approx(
+        BestResponseEngine(m).first_order_assessment(b), rel=1e-8)
 
 
 def test_first_order_assessment_without_bracket_is_numerical():
@@ -282,7 +348,7 @@ def test_first_order_assessment_without_bracket_is_numerical():
     m = build_lq(LQParams(c=1.0, kappa=1.0, lambda_e=5.0, lambda_a=0.0),
                  0.0, 2.0, 0.0, 0.5, 3.0)
     with pytest.raises(NumericalError, match="no bracket"):
-        BestResponseEngine(m, force_numeric=True).first_order_assessment(3.0)
+        general_engine(m).first_order_assessment(3.0)
 
 
 def test_first_order_assessment_outside_the_unit_interval_raises(monkeypatch):
@@ -291,7 +357,7 @@ def test_first_order_assessment_outside_the_unit_interval_raises(monkeypatch):
     # comparison reads effort there
     m = build_lq(LQParams(c=1.0, kappa=1.0, lambda_e=5.0, lambda_a=0.0),
                  0.0, 2.0, 0.0, 0.5, 3.0)
-    for eng in (BestResponseEngine(m), BestResponseEngine(m, force_numeric=True)):
+    for eng in (BestResponseEngine(m), general_engine(m)):
         for beta in (3.0, 0.0):
             with pytest.raises(NumericalError):
                 eng.first_order_assessment(beta)
@@ -313,8 +379,8 @@ def test_first_order_assessment_outside_the_unit_interval_raises(monkeypatch):
     unit = unique_equilibrium_model(-0.5).with_delta_mu(0.05)
     res = first_order_comparison(unit)
     assert read and max(read) < 1.0
-    ranges = [BestResponseEngine(unit, force_numeric=f).first_order_range()
-              for f in (False, True)]
+    ranges = [eng.first_order_range()
+              for eng in (BestResponseEngine(unit), general_engine(unit))]
     assert ranges[0] == pytest.approx((0.5, 2.5), abs=1e-8)
     assert ranges[1] == pytest.approx(ranges[0], abs=1e-8)
     assert res.gap_ours < res.gap_fom
@@ -351,7 +417,8 @@ def test_array_calls_are_the_scalar_calls_bit_for_bit(numeric, hs, betas,
                                                        truths, deltas):
     # one array contract on both paths: 0-d, (n,) and (n,1) x (1,m)
     # arguments, and per-group truths in best_fit and the fit gap
-    eng = BestResponseEngine(unique_equilibrium_model(), force_numeric=numeric)
+    eng = (general_engine if numeric else BestResponseEngine)(
+        unique_equilibrium_model())
     h, b = np.array(hs), np.array(betas)
     shapes = [(h[0], b[0]), (np.array(h[0]), np.array(b[0])), (h, b),
               (h[:, None], b[None, :])]

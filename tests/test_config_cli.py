@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,18 @@ class TestCliLearn:
                      "1.0", "--prior-sd", sd]) == 2
         assert "config error: --prior-center/--prior-sd" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("center", ["1e160", "1e300"])
+    def test_prior_far_outside_the_support_learns(self, tmp_path, center):
+        # (center / sd)^2 overflows in the truncated-normal mean
+        cfg = write(tmp_path, THREE_EQ)
+        out = tmp_path / "o"
+        assert main(["learn", cfg, "--out-dir", str(out), "--runs", "2",
+                     "--horizon", "50", "--prior-center", center,
+                     "--prior-sd", "1"]) == 0
+        rows = (out / "trajectory_000.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v))
+                            for row in rows for v in row.split(","))
 
     def test_convergence_report_contents(self, tmp_path):
         cfg = write(tmp_path, THREE_EQ)

@@ -4,6 +4,7 @@ Chebyshev root certificate, and its cost."""
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -13,11 +14,12 @@ from hypothesis import assume, example, given, settings
 
 import berklab
 from berklab import (BestResponseEngine, GroupPopulation, LQParams, build_lq,
-                     build_power, color_blind_equilibria, find_equilibria)
+                     build_power, color_blind_equilibria,
+                     color_sighted_equilibria, find_equilibria)
 from berklab.chebyshev import certified_roots
 from berklab.learning import limiting_ode, transform
 
-from helpers import lq_oracle_equilibria, three_equilibria_model
+from helpers import general_engine, lq_oracle_equilibria, three_equilibria_model
 
 SADDLE_NODE = 6.0 - math.sqrt(20.0)  # delta_mu where the interior pair of lq_three collides
 
@@ -56,7 +58,7 @@ def test_defect_instance_pooled_from_two_identical_groups():
 
 def test_defect_instance_on_the_numeric_path():
     model = three_equilibria_model().with_delta_mu(SADDLE_NODE - 1e-8)
-    eqs = find_equilibria(model, engine=BestResponseEngine(model, force_numeric=True))
+    eqs = find_equilibria(model, engine=general_engine(model))
     # the pair is ill-conditioned there: G's ~1e-11 solve noise over G' ~ 1e-4
     assert_matches_oracle(eqs, model, 1e-6)
     assert any("tangent" in w for w in eqs.warnings)
@@ -64,9 +66,26 @@ def test_defect_instance_on_the_numeric_path():
 
 def test_numeric_path_reports_a_near_miss_above_the_saddle_node():
     model = three_equilibria_model().with_delta_mu(SADDLE_NODE + 1e-9)
-    eqs = find_equilibria(model, engine=BestResponseEngine(model, force_numeric=True))
+    eqs = find_equilibria(model, engine=general_engine(model))
     assert eqs.beliefs == (model.beta_lo,)
     assert any("near-tangent point" in w for w in eqs.warnings)
+
+
+@pytest.mark.parametrize("above,warns", [(1e-9, True), (1e-8, False)])
+def test_sighted_enumeration_reports_a_near_miss_above_the_saddle_node(above,
+                                                                       warns):
+    # two identical groups: only the corner remains, and within 1e-9 of the
+    # saddle-node the vanished pair's tangent point is reported
+    dm = SADDLE_NODE + above
+    pop = GroupPopulation(model=three_equilibria_model(), alphas=(0.5, 0.5),
+                          deltas=(dm, dm), beta_stars=(2.0, 2.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eqs = color_sighted_equilibria(pop)
+    notes = [str(w.message) for w in caught if "near-tangent" in str(w.message)]
+    assert [n.startswith("near-tangent point at h = 0.552786435:")
+            for n in notes] == [True] * warns
+    assert len(eqs) == 1 and list(eqs[0].beta_hat) == [0.3, 0.3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,8 +125,7 @@ def test_interior_fixed_points_match_numeric_property(c, kappa_mult, lambda_e,
                  0.0, 2.0, 0.0, 0.5, 3.0)
     assume(saddle_node_distance(m.lq, 2.0, delta_mu) >= 1e-3)
     closed = BestResponseEngine(m).interior_fixed_points(2.0, delta_mu, 4096)
-    numeric = BestResponseEngine(m, force_numeric=True).interior_fixed_points(
-        2.0, delta_mu, 4096)
+    numeric = general_engine(m).interior_fixed_points(2.0, delta_mu, 4096)
     assert numeric.roots.size == closed.roots.size
     assert np.allclose(numeric.roots, closed.roots, rtol=0.0, atol=1e-8)
     assert np.array_equal(numeric.rising, closed.rising)

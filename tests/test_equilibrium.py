@@ -7,8 +7,8 @@ from berklab import (BestResponseEngine, InvariantViolation, LQParams,
                      build_lq, find_equilibria, kl_divergence, kl_minimizer,
                      kl_root, market_belief, psi_tilde)
 
-from helpers import (dense_scan_equilibria, lq_oracle_equilibria,
-                     random_lq_instance)
+from helpers import (dense_scan_equilibria, general_engine,
+                     lq_oracle_equilibria, random_lq_instance)
 
 
 class TestKLDivergence:
@@ -82,7 +82,7 @@ class TestPsiTilde:
         assert np.all(np.diff(up) >= -1e-12)
 
     def test_general_engine_matches_closed_form(self, lq_unit):
-        eng = BestResponseEngine(lq_unit, force_numeric=True)
+        eng = general_engine(lq_unit)
         for b in (0.6, 1.2, 2.4):
             assert psi_tilde(lq_unit, b, engine=eng) == pytest.approx(
                 psi_tilde(lq_unit, b), rel=1e-9)
@@ -191,7 +191,7 @@ def test_belief_map_rejects_non_interior_assessment_on_both_paths():
     m = build_lq(LQParams(c=1.0, kappa=1.0, lambda_e=5.0, lambda_a=0.0),
                  0.0, 2.0, 0.5, 0.3, 3.0)
     betas = np.linspace(m.beta_lo, m.beta_hi, 5)
-    for eng in (BestResponseEngine(m), BestResponseEngine(m, force_numeric=True)):
+    for eng in (BestResponseEngine(m), general_engine(m)):
         with pytest.raises(InvariantViolation, match="not interior"):
             psi_tilde(m, betas, engine=eng)
         with pytest.raises(InvariantViolation, match="not interior"):

@@ -77,7 +77,7 @@ class TestTransform:
 
     def test_power_model_certifies(self):
         m = build_power(4.0, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
-        assert transform(m, grid=16).recon_error < 1e-10
+        assert transform(m).recon_error < 1e-10
 
     def test_wrong_factorization_refused(self, lq_unit):
         # the second product is off by 0.05 h, an additive term in h alone,

@@ -7,6 +7,8 @@ import pytest
 from berklab import (BestResponseEngine, LQParams, build_lq, build_power,
                      check_assumptions)
 
+from helpers import unique_equilibrium_model
+
 
 class TestLQParams:
     def test_lambda_derivation(self):
@@ -87,6 +89,13 @@ class TestCheckAssumptions:
         assert report.checks["effective_effort_increasing_differences"].passed
         assert report.all_passed, report.first_failure()
 
+    def test_power_cost_effort_vanishes_at_the_boundary(self):
+        # c'' = (a^2.5 / 2.5)'' is unbounded at 0, where a second-order
+        # one-sided difference reads the agent's condition as +3.3e-7
+        m = build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
+        report = check_assumptions(m, n_h=12, n_beta=12, n_a=24)
+        assert report.all_passed, report.first_failure()
+
     def test_constant_assessment_cost_fails_convexity(self, lq_unit):
         flat = dataclasses.replace(lq_unit, assess_cost=lambda h: 1.0,
                                    lq=None, factorization=None)
@@ -110,18 +119,19 @@ class TestCheckAssumptions:
                      "effective_effort_increasing_in_productivity"):
             assert report.checks[name].location == (1, 2), name
 
-    @pytest.mark.parametrize("shift,location,detail", [
-        (lambda h: 0.1 + 0.0 * h, (0, 0), "a(0, beta) != 0"),
-        (lambda h: 0.1 * np.greater(h, 0.0), (1, 0), "a(h, 0) != 0"),
+    @pytest.mark.parametrize("primitives,location,detail", [
+        # c'(0) = -0.1: effort is 0.1 at h = 0
+        (lambda m: dataclasses.replace(m, cost=lambda a: 0.5 * (a - 0.1) ** 2),
+         (0, 0), "a(0, beta) != 0"),
+        # r_a(0, 0) = 0.1: effort is 0.1 h at beta = 0
+        (lambda m: dataclasses.replace(m, r=lambda a, b: (b + 0.1) * a),
+         (1, 0), "a(h, 0) != 0"),
     ])
-    def test_nonvanishing_effort_names_its_point(self, monkeypatch, lq_unit,
-                                                 shift, location, detail):
-        # the engine's effort vanishes at h = 0 and beta = 0 by construction,
-        # so the check's failures are reached by shifting the engine's effort
-        effort = BestResponseEngine.effort
-        monkeypatch.setattr(BestResponseEngine, "effort",
-                            lambda self, h, beta: effort(self, h, beta) + shift(h))
-        res = check_assumptions(lq_unit, n_h=6, n_beta=6).checks[
+    def test_nonvanishing_effort_names_its_point(self, primitives, location,
+                                                 detail):
+        model = primitives(dataclasses.replace(unique_equilibrium_model(-0.5),
+                                               lq=None))
+        res = check_assumptions(model, n_h=8, n_beta=8).checks[
             "effort_zero_boundary"]
         assert (res.passed, res.location, res.detail) == (False, location, detail)
 

@@ -28,6 +28,16 @@ class TestTruncMean:
         assert np.isfinite(nu)
         assert LO <= nu <= HI
 
+    @pytest.mark.parametrize("lo,hi", [(LO, HI), (-1.0, 2.0)])
+    def test_mode_beyond_squares_in_floats_is_the_nearer_edge(self, lo, hi):
+        # (mode / sigma)^2 overflows: the mean is the edge, the mass finite
+        # or -inf, never nan
+        m = np.array([-1e300, -1e160, 1e160, 1e300])
+        nu = trunc_mean(m, np.ones(4), lo, hi)
+        assert nu.tolist() == [lo, lo, hi, hi]
+        assert [trunc_mean(x, 1.0, lo, hi) for x in m] == nu.tolist()
+        assert not np.any(np.isnan(log_mass(m, np.ones(4), lo, hi)))
+
     def test_symmetric_case_is_midpoint(self):
         mid = 0.5 * (LO + HI)
         assert trunc_mean(mid, 1.7, LO, HI) == pytest.approx(mid, rel=1e-12)
