@@ -27,7 +27,7 @@ from .multigroup import (EigenReport, GroupPopulation, MultigroupEquilibrium,
                          sensitivity, sherman_morrison_inverse,
                          simulate_multigroup)
 from .primitives import (AssumptionReport, Factorization, LQParams,
-                         ModelPrimitives, build_lq, build_power,
+                         ModelPrimitives, Smooth, build_lq, build_power,
                          check_assumptions)
 
 __version__ = "0.1.0"

@@ -9,11 +9,13 @@ bracketed Brent iteration through ``rootfind.solve_decreasing``: scipy's
 ``brentq`` for a scalar point, one masked Brent pass for an array of
 points.  The evaluator's condition and ``r_partials`` use the
 implicit-function expression for the effort slope rather than differencing
-the solved effort map, so root tolerances do not stack.  The condition is
-solved over effort, not over h: the agent's condition gives the assessment
-that draws effort a in closed form, h(a) = c'(a)/r_a(a, beta), so a
-numeric assessment solves effort only at the two ends of its bracket (and
-for groups after the first).
+the solved effort map, so root tolerances do not stack.  The conditions
+read the exact derivatives a ``Smooth`` primitive carries, and five-point
+differences of a plain one.  The evaluator's condition is solved over
+effort, not over h: the agent's condition gives the assessment that draws
+effort a in closed form, h(a) = c'(a)/r_a(a, beta), so a numeric
+assessment solves effort only at the two ends of its bracket (and for
+groups after the first).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .chebyshev import Roots, certified_roots
 from .errors import InvariantViolation, NumericalError
-from .primitives import ModelPrimitives
+from .primitives import ModelPrimitives, Smooth
 from .rootfind import brentq_masked, fd1, fd2, solve_decreasing
 
 H_EDGE = 1e-12  # open-interval margin for assessment brackets
@@ -37,8 +39,10 @@ WEIGHT_SUM_TOL = 1e-12  # population weights must sum to one within this
 # a 1e-4 step leaves ~2e-6 relative gradient error, over 1e-3 about 2e-7
 SOLVE_REL_STEP = 1e-3
 # fewest points for one masked solve: below, a loop of scalar solves is
-# faster (CPU time on one core, build_power(2.5): a masked effort pass costs
-# about as much as 35 scalar solves, a masked assessment pass about 24)
+# faster (CPU time on one core, build_power(2.5) with exact derivatives, 20
+# to 80 points: a masked effort pass costs about as much as 39-41 scalar
+# solves of 16 us, a masked assessment pass 17-23 of 120 us; with
+# differenced conditions 37-43 and 19-26, each solve 3-4 times dearer)
 ARRAY_SOLVE_MIN = 40
 
 
@@ -107,18 +111,41 @@ def array_form(f, *points):
     return functools.partial(_elementwise, f)
 
 
-def _probed(name: str, with_beta: bool):
-    """Engine attribute: the model's callable ``name``, probed by
-    ``array_form`` on first use at points in [0, 1] (and productivities on
-    the support)."""
+def _probed(name: str, with_beta: bool, order: int = 0, hi: float | None = None):
+    """Engine attribute: the model's callable ``name`` (``order`` 0) or its
+    derivative of that order in the first argument, resolved on first use.
+
+    A callable, or the function or derivative a ``Smooth`` one carries, is
+    probed by ``array_form`` at points in [0, 1] (and productivities on the
+    support).  A derivative it does not carry is the five-point difference
+    of the probed callable, one-sided at 0 (and at ``hi``).
+    """
 
     def probe(self):
+        fn = getattr(self.model, name)
+        if isinstance(fn, Smooth):
+            fn = (fn.fn, fn.d1, fn.d2)[order]
+        elif order:
+            fn = None
+        if fn is None:
+            return _difference(getattr(self, "_" + name), order, hi)
         pts = (np.linspace(0.0, 1.0, 5),)
         if with_beta:
             pts += (np.linspace(self.model.beta_lo, self.model.beta_hi, 5),)
-        return array_form(getattr(self.model, name), *pts)
+        return array_form(fn, *pts)
 
     return functools.cached_property(probe)
+
+
+def _difference(f, order: int, hi: float | None):
+    """The derivative of ``order`` of f(x, *params) in x, by ``fd1`` or
+    ``fd2``: one-sided at 0 (and at ``hi``)."""
+
+    def derivative(x, *params):
+        return (fd1 if order == 1 else fd2)(lambda t: f(t, *params), x,
+                                            lo=0.0, hi=hi)
+
+    return derivative
 
 
 class BestResponseEngine:
@@ -138,15 +165,21 @@ class BestResponseEngine:
     for one group.  Arrays give the scalar calls' bits wherever the
     primitives map arrays with their scalar bits (both paths of the LQ
     forms, and every primitive applied entry by entry).  ``build_power``
-    effort on arrays agrees to about 1e-12 (``_dv_dh``, through a second
-    difference, to about 1e-9, and so assessments to about 1e-10), because
-    numpy's vectorized ``a ** gamma`` rounds some entries differently from
-    Python's scalar power.  ``interior_fixed_points`` solves the LQ
-    fixed-point quadratic in place of the certified enumeration.
+    maps on arrays, ``_dv_dh`` and the assessments included, agree to a few
+    ulps (about 2e-15 relative): numpy's vectorized ``a ** gamma`` rounds
+    some entries differently from Python's scalar power, and its exact
+    derivatives carry that through the solves unamplified.
+    ``interior_fixed_points`` solves the LQ fixed-point quadratic in place
+    of the certified enumeration.
 
     Each primitive callable (``r``, ``cost``, ``v_e``, ``assess_cost``) is
     probed once by ``array_form``, on the first numeric use; one that does
-    not map arrays is applied entry by entry.
+    not map arrays is applied entry by entry.  Each derivative that the
+    first-order conditions read inside a root iteration (c', c'', r_a,
+    r_aa, v_e,a and kappa') is resolved once too: a ``Smooth`` primitive's
+    own, probed the same way, else a five-point difference of the probed
+    primitive.  The productivity partials r_ab and r_beta, read once per
+    point outside any iteration, are differences.
 
     Pure and reentrant: no mutable state beyond cached constants, so one
     engine can be shared across threads.
@@ -154,6 +187,10 @@ class BestResponseEngine:
 
     _r, _v_e = _probed("r", True), _probed("v_e", True)
     _cost, _assess_cost = _probed("cost", False), _probed("assess_cost", False)
+    _r_a, _r_aa = _probed("r", True, 1), _probed("r", True, 2)
+    _c_a, _c_aa = _probed("cost", False, 1), _probed("cost", False, 2)
+    _v_e_a = _probed("v_e", True, 1)
+    _kappa_h = _probed("assess_cost", False, 1, hi=1.0)
 
     def __init__(self, model: ModelPrimitives):
         self.model = model
@@ -173,8 +210,7 @@ class BestResponseEngine:
 
     def _effort_foc(self, a, h, beta):
         """The agent's condition h r_a(a, beta) - c'(a), decreasing in a."""
-        r = self._r
-        return h * fd1(lambda x: r(x, beta), a, lo=0.0) - fd1(self._cost, a, lo=0.0)
+        return h * self._r_a(a, beta) - self._c_a(a)
 
     def _effort_numeric(self, h, beta):
         """Effort at floats, by scipy's brentq, or at 1-d arrays, in one
@@ -220,18 +256,16 @@ class BestResponseEngine:
         """(a, r_a, da/dh, da/dbeta) at floats or 1-d arrays, from one effort
         solve a = a(h, beta)."""
         a = self._effort_numeric(h, beta)
-        r = self._r
         r_a, denom = self._effort_slope(h, beta, a)
-        r_ab = fd1(lambda b: fd1(lambda x: r(x, b), a, lo=0.0), beta, lo=0.0)
+        r_ab = fd1(lambda b: self._r_a(a, b), beta, lo=0.0)
         return a, r_a, r_a / denom, h * r_ab / denom
 
     def _effort_slope(self, h, beta, a):
         """(r_a, c'' - h r_aa) at the effort a solved for (h, beta), so that
         da/dh = r_a / (c'' - h r_aa); InvariantViolation unless the second
         factor is positive (the second-order condition)."""
-        r = self._r
-        r_a = fd1(lambda x: r(x, beta), a, lo=0.0)
-        denom = fd2(self._cost, a, lo=0.0) - h * fd2(lambda x: r(x, beta), a, lo=0.0)
+        r_a = self._r_a(a, beta)
+        denom = self._c_aa(a) - h * self._r_aa(a, beta)
         if np.min(denom) <= 0.0 if isinstance(denom, np.ndarray) else denom <= 0.0:
             raise InvariantViolation(
                 "second-order condition failed: c'' - h r_aa <= 0")
@@ -349,8 +383,7 @@ class BestResponseEngine:
         """dV_E/dh = v_e,a(a, beta) r_a / (c'' - h r_aa) at assessment h and
         the effort a it draws under belief b_a."""
         r_a, denom = self._effort_slope(h, b_a, a)
-        v_e = self._v_e
-        return fd1(lambda x: v_e(x, beta), a, lo=0.0) * (r_a / denom)
+        return self._v_e_a(a, beta) * (r_a / denom)
 
     def _dv_dh(self, h, beta, belief=None):
         """Marginal evaluator value of assessment, dV_E/dh, at productivity
@@ -369,14 +402,13 @@ class BestResponseEngine:
         Tabulated in h by ``_foc_table``; ``_assessment_numeric`` solves it
         over effort."""
         marginal = sum(w * self._dv_dh(h, b, belief) for w, b in zip(weights, betas))
-        return marginal - fd1(self._assess_cost, h, lo=0.0, hi=1.0)
+        return marginal - self._kappa_h(h)
 
     def _assessment_of_effort(self, a, beta):
         """The assessment at which a is the effort best response under beta:
-        h = c'(a) / r_a(a, beta), the agent's condition solved for h by the
-        differences of ``_effort_foc``."""
-        r = self._r
-        return fd1(self._cost, a, lo=0.0) / fd1(lambda x: r(x, beta), a, lo=0.0)
+        h = c'(a) / r_a(a, beta), the agent's condition solved for h with
+        the derivatives ``_effort_foc`` reads."""
+        return self._c_a(a) / self._r_a(a, beta)
 
     def assessment(self, beta):
         """Evaluator's optimal h given a degenerate belief at beta."""

@@ -13,6 +13,8 @@ holds a dogmatic belief ``mu_hat`` about mean ability; the gap
 The linear-quadratic (LQ) specialization ``r = beta*a``, ``c(a) = c a^2/2``,
 ``kappa(h) = kappa h^2/2`` admits closed-form best responses and is the
 workhorse configuration; arbitrary smooth callables are also supported.
+A primitive wrapped in ``Smooth`` carries its exact derivatives, which the
+numeric first-order conditions read in place of finite differences.
 """
 
 from __future__ import annotations
@@ -28,6 +30,28 @@ Fn1 = Callable[[float], float]
 Fn2 = Callable[[float, float], float]
 
 BOUNDARY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Smooth:
+    """A primitive with its exact derivatives in its first argument.
+
+    Calls forward to ``fn``.  ``d1`` and ``d2`` take ``fn``'s arguments and
+    return its first and second derivative in the first one: effort a for
+    ``r``, ``cost`` and ``v_e``, assessment h for ``assess_cost``.  ``d2``
+    may be None; the engine then differences ``fn`` for it, as it does
+    for every derivative of a plain callable.  Like the primitives, either
+    may be scalar-only.  The derivatives travel with the callable, so
+    replacing a primitive by a plain one (``dataclasses.replace``) drops
+    them too: none can outlive the function they differentiate.
+    """
+
+    fn: Callable
+    d1: Callable
+    d2: Optional[Callable] = None
+
+    def __call__(self, *args):
+        return self.fn(*args)
 
 
 @dataclass(frozen=True)
@@ -99,7 +123,10 @@ class ModelPrimitives:
     Each callable may be scalar-only: the engine probes it once
     (``best_response.array_form``) and applies it entry by entry when it
     does not map arrays; one that accepts arrays must act on them
-    elementwise.
+    elementwise.  ``r``, ``cost``, ``v_e`` and ``assess_cost`` may be
+    ``Smooth``: the engine's first-order conditions then read their exact
+    derivatives (probed the same way), and five-point differences of the
+    callable otherwise.
     """
 
     r: Fn2
@@ -179,22 +206,44 @@ def build_power(gamma: float, c_scale: float, kappa_scale: float,
     Exercises the general (root-finding) code paths against the known
     solution a = (h beta / c_scale)^(1/(gamma-1)); the effective-effort
     factorization R = g1(beta) g2(h) is exact, so learning simulations are
-    supported.
+    supported.  ``r``, ``cost``, ``v_e`` and ``assess_cost`` are ``Smooth``
+    with their exact derivatives, except c'' for gamma < 2, which is
+    unbounded at zero effort and left to the engine's differences.
     """
     if gamma <= 1.0:
         raise ValueError("gamma must exceed 1 for a strictly convex cost")
 
+    # each derivative keeps the broadcast shape of its arguments, which the
+    # engine's array probe asks of it
     def r(a, beta):
         return beta * a
+
+    def r_a(a, beta):
+        return beta + 0.0 * a
+
+    def r_aa(a, beta):
+        return 0.0 * a * beta
 
     def cost(a):
         return c_scale * a ** gamma / gamma
 
+    def cost_a(a):
+        return c_scale * a ** (gamma - 1.0)
+
+    def cost_aa(a):
+        return c_scale * (gamma - 1.0) * a ** (gamma - 2.0)
+
     def assess_cost(h):
         return 0.5 * kappa_scale * h * h
 
+    def assess_cost_h(h):
+        return kappa_scale * h
+
     def v_e(a, beta):
         return lambda1 * beta * a - lambda2 * cost(a)
+
+    def v_e_a(a, beta):
+        return lambda1 * beta - lambda2 * cost_a(a)
 
     def v_m(a, beta):
         return market_share * beta * a
@@ -206,7 +255,10 @@ def build_power(gamma: float, c_scale: float, kappa_scale: float,
         g2=lambda h: (h / c_scale) ** p,
         g1_inv=lambda x: x ** (1.0 / q),
     )
-    return ModelPrimitives(r=r, cost=cost, assess_cost=assess_cost, v_e=v_e,
+    return ModelPrimitives(r=Smooth(r, r_a, r_aa),
+                           cost=Smooth(cost, cost_a, cost_aa if gamma >= 2.0 else None),
+                           assess_cost=Smooth(assess_cost, assess_cost_h),
+                           v_e=Smooth(v_e, v_e_a),
                            v_m=v_m, mu_star=mu_star, beta_star=beta_star,
                            mu_hat=mu_hat, beta_lo=beta_lo, beta_hi=beta_hi,
                            lq=None, factorization=fac)

@@ -22,7 +22,8 @@ from scipy.optimize import brentq
 
 import berklab.chebyshev
 import berklab.rootfind
-from berklab import BestResponseEngine, build_power, find_equilibria, transform
+from berklab import (BestResponseEngine, Smooth, build_power, find_equilibria,
+                     transform)
 from berklab.best_response import ARRAY_SOLVE_MIN, array_form
 from berklab.learning import _foc_table
 from berklab.rootfind import (RTOL, XTOL, brentq_masked, fd1, fd2,
@@ -140,10 +141,15 @@ def _power(gamma=2.5):
 
 
 def _entry_by_entry(model):
-    """The model with every primitive refusing arrays, so that the engine
-    applies each entry by entry with Python's scalar arithmetic."""
+    """The model with every primitive, and every derivative a ``Smooth``
+    one carries, refusing arrays, so that the engine applies each entry by
+    entry with Python's scalar arithmetic."""
 
     def scalar_only(fn):
+        if fn is None:
+            return None
+        if isinstance(fn, Smooth):
+            return Smooth(*map(scalar_only, (fn.fn, fn.d1, fn.d2)))
         return lambda *args: fn(*map(float, args))
 
     return dataclasses.replace(
@@ -162,27 +168,25 @@ def test_power_arrays_match_scalars_and_the_closed_form(gamma):
     h = rng.uniform(0.02, 0.98, 64)
     b = rng.uniform(model.beta_lo, model.beta_hi, 64)
     # numpy's vectorized power rounds some entries an ulp away from Python's
-    # scalar power; the solves keep that near 1e-12, and dV_E/dh's second
-    # difference (step 1e-3) amplifies it by about 1/step^2
-    for method, rtol in (("effort", 1e-11), ("effective_effort", 1e-11),
-                         ("_dv_dh", 2e-9)):
+    # scalar power; the exact derivatives carry that through the solves as
+    # a few ulps
+    for method in ("effort", "effective_effort", "_dv_dh"):
         want = np.array([getattr(plain, method)(float(hh), float(bb))
                          for hh, bb in zip(h, b)])
         assert getattr(wrapped, method)(h, b).tobytes() == want.tobytes()
-        assert np.allclose(getattr(plain, method)(h, b), want, rtol=rtol, atol=0.0)
+        assert np.allclose(getattr(plain, method)(h, b), want, rtol=1e-14, atol=0.0)
     # a = (h beta / c)^(1/(gamma-1)) with c = 1, and dV_E/dh = v_a da/dh
     a = (h * b) ** (1.0 / (gamma - 1.0))
-    assert np.max(np.abs(plain.effort(h, b) - a)) <= 1e-11
-    assert np.max(np.abs(plain.effective_effort(h, b) - b * a)) <= 3e-11
+    assert np.max(np.abs(plain.effort(h, b) - a)) <= 1e-14
+    assert np.max(np.abs(plain.effective_effort(h, b) - b * a)) <= 3e-14
     dv = (b - 0.5 * a ** (gamma - 1.0)) * a / ((gamma - 1.0) * h)
-    assert np.allclose(plain._dv_dh(h, b), dv, rtol=2e-9, atol=0.0)
-    # the assessment's outer solve in h over 50 productivities: _dv_dh's
-    # ~1e-9 array rounding moves its roots by about 1e-10
+    assert np.allclose(plain._dv_dh(h, b), dv, rtol=1e-13, atol=0.0)
+    # the assessment's outer solve over 50 productivities
     b = np.linspace(model.beta_lo, model.beta_hi, 50)
     for method in ("assessment", "first_order_assessment"):
         want = np.array([getattr(plain, method)(float(bb)) for bb in b])
         assert getattr(wrapped, method)(b).tobytes() == want.tobytes()
-        assert np.allclose(getattr(plain, method)(b), want, rtol=1e-9, atol=0.0)
+        assert np.allclose(getattr(plain, method)(b), want, rtol=1e-14, atol=0.0)
 
 
 def _count_scalar_effort_solves(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from berklab import (BerklabError, BestResponseEngine, InvariantViolation,
                      LQParams, NumericalError, build_lq, build_power,
                      first_order_comparison)
+from berklab.rootfind import XTOL
 
 from helpers import (_power_assessment, general_engine, lq_assessment,
                      per_group_assessment_gradient,
@@ -39,6 +42,15 @@ class TestEffort:
                 hi = mid
         assert BestResponseEngine(m).effort(0.5, 2.0) == pytest.approx(
             0.5 * (lo + hi), abs=1e-9)
+
+    def test_power_effort_near_zero_assessment(self):
+        # c'(a) = a^1.5 vanishes at zero effort, so the agent's condition
+        # keeps its sign down to a = 0 and effort is (h beta)^(2/3) to
+        # Brent's tolerance, which is absolute near zero
+        eng = BestResponseEngine(
+            build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0))
+        for h in (1e-12, 1e-9):
+            assert abs(eng.effort(h, 1.0) - h ** (2.0 / 3.0)) <= XTOL
 
     def test_monotone_in_both_arguments(self, engine):
         hs = np.linspace(0.05, 0.95, 12)
@@ -325,6 +337,7 @@ def test_numeric_assessment_gradient_matches_power_oracle(gamma, beta, beta2,
 @settings(max_examples=20, deadline=None)
 @given(gamma=st.floats(2.5, 6.0), beta=st.floats(0.5, 3.0),
        seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.0))
+@example(gamma=3.0, beta=1.0, seed=83, share=1.0)  # range ends at 3.585 < 4.006
 def test_assessment_solved_over_effort_property(gamma, beta, seed, share):
     # the evaluator's condition is solved over the first group's effort,
     # with h(a) = c'(a) / r_a(a, beta) explicit: the same root as the exact
@@ -333,13 +346,50 @@ def test_assessment_solved_over_effort_property(gamma, beta, seed, share):
         build_power(gamma, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0))
     h = eng.assessment(beta)
     q = gamma / (gamma - 1.0)
-    assert abs(h - _power_assessment(gamma, 1.0, 4.0, 1.0, 0.5, beta ** q)[0]) <= 1e-9
+    assert abs(h - _power_assessment(gamma, 1.0, 4.0, 1.0, 0.5, beta ** q)[0]) <= 1e-13
     assert eng.assessment_multigroup([beta], [1.0]).hex() == h.hex()
-    # first-order misspecification: effort read under the truth
+    # first-order misspecification: effort read under the truth, interior
+    # only on first_order_range; past it both paths find no interior optimum
     m = random_lq_instance(np.random.default_rng(seed), 0.0)
     b = m.beta_lo + share * (m.beta_hi - m.beta_lo)
-    assert general_engine(m).first_order_assessment(b) == pytest.approx(
-        BestResponseEngine(m).first_order_assessment(b), rel=1e-8)
+    closed, numeric = BestResponseEngine(m), general_engine(m)
+    try:
+        _, hi = closed.first_order_range()
+    except NumericalError:
+        hi = -math.inf
+    if b <= hi:
+        assert numeric.first_order_assessment(b) == pytest.approx(
+            closed.first_order_assessment(b), rel=1e-8)
+    else:
+        for eng in (closed, numeric):
+            with pytest.raises(NumericalError):
+                eng.first_order_assessment(b)
+
+
+def test_conditions_read_no_differences():
+    # the first-order conditions read the resolved derivatives: a Smooth
+    # primitive's own or the fallback's differences.  Only the fallback,
+    # the productivity partials read once per point, and the gradient of
+    # a whole assessment solve difference anything
+    import ast
+    from pathlib import Path
+
+    import berklab.best_response
+
+    tree = ast.parse(Path(berklab.best_response.__file__).read_text())
+    (engine,) = (n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == "BestResponseEngine")
+    differencing = {f.name for f in tree.body + engine.body
+                    if isinstance(f, ast.FunctionDef)
+                    and any(isinstance(n, ast.Name) and n.id in ("fd1", "fd2")
+                            for n in ast.walk(f))}
+    conditions = {"_effort_foc", "_effort_slope", "_marginal_value",
+                  "_assessment_of_effort", "_evaluator_condition"}
+    assert conditions <= {f.name for f in engine.body
+                          if isinstance(f, ast.FunctionDef)}
+    assert not differencing & conditions
+    assert differencing == {"_difference", "_sensitivities_at", "r_partials",
+                            "assessment_gradient"}
 
 
 def test_first_order_assessment_without_bracket_is_numerical():
