@@ -24,6 +24,7 @@ from .primitives import ModelPrimitives, build_lq
 LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")
 PERTURBABLE = ("delta_mu",) + LQ_PARAMETERS
 SHIFT_GRID = 33  # productivities at which comparative_statics compares assessments
+COMPARE_SLACK = 1e-12  # slack on an inequality between two computed quantities
 
 
 def weak_set_order_leq(a, b) -> bool:
@@ -277,7 +278,7 @@ def first_order_comparison(model: ModelPrimitives,
 
     gap_ours = abs(beta_ours - m.beta_star)
     gap_fom = abs(beta_fom - m.beta_star)
-    if m.delta_mu != 0.0 and gap_ours > gap_fom + 1e-12:
+    if m.delta_mu != 0.0 and gap_ours > gap_fom + COMPARE_SLACK:
         raise InvariantViolation(
             f"distortion ordering violated: ours {gap_ours:.6g} > "
             f"first-order {gap_fom:.6g}")

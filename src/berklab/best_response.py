@@ -263,10 +263,15 @@ class BestResponseEngine:
     def _effort_slope(self, h, beta, a):
         """(r_a, c'' - h r_aa) at the effort a solved for (h, beta), so that
         da/dh = r_a / (c'' - h r_aa); InvariantViolation unless the second
-        factor is positive (the second-order condition)."""
+        factor is positive (the second-order condition), NumericalError
+        where it is zero only at zero effort (a cost with c''(0) = 0, whose
+        da/dh is unbounded there)."""
         r_a = self._r_a(a, beta)
         denom = self._c_aa(a) - h * self._r_aa(a, beta)
         if np.min(denom) <= 0.0 if isinstance(denom, np.ndarray) else denom <= 0.0:
+            if np.all((denom > 0.0) | ((denom == 0.0) & (a == 0.0))):
+                raise NumericalError("zero-effort boundary: c'' - h r_aa = 0 at "
+                                     "a = 0, so da/dh is unbounded there")
             raise InvariantViolation(
                 "second-order condition failed: c'' - h r_aa <= 0")
         return r_a, denom

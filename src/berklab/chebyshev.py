@@ -25,6 +25,7 @@ FIRST_LEVEL = 17  # points per axis of the coarsest grid; after n come 2n - 1
 CERT_RTOL = 1e-8  # series error allowed at check angles, relative to max |f| sampled
 # pi (2j + 1) / 17 is no dyadic fraction of pi, so on none of the nested grids
 CHECK_THETA = np.pi * np.arange(1, 17, 2) / 17.0
+NEAR_REAL = 1e-6  # |imaginary part| of a derivative root kept as a split
 
 
 def _lobatto(n: int):
@@ -125,7 +126,7 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     big = np.flatnonzero(np.abs(coef) > tol)
     dcoef = C.chebder(coef[:big[-1] + 1]) if big.size else np.zeros(1)
     ys = C.chebroots(dcoef) if dcoef.size > 1 else np.empty(0)
-    ys = ys.real[(abs(ys.imag) <= 1e-6) & (abs(ys.real) < 1.0)]
+    ys = ys.real[(abs(ys.imag) <= NEAR_REAL) & (abs(ys.real) < 1.0)]
     splits = np.sort(mid - half * ys)
     pts = np.concatenate(([lo], splits, [hi]))
     fs = np.concatenate(([vals[0]], f(splits) if splits.size else [], [vals[-1]]))

@@ -234,6 +234,9 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
 
 def cmd_compare(args, cfg: RunConfig, writer: _Writer) -> int:
     _require_positive(args, "sweep_points")
+    if not (args.step > 0.0 and args.sweep_span >= 0.0):  # "increase" is +step
+        raise ConfigError("need --step > 0 and --sweep-span >= 0, got "
+                          f"{args.step:g} and {args.sweep_span:g}")
     model = cfg.model()
     for flag, rel in (("step", args.step), ("sweep_span", args.sweep_span)):
         for signed in (rel, -rel):

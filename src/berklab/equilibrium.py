@@ -94,11 +94,9 @@ def kl_root(model: ModelPrimitives, h: float) -> float | None:
     return None if np.isnan(root) else float(root)
 
 
-def kl_minimizer(model: ModelPrimitives, h: float,
-                 delta_mu: float | None = None) -> float:
+def kl_minimizer(model: ModelPrimitives, h: float) -> float:
     """Divergence-minimizing productivity on the support, given assessment h."""
-    dm = model.delta_mu if delta_mu is None else delta_mu
-    return float(BestResponseEngine(model).best_fit(h, model.beta_star, dm))
+    return float(BestResponseEngine(model).best_fit(h, model.beta_star, model.delta_mu))
 
 
 def psi_tilde(model: ModelPrimitives, beta,
@@ -115,7 +113,7 @@ def psi_tilde(model: ModelPrimitives, beta,
 def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float) -> float:
     """Belief of an observer with misspecification delta_m at the fixed
     equilibrium assessment h_eq (heterogeneous-prior scenario)."""
-    return kl_minimizer(model, h_eq, delta_mu=delta_m)
+    return float(BestResponseEngine(model).best_fit(h_eq, model.beta_star, delta_m))
 
 
 def _make_point(model, eng, beta_hat: float, stability: str,

@@ -42,6 +42,7 @@ RECON_GRID = 64  # points per axis on which transform certifies it
 EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
 EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
 _MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
+_WINDOW_PAD = 1e-12  # share of the support a far-mode quadrature window adds
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,7 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
     else:
         m, s = state.m, state.n * state.xi
     rule = _assessment_rule(tm, np.array([1.0]), runs=1)
-    h = rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float))
-    return float(np.clip(h[0], tm.h_lo, tm.h_hi))
+    return float(rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float))[0])
 
 
 def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
@@ -271,9 +271,10 @@ def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
 def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     """Optimal common assessment for population posteriors, vectorized over runs.
 
-    Returns a map from ``m`` and ``s`` of shape (runs, groups) to a fresh
-    array of shape (runs,), for the states of one simulation: successive
-    calls must not decrease any entry of ``s``.  Which branch applies is
+    Returns a map from ``m`` and ``s`` of shape (runs, groups) to the (runs,)
+    assessments clipped to [h_lo, h_hi], in an array the next call overwrites,
+    for the states of one simulation: successive calls must not decrease any
+    entry of ``s``.  Which branch applies is
     decided here, once per simulation; the certainty-equivalent branch
     allocates its buffers here and checks ``s`` until every entry is at
     least ``_MIN_PRECISION`` (then ``_posterior_means`` is ``settled`` for
@@ -286,7 +287,7 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
         mean = np.empty(runs)
         settled = False
 
-        def rule(m, s):
+        def optimum(m, s):
             nonlocal settled
             if not settled:
                 settled = bool(s.min() >= _MIN_PRECISION)
@@ -297,8 +298,13 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     else:
         table = _foc_table(tm)
 
-        def rule(m, s):
+        def optimum(m, s):
             return _quadrature_assessment(tm, table, alphas, m, s)
+    h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)  # 0-d: no conversion per call
+    floor, h = np.empty(runs), np.empty(runs)
+
+    def rule(m, s):  # np.clip(optimum(m, s), h_lo, h_hi), into the buffers
+        return np.minimum(np.maximum(optimum(m, s), h_lo, out=floor), h_hi, out=h)
     return rule
 
 
@@ -327,10 +333,10 @@ def _group_quadrature(tm: TransformedModel, m: float, s: float, nodes: int):
             # endpoint with scale sigma^2 / distance
             if m < lo:
                 scale = sigma * sigma / (lo - m)
-                lo_w, hi_w = lo, min(hi, lo + 40.0 * scale + 1e-12 * (hi - lo))
+                lo_w, hi_w = lo, min(hi, lo + 40.0 * scale + _WINDOW_PAD * (hi - lo))
             else:
                 scale = sigma * sigma / (m - hi)
-                lo_w, hi_w = max(lo, hi - 40.0 * scale - 1e-12 * (hi - lo)), hi
+                lo_w, hi_w = max(lo, hi - 40.0 * scale - _WINDOW_PAD * (hi - lo)), hi
         pdf = None
     pts = 0.5 * (hi_w - lo_w) * x + 0.5 * (hi_w + lo_w)
     wts = 0.5 * (hi_w - lo_w) * w
@@ -526,12 +532,10 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
 
     # per-period buffers, each written only by operations that do not also
     # read it (in-place ufuncs cost more on tiny arrays); the columns are
-    # (runs, 1) views, s alternates with s_next, and the h bounds are 0-d
-    # arrays (a Python float operand is converted on every call)
+    # (runs, 1) views and s alternates with s_next
     x, w1, w2, w3, s_next = (np.empty((runs, groups)) for _ in range(5))
-    h, h_floor, g2h2, info, root_h, weight = (np.empty(runs) for _ in range(6))
+    g2h2, info, root_h, weight = (np.empty(runs) for _ in range(4))
     info_col, root_h_col, weight_col = info[:, None], root_h[:, None], weight[:, None]
-    h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)
 
     gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
             for k in range(runs)]
@@ -554,8 +558,7 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 # e = np.clip(e, -bound, bound)
                 bound = math.sqrt(2.0 * math.log(max(n, 2)))
                 np.minimum(np.maximum(e, -bound, out=w1), bound, out=e)
-            # h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
-            np.minimum(np.maximum(assess(m, s), h_lo, out=h_floor), h_hi, out=h)
+            h = assess(m, s)
             g2h = tm.g2(h)
             # info = g2h * g2h * h
             np.multiply(np.multiply(g2h, g2h, out=g2h2), h, out=info)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import LQ_PARAMETERS, _with_lq_value
-from .best_response import WEIGHT_SUM_TOL, BestResponseEngine
+from .analysis import COMPARE_SLACK, LQ_PARAMETERS, _with_lq_value
+from .best_response import BestResponseEngine, _population
 from .chebyshev import certified_roots
 from .equilibrium import (DEDUP_TOL, DEFAULT_GRID, SCE_KL_TOL, EquilibriumSet,
                           find_equilibria)
@@ -33,6 +33,8 @@ from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
 
 DENSE_LIMIT = 32  # largest J whose spectrum eigen_check solves densely
+SINGULAR_TOL = 1e-10  # |1 - v^T u| below which -I + u v^T counts as singular
+LEVER_REL_STEP = 1e-6  # relative step in a raw LQ lever for ``sensitivity``
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class GroupPopulation:
         j = len(self.alphas)
         if not (len(self.deltas) == len(self.beta_stars) == j) or j < 1:
             raise ValueError("alphas, deltas, beta_stars must share a length >= 1")
-        if not (all(a > 0.0 for a in self.alphas)
-                and abs(sum(self.alphas) - 1.0) <= WEIGHT_SUM_TOL):
-            raise ValueError("weights must be positive and sum to one")
+        _population(self.beta_stars, self.alphas)
         if not np.all(np.isfinite(np.concatenate((self.deltas, self.mu_stars)))):
             raise ValueError("deltas and mu_stars must be finite")
         lo, hi = self.model.beta_lo, self.model.beta_hi
@@ -111,8 +111,8 @@ class MultigroupEquilibrium:
 
     @property
     def in_domain(self) -> bool:
-        return bool(np.all(self.beta_hat >= self.domain_lo - 1e-12)
-                    and np.all(self.beta_hat <= self.domain_hi + 1e-12))
+        return bool(np.all(self.beta_hat >= self.domain_lo - COMPARE_SLACK)
+                    and np.all(self.beta_hat <= self.domain_hi + COMPARE_SLACK))
 
     @property
     def stable(self) -> bool:
@@ -239,12 +239,12 @@ def sherman_morrison_inverse(u, v) -> np.ndarray:
     """Inverse of -I + u v^T.
 
     With A = -I the rank-one update formula reduces to
-    -I - u v^T / (1 - v^T u); singular exactly when v^T u = 1.
+    -I - u v^T / (1 - v^T u); LinAlgError within ``SINGULAR_TOL`` of v^T u = 1.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     s = float(v @ u)
-    if abs(1.0 - s) < 1e-14:
+    if abs(1.0 - s) < SINGULAR_TOL:
         raise np.linalg.LinAlgError("matrix -I + u v^T is singular (v^T u = 1)")
     j = u.size
     return -np.eye(j) - np.outer(u, v) / (1.0 - s)
@@ -262,9 +262,10 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
     """
     model = pop.model
     eng = BestResponseEngine(model)
-    if abs(1.0 - float(eq.grad_h @ eq.g)) < 1e-10:
-        raise NumericalError("fixed-point Jacobian is near singular")
-    amplify = -sherman_morrison_inverse(eq.g, eq.grad_h)
+    try:
+        amplify = -sherman_morrison_inverse(eq.g, eq.grad_h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"fixed-point Jacobian is near singular: {exc}") from exc
 
     if parameter.startswith("delta_") and parameter[6:].isdigit():
         j = int(parameter[6:])
@@ -285,7 +286,7 @@ def sensitivity(pop: GroupPopulation, eq: MultigroupEquilibrium,
         # raw parameter, one-sided where LQParams ends its domain (delta in
         # [0, 1]); a zero value still gets a step
         raw = getattr(model.lq, parameter)
-        step = 1e-6 * (abs(raw) or 1.0)
+        step = LEVER_REL_STEP * (abs(raw) or 1.0)
         lo, hi = raw - step, raw + step
         if parameter == "delta":
             lo, hi = max(lo, 0.0), min(hi, 1.0)
@@ -328,7 +329,7 @@ def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
     return EigenReport(eigenvalues=eigs,
                        rank_one_shift=-1.0 + float(eq.grad_h @ eq.g),
                        bound=bound,
-                       bound_holds=dev <= bound + 1e-12,
+                       bound_holds=dev <= bound + COMPARE_SLACK,
                        all_negative=bool(np.all(eigs < 0.0)))
 
 

@@ -30,6 +30,7 @@ Fn1 = Callable[[float], float]
 Fn2 = Callable[[float, float], float]
 
 BOUNDARY_TOL = 1e-9
+CONVEX_POINTS = 64  # points of each convexity check in check_assumptions
 
 
 @dataclass(frozen=True)
@@ -307,21 +308,21 @@ def _first_failure(*cases: tuple[np.ndarray, str]) -> CheckResult:
     return CheckResult(True)
 
 
-def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
-                      n_a: int = 64) -> AssumptionReport:
+def check_assumptions(model: ModelPrimitives, n_h: int = 64,
+                      n_beta: int = 64) -> AssumptionReport:
     """Numerically verify the regularity assumptions on a rectangular grid.
 
     Violations are reported, not raised; the report carries the grid index
     of the first offending point per check.  ValueError unless every
-    comparison has points to compare: n_h, n_beta >= 2 and n_a >= 3.
+    comparison has points to compare: n_h, n_beta >= 2.
     """
     from .best_response import BestResponseEngine
     from .errors import BerklabError
     from .rootfind import REL_STEP
 
-    if n_h < 2 or n_beta < 2 or n_a < 3:
-        raise ValueError("the checks need n_h >= 2, n_beta >= 2 and n_a >= 3 "
-                         f"grid points, got {n_h}, {n_beta} and {n_a}")
+    if n_h < 2 or n_beta < 2:
+        raise ValueError("the checks need n_h >= 2 and n_beta >= 2 grid points, "
+                         f"got {n_h} and {n_beta}")
     engine = BestResponseEngine(model)
     hs = np.linspace(0.0, 1.0, n_h)
     betas = np.linspace(model.beta_lo, model.beta_hi, n_beta)
@@ -343,8 +344,8 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     # effective effort vanish at h = 0, so their rise in productivity is
     # checked on the rows h > 0 only
     positive_h = hs[:, None] > 0.0
-    a_pts = np.linspace(0.0, max(float(a_grid.max()) * 1.05, 1e-3), n_a)
-    k_pts = np.linspace(0.0, 1.0, n_a)
+    a_pts = np.linspace(0.0, max(float(a_grid.max()) * 1.05, 1e-3), CONVEX_POINTS)
+    k_pts = np.linspace(0.0, 1.0, CONVEX_POINTS)
     checks = {
         "effort_zero_boundary": _first_failure(
             (np.full((1, n_beta), -c_a > BOUNDARY_TOL), "a(0, beta) != 0"),
@@ -377,6 +378,6 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64, n_beta: int = 64,
     checks["effort_effect_zero"] = _first_failure(
         (np.abs(engine._r(np.zeros(n_beta), betas)) > BOUNDARY_TOL,
          "r(0, beta) != 0"),
-        (np.abs(engine._r(a_pts, np.zeros(n_a))) > BOUNDARY_TOL, "r(a, 0) != 0"))
+        (np.abs(engine._r(a_pts, np.zeros_like(a_pts))) > BOUNDARY_TOL, "r(a, 0) != 0"))
 
     return AssumptionReport(checks=checks, grid_shape=(n_h, n_beta))

@@ -54,51 +54,43 @@ def _central(fp2, fp1, fm1, fm2, e):
     return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * e)
 
 
+def _plain(v):
+    """A numpy result as it is, or a Python float in place of a 0-d one."""
+    return v if v.ndim else v.item()
+
+
 def fd1(f: Callable, x, lo: float | None = None, hi: float | None = None,
         rel_step: float = REL_STEP):
     """Five-point first difference; one-sided (second order) at domain edges.
 
     The O(e^4) truncation keeps root-solves on differenced first-order
     conditions accurate to ~1e-12, which the factorization certification
-    downstream relies on.  On an array each entry takes the rule its own
-    position selects, and f is evaluated on whole arrays: at an entry with
-    a one-sided rule, the points beyond its edge are replaced by the entry
-    itself, so f never sees a point past the edge that chose the rule.
+    downstream relies on.  Each entry of an array takes the rule its own
+    position selects, and f is evaluated on whole arrays (a float x is one
+    entry, and f sees floats).  At an entry with a one-sided rule, the
+    points beyond its edge are replaced by the entry itself, so f never
+    sees a point past the edge that chose the rule.
     """
-    if not isinstance(x, np.ndarray):
-        e = rel_step * max(1.0, abs(x))
-        if lo is not None and x - 2.0 * e < lo:
-            return _forward(f(x), f(x + e), f(x + 2.0 * e), e)
-        if hi is not None and x + 2.0 * e > hi:
-            return _backward(f(x), f(x - e), f(x - 2.0 * e), e)
+    e = rel_step * _plain(np.maximum(1.0, abs(x)))
+    left = np.less(x - 2.0 * e, -np.inf if lo is None else lo)
+    right = ~left & (x + 2.0 * e > (np.inf if hi is None else hi))
+    if not (left | right).any():
         return _central(f(x + 2.0 * e), f(x + e), f(x - e), f(x - 2.0 * e), e)
-    e = rel_step * np.maximum(1.0, np.abs(x))
-    left = (x - 2.0 * e < lo) if lo is not None else np.zeros(x.shape, bool)
-    right = ~left & (x + 2.0 * e > hi) if hi is not None else np.zeros(x.shape, bool)
-    if not (left.any() or right.any()):
-        return _central(f(x + 2.0 * e), f(x + e), f(x - e), f(x - 2.0 * e), e)
-    fp2, fp1 = f(np.where(right, x, x + 2.0 * e)), f(np.where(right, x, x + e))
-    fm1, fm2 = f(np.where(left, x, x - e)), f(np.where(left, x, x - 2.0 * e))
+    fp2, fp1 = (f(_plain(np.where(right, x, x + k * e))) for k in (2.0, 1.0))
+    fm1, fm2 = (f(_plain(np.where(left, x, x - k * e))) for k in (1.0, 2.0))
     f0 = f(x)
-    return np.where(left, _forward(f0, fp1, fp2, e),
-                    np.where(right, _backward(f0, fm1, fm2, e),
-                             _central(fp2, fp1, fm1, fm2, e)))
+    return _plain(np.where(left, _forward(f0, fp1, fp2, e),
+                           np.where(right, _backward(f0, fm1, fm2, e),
+                                    _central(fp2, fp1, fm1, fm2, e))))
 
 
 def fd2(f: Callable, x, lo: float | None = None, hi: float | None = None):
     """Five-point second difference, shifted inward at domain edges."""
-    if not isinstance(x, np.ndarray):
-        e = REL_STEP2 * max(1.0, abs(x))
-        if lo is not None and x - 2.0 * e < lo:
-            x = lo + 2.0 * e
-        if hi is not None and x + 2.0 * e > hi:
-            x = hi - 2.0 * e
-    else:
-        e = REL_STEP2 * np.maximum(1.0, np.abs(x))
-        if lo is not None:
-            x = np.where(x - 2.0 * e < lo, lo + 2.0 * e, x)
-        if hi is not None:
-            x = np.where(x + 2.0 * e > hi, hi - 2.0 * e, x)
+    e = REL_STEP2 * _plain(np.maximum(1.0, abs(x)))
+    if lo is not None:
+        x = _plain(np.where(x - 2.0 * e < lo, lo + 2.0 * e, x))
+    if hi is not None:
+        x = _plain(np.where(x + 2.0 * e > hi, hi - 2.0 * e, x))
     return (-f(x + 2.0 * e) + 16.0 * f(x + e) - 30.0 * f(x)
             + 16.0 * f(x - e) - f(x - 2.0 * e)) / (12.0 * e * e)
 

@@ -15,6 +15,7 @@ from scipy.special import erfc, erfcx
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_LOG_FLOOR = 1e-300  # least mass log_mass takes the log of
 
 
 # Past INTERIOR_SIGMAS standard deviations inside the support the mean sits
@@ -110,11 +111,11 @@ def _tail_ratio(mm, sigma, lo: float, hi: float):
 def _log_mass_far(u, w):
     decay = np.exp(np.fmin(u * u - w * w, 0.0))
     return np.log(0.5) - u * u + np.log(
-        np.maximum(erfcx(u) - erfcx(w) * decay, 1e-300))
+        np.maximum(erfcx(u) - erfcx(w) * decay, _LOG_FLOOR))
 
 
 def _log_mass_near(u, w):
-    return np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), 1e-300))
+    return np.log(np.maximum(0.5 * (erfc(u) - erfc(w)), _LOG_FLOOR))
 
 
 def log_mass(m, sigma, lo: float, hi: float):

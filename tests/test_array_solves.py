@@ -26,8 +26,8 @@ from berklab import (BestResponseEngine, Smooth, build_power, find_equilibria,
                      transform)
 from berklab.best_response import ARRAY_SOLVE_MIN, array_form
 from berklab.learning import _foc_table
-from berklab.rootfind import (RTOL, XTOL, brentq_masked, fd1, fd2,
-                              solve_decreasing)
+from berklab.rootfind import (REL_STEP, REL_STEP2, RTOL, XTOL, brentq_masked,
+                              fd1, fd2, solve_decreasing)
 
 from helpers import general_engine, random_lq_instance, three_equilibria_model
 
@@ -109,6 +109,33 @@ def test_difference_rules_per_entry_are_the_scalar_rules(x, p):
         got = rule(f, x, lo=0.0, hi=1.0)
         want = np.array([rule(f, float(v), lo=0.0, hi=1.0) for v in x])
         assert got.tobytes() == want.tobytes()
+
+
+def _near_edges(step):
+    """Points up to three steps inside [0, 1] from either edge."""
+    k = st.floats(0.0, 3.0)
+    return st.one_of(k.map(lambda k: k * step), k.map(lambda k: 1.0 - k * step))
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.one_of(st.floats(0.0, 1.0), _near_edges(REL_STEP), _near_edges(REL_STEP2)),
+       p=st.floats(0.5, 3.0))
+def test_a_float_is_one_entry_of_the_array_rule(x, p):
+    # one rule for floats and arrays: a float x gives the bits of the array
+    # [x], f sees Python floats and a Python float comes back; within two
+    # steps of an edge fd1 is one-sided and fd2 shifts inward
+    seen = []
+
+    def f(t):
+        seen.append(type(t))
+        return (p - t) * t * t + t
+
+    for rule in (fd1, fd2):
+        seen.clear()
+        got = rule(f, x, lo=0.0, hi=1.0)
+        assert set(seen) == {float} and type(got) is float
+        want = rule(f, np.array([x]), lo=0.0, hi=1.0)
+        assert np.array([got]).tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

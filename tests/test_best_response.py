@@ -159,6 +159,30 @@ class TestEffortSensitivities:
             assert da_dh == pytest.approx(fd_h, abs=1e-6)
             assert da_db == pytest.approx(fd_b, abs=1e-6)
 
+    @pytest.fixture
+    def power(self):  # c = a^2.5 / 2.5: c'' = 1.5 a^0.5 vanishes with effort
+        return BestResponseEngine(
+            build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0))
+
+    @pytest.mark.parametrize("name", ["effort_sensitivities", "r_partials", "_dv_dh"])
+    @pytest.mark.parametrize("h", [0.0, np.array([0.0, 0.5]), np.zeros(45)])
+    def test_power_cost_zero_effort_boundary_is_numerical(self, power, name, h):
+        # da/dh = r_a / c'' is unbounded at h = 0: a NumericalError, not a
+        # failed second-order condition
+        with pytest.raises(NumericalError, match="zero-effort boundary"):
+            getattr(power, name)(h, 1.0)
+
+    def test_power_cost_slope_just_inside_the_boundary(self, power):
+        # a = (h beta)^(2/3), so da/dh = (2/3) h^(-1/3)
+        da_dh, _ = power.effort_sensitivities(1e-12, 1.0)
+        assert da_dh == pytest.approx(2e4 / 3.0, rel=1e-6)
+
+    def test_zero_slope_at_positive_effort_fails_second_order(self, power):
+        # c'' - h r_aa = 0 away from zero effort is no boundary effect
+        power.__dict__["_c_aa"] = lambda a: 0.0 * a
+        with pytest.raises(InvariantViolation, match="second-order condition"):
+            power.effort_sensitivities(0.5, 1.0)
+
 
 class TestNumericAgainstClosedForm:
     def test_hundred_random_points(self, rng):
@@ -255,7 +279,6 @@ OPTIONS = {
     "best_response.BestResponseEngine.best_fit": ("clamp",),
     "cli.main": ("argv",),
     "equilibrium.kl_divergence": ("engine",),
-    "equilibrium.kl_minimizer": ("delta_mu",),
     "equilibrium.psi_tilde": ("engine",),
     "equilibrium.find_equilibria": ("grid_points", "engine"),
     "learning.evaluator_step": ("prior",),
@@ -270,7 +293,7 @@ OPTIONS = {
                                        "equilibria", "runs"),
     "multigroup.monte_carlo_multigroup": ("radius", "prior"),
     "primitives.build_power": ("market_share",),
-    "primitives.check_assumptions": ("n_h", "n_beta", "n_a"),
+    "primitives.check_assumptions": ("n_h", "n_beta"),
     "rootfind.fd1": ("lo", "hi", "rel_step"),
     "rootfind.fd2": ("lo", "hi"),
     "rootfind.solve_decreasing": ("expand", "max_hi", "args"),
@@ -306,7 +329,7 @@ def test_options_are_the_pinned_inventory():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "")
     assert found == OPTIONS
-    assert sum(map(len, found.values())) == 46
+    assert sum(map(len, found.values())) == 44
     # the engine takes a model and nothing else: no switch to the general
     # path and no assessment cap that only such a switch would reach
     assert list(inspect.signature(BestResponseEngine).parameters) == ["model"]

@@ -234,6 +234,20 @@ class TestCliOthers:
             "value,rel_change,distortion_min,distortion_max,n_stable"
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("flag,value", [("--step", "-0.01"), ("--step", "0"),
+                                            ("--step", "nan"),
+                                            ("--sweep-span", "-0.05")])
+    def test_compare_rejects_a_step_that_swaps_its_shocks_exits_2(
+            self, tmp_path, capsys, flag, value):
+        # "increase" holds the +step shock and "decrease" the -step one
+        cfg = write(tmp_path, THREE_EQ)
+        out = tmp_path / "out"
+        assert main(["compare", cfg, "--out-dir", str(out), "--param",
+                     "delta_mu", flag, value]) == 2
+        assert "config error: need --step > 0 and --sweep-span >= 0" in \
+            capsys.readouterr().err
+        assert not (out / "compare.json").exists()
+
     def test_disparity_defaults_from_config(self, tmp_path):
         cfg = write(tmp_path, THREE_EQ)
         out = tmp_path / "out"

@@ -197,11 +197,10 @@ def test_nullcline_type_follows_the_input():
 
 def test_assumption_check_needs_points_to_compare():
     model = three_equilibria_model()
-    for kwargs in ({"n_h": 1}, {"n_beta": 1}, {"n_a": 2}):
+    for kwargs in ({"n_h": 1}, {"n_beta": 1}):
         with pytest.raises(ValueError, match="n_h >= 2"):
-            berklab.check_assumptions(model, **{"n_h": 4, "n_beta": 4, "n_a": 4,
-                                                **kwargs})
-    assert berklab.check_assumptions(model, n_h=2, n_beta=2, n_a=3).all_passed
+            berklab.check_assumptions(model, **{"n_h": 4, "n_beta": 4, **kwargs})
+    assert berklab.check_assumptions(model, n_h=2, n_beta=2).all_passed
 
 
 def test_one_enumerator_for_every_fixed_point():

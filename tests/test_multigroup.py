@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from berklab import (BestResponseEngine, GroupPopulation, LQParams,
-                     build_lq, color_blind_equilibria, color_sighted_equilibria,
+                     NumericalError, build_lq, color_blind_equilibria, color_sighted_equilibria,
                      color_sighted_equilibrium, eigen_check, find_equilibria,
                      monte_carlo_convergence, monte_carlo_multigroup,
                      sensitivity,
@@ -217,6 +217,13 @@ class TestShermanMorrison:
         with pytest.raises(np.linalg.LinAlgError):
             sherman_morrison_inverse(u, u)
 
+    def test_near_singular_direction_raises(self):
+        # one singularity tolerance, the one sensitivity enforces: 1e-12
+        # from singular is singular
+        u = np.array([1.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            sherman_morrison_inverse(u, np.array([1.0 - 1e-12, 0.0]))
+
     def test_rank_one_spectral_norm_identity(self, rng):
         for _ in range(10):
             u = rng.normal(size=4)
@@ -267,6 +274,15 @@ class TestSensitivity:
         eq = color_sighted_equilibrium(pop)
         assert sensitivity(pop, eq, "kappa") == pytest.approx([0.0, 0.0],
                                                               abs=1e-12)
+
+    @pytest.mark.parametrize("parameter", ["delta_0", "kappa"])
+    def test_near_singular_member_is_numerical(self, pop_small, parameter):
+        # grad_h . g within 1e-11 of one: the rank-one inverse refuses it
+        eq = dataclasses.replace(color_sighted_equilibrium(pop_small),
+                                 g=np.array([0.5, 0.5]),
+                                 grad_h=np.array([1.0, 1.0 - 2e-11]))
+        with pytest.raises(NumericalError, match="near singular"):
+            sensitivity(pop_small, eq, parameter)
 
 
 class TestEigenCheck:

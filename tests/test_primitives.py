@@ -85,7 +85,7 @@ class TestCheckAssumptions:
         # c(a) = a^4/4 satisfies c''' in [0, (c'')^2/c'], so the
         # effective-effort cross differences stay positive
         m = build_power(4.0, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
-        report = check_assumptions(m, n_h=12, n_beta=12, n_a=24)
+        report = check_assumptions(m, n_h=12, n_beta=12)
         assert report.checks["effective_effort_increasing_differences"].passed
         assert report.all_passed, report.first_failure()
 
@@ -93,13 +93,13 @@ class TestCheckAssumptions:
         # c'' = (a^2.5 / 2.5)'' is unbounded at 0, where a second-order
         # one-sided difference reads the agent's condition as +3.3e-7
         m = build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
-        report = check_assumptions(m, n_h=12, n_beta=12, n_a=24)
+        report = check_assumptions(m, n_h=12, n_beta=12)
         assert report.all_passed, report.first_failure()
 
     def test_constant_assessment_cost_fails_convexity(self, lq_unit):
         flat = dataclasses.replace(lq_unit, assess_cost=lambda h: 1.0,
                                    lq=None, factorization=None)
-        report = check_assumptions(flat, n_h=12, n_beta=12, n_a=16)
+        report = check_assumptions(flat, n_h=12, n_beta=12)
         assert not report.checks["assessment_cost_convex"].passed
         assert report.checks["assessment_cost_convex"].location == (0,)
         assert not report.all_passed
@@ -142,7 +142,7 @@ class TestCheckAssumptions:
     def test_nonvanishing_effect_names_its_point(self, lq_unit, r, location,
                                                  detail):
         model = dataclasses.replace(lq_unit, r=r, lq=None, factorization=None)
-        res = check_assumptions(model, n_h=6, n_beta=6, n_a=8).checks[
+        res = check_assumptions(model, n_h=6, n_beta=6).checks[
             "effort_effect_zero"]
         assert (res.passed, res.location, res.detail) == (False, location, detail)
 

@@ -1,0 +1,44 @@
+"""Source guards that span the package and the benchmark harness.
+
+Each small tolerance in ``src/berklab`` is a named constant, so a rule that
+two functions share is written once; and every name the benchmark's tracer
+wraps still resolves in the package.
+"""
+
+import ast
+import importlib.util
+from collections import defaultdict
+from pathlib import Path
+
+import berklab
+
+SRC = Path(berklab.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_no_small_float_literal_is_written_twice_in_function_bodies():
+    # a literal below 1e-2 inside a function is a tolerance, step or floor;
+    # written twice it is one rule with two owners: name it once instead
+    sites = defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Constant) and type(node.value) is float
+                            and 0.0 < abs(node.value) < 1e-2):
+                        sites[node.value].add(
+                            f"{path.name}:{node.lineno}:{node.col_offset}")
+    assert {v: sorted(s) for v, s in sites.items() if len(s) > 1} == {}
+
+
+def test_every_traced_name_resolves():
+    # the tracer wraps package functions by name: a rename or deletion must
+    # fail here, not only in the harness's own self-test
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, (module, attr_path, _) in tracer.TARGETS.items():
+        _, _, func = tracer._resolve(module, attr_path)
+        assert callable(func), name
