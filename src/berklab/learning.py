@@ -27,7 +27,7 @@ from .equilibrium import DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
-from .truncnorm import trunc_mean, trunc_pdf
+from .truncnorm import interior, trunc_mean, trunc_pdf
 
 CHUNK = 8192
 SEED_MASK = (1 << 64) - 1
@@ -43,6 +43,7 @@ EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
 EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
 _MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
 _WINDOW_PAD = 1e-12  # share of the support a far-mode quadrature window adds
+_RETEST_PERIODS = 32  # periods a failed interior test of the CE rule holds
 
 
 @dataclass(frozen=True)
@@ -274,26 +275,48 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     Returns a map from ``m`` and ``s`` of shape (runs, groups) to the (runs,)
     assessments clipped to [h_lo, h_hi], in an array the next call overwrites,
     for the states of one simulation: successive calls must not decrease any
-    entry of ``s``.  Which branch applies is
-    decided here, once per simulation; the certainty-equivalent branch
-    allocates its buffers here and checks ``s`` until every entry is at
-    least ``_MIN_PRECISION`` (then ``_posterior_means`` is ``settled`` for
-    good), and the general branch tabulates the evaluator's marginal value
+    entry of ``s``.  Which branch applies is decided here, once per
+    simulation; the general branch tabulates the evaluator's marginal value
     once here.
+
+    The certainty-equivalent branch allocates its buffers here.  When
+    ``truncnorm.interior`` holds for the modes' range and the largest sd a
+    lower bound on ``s`` allows, every posterior mean is its mode, the bits
+    ``trunc_mean`` would return, and the period skips ``_posterior_means``.
+    The bound is refreshed with ``s.min()`` only when the test fails (``s``
+    never decreases, so a stale bound stays a bound).  A failed test costs
+    about a tenth of a fallback period, so it holds for ``_RETEST_PERIODS``
+    periods, which fall back untested: states whose modes stay outside the
+    interior (a corner-sink start) pay one test per ``_RETEST_PERIODS``.
     """
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
+        lo, hi = tm.m_lo, tm.m_hi
+        least, most = np.minimum.reduce, np.maximum.reduce
         root, sigma = np.empty((runs, alphas.size)), np.empty((runs, alphas.size))
         mean = np.empty(runs)
-        settled = False
+        # a lower bound on every entry of s, the largest sd it allows, and
+        # the periods left before the next test
+        s_floor, sigma_max, untested = -math.inf, math.inf, 0
 
         def optimum(m, s):
-            nonlocal settled
-            if not settled:
-                settled = bool(s.min() >= _MIN_PRECISION)
-            # ce(_posterior_means(...) @ alphas): np.dot with out= calls the
-            # same BLAS gemv as matmul, for less overhead
-            nu = _posterior_means(tm, m, s, root, sigma, settled)
+            nonlocal s_floor, sigma_max, untested
+            if untested:
+                untested -= 1
+            else:
+                m_min, m_max = least(m, None), most(m, None)
+                inside = interior(m_min, m_max, sigma_max, lo, hi)
+                if not inside:
+                    s_floor = float(least(s, None))
+                    sigma_max = (1.0 / math.sqrt(s_floor) if s_floor >= _MIN_PRECISION
+                                 else math.inf)
+                    inside = interior(m_min, m_max, sigma_max, lo, hi)
+                if inside:
+                    # ce(m @ alphas): np.dot with out= calls the same BLAS
+                    # gemv as matmul, for less overhead
+                    return ce(np.dot(m, alphas, out=mean))
+                untested = _RETEST_PERIODS - 1
+            nu = _posterior_means(tm, m, s, root, sigma, s_floor >= _MIN_PRECISION)
             return ce(np.dot(nu, alphas, out=mean))
     else:
         table = _foc_table(tm)
@@ -302,9 +325,10 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
             return _quadrature_assessment(tm, table, alphas, m, s)
     h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)  # 0-d: no conversion per call
     floor, h = np.empty(runs), np.empty(runs)
+    minimum, maximum = np.minimum, np.maximum
 
     def rule(m, s):  # np.clip(optimum(m, s), h_lo, h_hi), into the buffers
-        return np.minimum(np.maximum(optimum(m, s), h_lo, out=floor), h_hi, out=h)
+        return minimum(maximum(optimum(m, s), h_lo, out=floor), h_hi, out=h)
     return rule
 
 
@@ -499,13 +523,13 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
 
     The period loop allocates almost nothing: the state (m, s) and the
     per-period (runs, groups) and (runs,) quantities live in buffers
-    allocated once per call and written with ``out=``, and it calls
-    ``trunc_mean`` once per period (certainty-equivalent rule).  Every
-    operation keeps the order and association of the plain expressions in
-    the comments, so each stored value has their bits.  s never decreases
-    (it gains I(h) = g2(h)^2 h >= 0), so once ``assess`` has seen every
-    entry at least ``_MIN_PRECISION``, the precision floor and uniform
-    fallback of ``_posterior_means`` are skipped for the rest of the call.
+    allocated once per call and written with ``out=``, and its ufuncs are
+    bound to locals once.  Every operation keeps the order and association
+    of the plain expressions in the comments, so each stored value has their
+    bits.  s never decreases (it gains I(h) = g2(h)^2 h >= 0), which the
+    certainty-equivalent rule relies on: it calls ``trunc_mean`` only on
+    periods whose modes and precisions fail its interior test (see
+    ``_assessment_rule``), and on settled runs not at all.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -541,6 +565,10 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             for k in range(runs)]
 
     rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
+    # the period loop's callables, bound once: a global or attribute lookup
+    # per call is a sizeable share of an operation on (runs, groups) arrays
+    add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
+    minimum, maximum, g2 = np.minimum, np.maximum, tm.g2
     n = 0
     remaining = horizon
     while remaining > 0:
@@ -557,23 +585,23 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             if clip_noise:
                 # e = np.clip(e, -bound, bound)
                 bound = math.sqrt(2.0 * math.log(max(n, 2)))
-                np.minimum(np.maximum(e, -bound, out=w1), bound, out=e)
+                minimum(maximum(e, -bound, out=w1), bound, out=e)
             h = assess(m, s)
-            g2h = tm.g2(h)
+            g2h = g2(h)
             # info = g2h * g2h * h
-            np.multiply(np.multiply(g2h, g2h, out=g2h2), h, out=info)
+            multiply(multiply(g2h, g2h, out=g2h2), h, out=info)
             # x = mu_star_row + bstar_t * g2h[:, None] + e / np.sqrt(h)[:, None]
-            np.add(mu_star_row, np.multiply(bstar_t, g2h[:, None], out=w2), out=w1)
-            np.sqrt(h, out=root_h)
-            np.add(w1, np.divide(e, root_h_col, out=w2), out=x)
+            add(mu_star_row, multiply(bstar_t, g2h[:, None], out=w2), out=w1)
+            sqrt(h, out=root_h)
+            add(w1, divide(e, root_h_col, out=w2), out=x)
             # contrib = (x - mu_hat_row) * (h * g2h)[:, None]
-            np.subtract(x, mu_hat_row, out=w2)
-            np.multiply(h, g2h, out=weight)
-            np.multiply(w2, weight_col, out=w1)
+            subtract(x, mu_hat_row, out=w2)
+            multiply(h, g2h, out=weight)
+            multiply(w2, weight_col, out=w1)
             # s_next = s + info[:, None]; m = (s * m + contrib) / s_next
-            np.add(np.multiply(s, m, out=w2), w1, out=w3)
-            np.add(s, info_col, out=s_next)
-            np.divide(w3, s_next, out=m)
+            add(multiply(s, m, out=w2), w1, out=w3)
+            add(s, info_col, out=s_next)
+            divide(w3, s_next, out=m)
             s, s_next = s_next, s
             if record_stride and (n % record_stride == 0 or n == 1 or n == horizon):
                 rec_n.append(n)

@@ -69,13 +69,19 @@ def fd1(f: Callable, x, lo: float | None = None, hi: float | None = None,
     position selects, and f is evaluated on whole arrays (a float x is one
     entry, and f sees floats).  At an entry with a one-sided rule, the
     points beyond its edge are replaced by the entry itself, so f never
-    sees a point past the edge that chose the rule.
+    sees a point past the edge that chose the rule; when every entry takes
+    the same one-sided rule, f is evaluated only at its three points.
     """
     e = rel_step * _plain(np.maximum(1.0, abs(x)))
     left = np.less(x - 2.0 * e, -np.inf if lo is None else lo)
     right = ~left & (x + 2.0 * e > (np.inf if hi is None else hi))
     if not (left | right).any():
         return _central(f(x + 2.0 * e), f(x + e), f(x - e), f(x - 2.0 * e), e)
+    # one rule for every entry (a float at an edge): only its three points
+    if left.all():
+        return _plain(np.asarray(_forward(f(x), f(x + e), f(x + 2.0 * e), e)))
+    if right.all():
+        return _plain(np.asarray(_backward(f(x), f(x - e), f(x - 2.0 * e), e)))
     fp2, fp1 = (f(_plain(np.where(right, x, x + k * e))) for k in (2.0, 1.0))
     fm1, fm2 = (f(_plain(np.where(left, x, x - k * e))) for k in (1.0, 2.0))
     f0 = f(x)

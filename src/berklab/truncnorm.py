@@ -28,6 +28,17 @@ INTERIOR_SIGMAS = 12.0
 _ULP_GUARD = 1e-14
 
 
+def interior(m_min: float, m_max: float, sigma_max: float, lo: float, hi: float) -> bool:
+    """True only when every mode in [m_min, m_max] with sd at most sigma_max
+    takes ``trunc_mean``'s unreflected interior path, where the mean is the
+    mode itself.  Rounding is monotone, so the bounds' own tests imply each
+    element's; NaN bounds give False."""
+    if not (m_max <= 0.5 * (lo + hi) and m_min - lo > INTERIOR_SIGMAS * sigma_max):
+        return False
+    # the least |mode| on [m_min, m_max] (0 when it spans zero)
+    return lo >= 0.0 or max(m_min, -m_max) > _ULP_GUARD * sigma_max
+
+
 def trunc_mean(m, sigma, lo: float, hi: float):
     """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m.
 

@@ -21,6 +21,7 @@ from berklab.learning import (CHUNK, TransformedModel, TruncNormalPrior,
                               _foc_table, _group_quadrature,
                               _quadrature_assessment, _RunResult, noise_stream)
 from berklab.rootfind import fd1
+from berklab.truncnorm import INTERIOR_SIGMAS
 
 
 def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
@@ -43,6 +44,25 @@ def trunc_mean_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
         ratio_near = 0.5 * c * num_d / np.where(den_d > 0.0, den_d, 1.0)
     out = mm + sigma * np.where(u >= 0.0, ratio_far, ratio_near)
     return np.clip(np.where(flip, lo + hi - out, out), lo, hi)
+
+
+def nudged(x: float, ulps: int) -> float:
+    """x moved ``ulps`` floats up (down when negative)."""
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, step)
+    return x
+
+
+def interior_edge(lo: float, sigma: float) -> float:
+    """The least float m with m - lo > INTERIOR_SIGMAS * sigma, where
+    ``trunc_mean``'s interior path starts."""
+    m = lo + INTERIOR_SIGMAS * sigma
+    while not m - lo > INTERIOR_SIGMAS * sigma:
+        m = nudged(m, 1)
+    while nudged(m, -1) - lo > INTERIOR_SIGMAS * sigma:
+        m = nudged(m, -1)
+    return m
 
 
 def log_mass_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:

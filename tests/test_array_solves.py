@@ -138,6 +138,24 @@ def test_a_float_is_one_entry_of_the_array_rule(x, p):
         assert np.array([got]).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("x,evaluations", [
+    (0.5, 4), (0.0, 3), (1.0, 3), (np.array([0.0, 1e-5]), 3),
+    (np.array([1.0, 1.0 - 1e-5]), 3), (np.array([0.0, 0.5]), 5),
+    (np.array([0.0, 1.0]), 5), (np.array([0.3, 0.5]), 4)])
+def test_fd1_evaluates_only_the_points_its_rules_read(x, evaluations):
+    # central: four points; every entry one-sided the same way: its three;
+    # mixed rules: five arrays, an entry's own point standing in beyond its
+    # edge.  The bits per entry are the scalar rule's (tested above)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (1.5 - t) * t * t + t
+
+    fd1(f, x, lo=0.0, hi=1.0)
+    assert len(calls) == evaluations
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_effort_condition_of_random_lq_instances(seed):

@@ -361,6 +361,7 @@ def test_numeric_assessment_gradient_matches_power_oracle(gamma, beta, beta2,
 @given(gamma=st.floats(2.5, 6.0), beta=st.floats(0.5, 3.0),
        seed=st.integers(0, 2 ** 32 - 1), share=st.floats(0.0, 1.0))
 @example(gamma=3.0, beta=1.0, seed=83, share=1.0)  # range ends at 3.585 < 4.006
+@example(gamma=3.0, beta=1.0, seed=298, share=1.0)  # lo + (hi - lo) rounds past hi
 def test_assessment_solved_over_effort_property(gamma, beta, seed, share):
     # the evaluator's condition is solved over the first group's effort,
     # with h(a) = c'(a) / r_a(a, beta) explicit: the same root as the exact
@@ -374,7 +375,7 @@ def test_assessment_solved_over_effort_property(gamma, beta, seed, share):
     # first-order misspecification: effort read under the truth, interior
     # only on first_order_range; past it both paths find no interior optimum
     m = random_lq_instance(np.random.default_rng(seed), 0.0)
-    b = m.beta_lo + share * (m.beta_hi - m.beta_lo)
+    b = min(m.beta_lo + share * (m.beta_hi - m.beta_lo), m.beta_hi)
     closed, numeric = BestResponseEngine(m), general_engine(m)
     try:
         _, hi = closed.first_order_range()

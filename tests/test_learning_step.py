@@ -4,10 +4,13 @@
 allocated once per call and skips guards the state has outgrown; each
 stored value must keep the bits of ``helpers.run_engine_reference``, which
 evaluates the same step with one fresh temporary per operation.  The
-tracer's ``trunc_mean`` counts keep their meaning only while the step calls
-``learning.trunc_mean`` once per period, and ``evaluator_step`` on a
-simulated terminal state must give the engine's next assessment.
+certainty-equivalent rule calls ``learning.trunc_mean`` only on the periods
+whose ``truncnorm.interior`` test fails (so the tracer's ``trunc_mean``
+counts are fallback periods), and ``evaluator_step`` on a simulated terminal
+state must give the engine's next assessment.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,10 +19,11 @@ from hypothesis import strategies as st
 
 import berklab.learning
 from berklab import build_power, evaluator_step, simulate, transform
-from berklab.learning import CHUNK, TruncNormalPrior, _run_engine, _single_group_args
-from berklab.truncnorm import trunc_mean
+from berklab.learning import (CHUNK, _RETEST_PERIODS, TruncNormalPrior, _assessment_rule,
+                              _run_engine, _single_group_args)
+from berklab.truncnorm import interior, trunc_mean
 
-from helpers import run_engine_reference, three_equilibria_model
+from helpers import interior_edge, nudged, run_engine_reference, three_equilibria_model
 
 FIELDS = ("m", "s", "rec_n", "rec_m", "rec_xi", "rec_h", "rec_x")
 CORNER = -2.0555555555555562  # the corner sink of the three-equilibria model
@@ -77,6 +81,24 @@ def test_corner_sink_start_over_many_periods(tm3):
                     run_engine_reference(tm3, *args, **kwargs))
 
 
+@pytest.mark.parametrize("ulps", (-1, 0, 1, 2))
+def test_priors_at_the_edges_of_the_interior_path(tm3, ulps):
+    # group 0 starts at the least mode of the interior path (at the sd the
+    # engine forms from the prior), group 1 at the
+    # midpoint, each moved by ulps: the first periods' interior tests hold
+    # or fail on the last bit
+    sd, lo, hi = 0.01, tm3.m_lo, tm3.m_hi
+    sigma = 1.0 / math.sqrt(TruncNormalPrior(0.0, sd).precision)
+    means = (nudged(interior_edge(lo, sigma), ulps), nudged(0.5 * (lo + hi), -ulps))
+    assert interior(*means, sigma, lo, hi) is (ulps >= 0)
+    kwargs = dict(runs=3, horizon=40, seed=17, record_stride=1,
+                  prior=[TruncNormalPrior(m, sd) for m in means])
+    for noise in ("plain", "zero"):
+        kwargs["zero_noise"] = noise == "zero"
+        assert_same_run(_run_engine(tm3, *TWO_GROUPS, **kwargs),
+                        run_engine_reference(tm3, *TWO_GROUPS, **kwargs))
+
+
 def test_buffers_carry_over_into_the_next_noise_block(tm3):
     # the noise is drawn in blocks of CHUNK periods, while the state and the
     # clipped noise live in buffers that persist from one block to the next
@@ -96,20 +118,75 @@ def test_general_primitives_step_matches_the_reference():
                     run_engine_reference(tm, *args, **kwargs))
 
 
-@pytest.mark.parametrize("groups", (1, 2))
-def test_trunc_mean_is_called_once_per_period(tm3, monkeypatch, groups):
-    sizes = []
+def period_log(monkeypatch):
+    """Per period of the certainty-equivalent rule: the verdicts of its
+    ``interior`` tests and the sizes of its ``trunc_mean`` calls."""
+    periods, tests, means = [], [], []
 
-    def counted(m, sigma, lo, hi):
-        sizes.append(np.size(m))
-        return trunc_mean(m, sigma, lo, hi)
+    def tested(*args):
+        tests.append(interior(*args))
+        return tests[-1]
 
+    def counted(*args):
+        means.append(np.size(args[0]))
+        return trunc_mean(*args)
+
+    def logged_rule(*args):
+        rule = _assessment_rule(*args)
+
+        def period(m, s):
+            h = rule(m, s)
+            periods.append((tests.copy(), means.copy()))
+            tests.clear()
+            means.clear()
+            return h
+        return period
+
+    monkeypatch.setattr(berklab.learning, "interior", tested)
     monkeypatch.setattr(berklab.learning, "trunc_mean", counted)
+    monkeypatch.setattr(berklab.learning, "_assessment_rule", logged_rule)
+    return periods
+
+
+def fallback_periods(periods, size):
+    """The 1-based periods that call ``trunc_mean``, after checking that each
+    is one whose latest interior test failed, with one call of ``size``
+    modes, and that a failed test holds for ``_RETEST_PERIODS`` periods."""
+    out, verdict, untested = [], None, 0
+    for n, (tests, means) in enumerate(periods, start=1):
+        if untested:
+            assert tests == []
+            untested -= 1
+        else:
+            # a failed test is retried once, with a refreshed bound on s
+            assert tests in ([True], [False, True], [False, False])
+            verdict = tests[-1]
+            untested = 0 if verdict else _RETEST_PERIODS - 1
+        assert means == ([] if verdict else [size])
+        if means:
+            out.append(n)
+    return out
+
+
+@pytest.mark.parametrize("groups", (1, 2))
+def test_trunc_mean_is_called_only_where_the_interior_test_fails(tm3, monkeypatch,
+                                                                groups):
+    # a uniform start falls back while its posteriors are wide, then settles
+    # for good; a corner-sink start keeps its modes below the support and
+    # falls back every period
+    periods = period_log(monkeypatch)
     _run_engine(tm3, *group_args(tm3, groups), runs=5, horizon=300, seed=2)
-    assert sizes == [5 * groups] * 300
-    sizes.clear()
+    first = fallback_periods(periods, 5 * groups)
+    assert 0 < len(first) < 100 and first == list(range(1, len(first) + 1))
+    periods.clear()
     simulate(tm3, horizon=250, seed=3, runs=4)
-    assert sizes == [4] * 250
+    first = fallback_periods(periods, 4)
+    assert 0 < len(first) < 100 and first == list(range(1, len(first) + 1))
+    periods.clear()
+    prior = [TruncNormalPrior(CORNER, 0.01)] * groups
+    _run_engine(tm3, *group_args(tm3, groups), runs=3, horizon=200, seed=4,
+                prior=prior)
+    assert fallback_periods(periods, 3 * groups) == list(range(1, 201))
 
 
 def test_evaluator_step_on_a_terminal_state_gives_the_next_assessment(tm3):

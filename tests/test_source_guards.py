@@ -42,3 +42,24 @@ def test_every_traced_name_resolves():
     for name, (module, attr_path, _) in tracer.TARGETS.items():
         _, _, func = tracer._resolve(module, attr_path)
         assert callable(func), name
+
+
+def test_only_truncnorm_reads_the_interior_rule():
+    # the interior path's constants have one owner; other modules ask
+    # ``truncnorm.interior`` instead of restating its test, and learning,
+    # which asks it every period, writes neither value as a literal
+    from berklab.truncnorm import _ULP_GUARD, INTERIOR_SIGMAS
+    names = {"INTERIOR_SIGMAS", "_ULP_GUARD"}
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "truncnorm.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute) and node.attr in names)
+                    or (isinstance(node, ast.alias) and node.name in names)
+                    or (path.name == "learning.py" and isinstance(node, ast.Constant)
+                        and type(node.value) is float
+                        and node.value in (INTERIOR_SIGMAS, _ULP_GUARD))):
+                sites.add(f"{path.name}:{node.lineno}")
+    assert sites == set()

@@ -4,17 +4,21 @@ Modes more than INTERIOR_SIGMAS standard deviations inside the support skip
 the tail formula, and the rest evaluate only the tail branch (erfcx or
 erfc) that applies to them; the result must be the formula's, bit for bit,
 on arrays that mix such modes with modes near, beyond or far outside either
-edge.  ``log_mass`` evaluates one branch per element the same way.
+edge.  ``log_mass`` evaluates one branch per element the same way.  The
+scalar test ``interior`` may hold only where every mode of its range, at
+every sd up to its bound, is its own mean under both.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berklab.truncnorm import INTERIOR_SIGMAS, log_mass, trunc_mean
+from berklab.truncnorm import _ULP_GUARD, INTERIOR_SIGMAS, interior, log_mass, trunc_mean
 
-from helpers import log_mass_two_branch, trunc_mean_two_branch
+from helpers import interior_edge, log_mass_two_branch, nudged, trunc_mean_two_branch
 
 SUPPORTS = [(0.09, 9.0), (0.25, 9.0), (-1.0, 2.0), (-3.0, -0.5), (1e-3, 1e3)]
 
@@ -126,3 +130,66 @@ def test_trunc_mean_returns_a_fresh_array_on_the_interior_path():
     out = trunc_mean(m, np.full(3, 1e-3), 0.09, 9.0)
     assert out is not m and not np.shares_memory(out, m)
     assert same_bits(out, m)
+
+
+@st.composite
+def interior_ranges(draw):
+    """(m_min, m_max, sigma_max, lo, hi): range ends a few ulps from where
+    the interior path starts or stops (INTERIOR_SIGMAS sd inside the lower
+    edge, the midpoint, a zero-crossing support's guard band about 0) or
+    anywhere in the support."""
+    lo, hi = draw(st.sampled_from(SUPPORTS))
+    sigma_max = (hi - lo) / 60.0 * 10.0 ** draw(st.floats(-6.0, 0.5))
+    others = st.sampled_from((_ULP_GUARD * sigma_max, -_ULP_GUARD * sigma_max, 0.0,
+                              draw(st.floats(lo, hi))))
+    # mostly at the path's own ends, and nudged inward
+    a, b = (nudged(end if draw(st.integers(0, 3)) else draw(others), draw(ulps))
+            for end, ulps in ((lo + INTERIOR_SIGMAS * sigma_max, st.integers(-2, 4)),
+                              (0.5 * (lo + hi), st.integers(-4, 2))))
+    return min(a, b), max(a, b), sigma_max, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=interior_ranges(),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-6, 1.0)),
+                       min_size=1, max_size=8))
+def test_interior_range_means_are_their_modes(case, points):
+    # modes across the range, its ends and their inner neighbours, at sds
+    # up to and at the bound
+    m_min, m_max, sigma_max, lo, hi = case
+    if not interior(m_min, m_max, sigma_max, lo, hi):
+        return
+    where, share = np.array(points).T
+    m = np.concatenate([[m_min, m_max, nudged(m_min, 1), nudged(m_max, -1)],
+                        m_min + where * (m_max - m_min)])
+    m = np.clip(m, m_min, m_max)
+    sigma = np.concatenate([[sigma_max] * 4, sigma_max * share])
+    assert same_bits(trunc_mean(m, sigma, lo, hi), m)
+    assert same_bits(trunc_mean_two_branch(m, sigma, lo, hi), m)
+
+
+@pytest.mark.parametrize("lo,hi", SUPPORTS)
+def test_interior_is_exact_at_one_point(lo, hi):
+    # on a one-point range the test is trunc_mean's own: it holds just past
+    # INTERIOR_SIGMAS sd inside the lower edge and up to the midpoint itself
+    sigma = (hi - lo) / 60.0
+    edge, mid = interior_edge(lo, sigma), 0.5 * (lo + hi)
+    inside = lo >= 0.0 or abs(edge) > _ULP_GUARD * sigma
+    assert interior(edge, edge, sigma, lo, hi) is inside
+    assert not interior(nudged(edge, -1), nudged(edge, -1), sigma, lo, hi)
+    assert interior(mid, mid, sigma, lo, hi) is (lo >= 0.0 or mid != 0.0)
+    assert not interior(nudged(mid, 1), nudged(mid, 1), sigma, lo, hi)
+    assert not interior(math.nan, mid, sigma, lo, hi)
+
+
+def test_interior_guard_band_about_zero():
+    # a support across zero: a range holding a mode within the guard band
+    # (or zero) fails, and so does one that spans zero
+    lo, hi, sigma = -1.0, 2.0, 1.0 / 13.0
+    assert not interior(-1e-40, 1e-40, sigma, lo, hi)
+    assert not interior(1e-40, 0.4, sigma, lo, hi)
+    assert not interior(-0.05, 0.05, sigma, lo, hi)
+    assert interior(1e-3, 0.4, sigma, lo, hi)
+    assert interior(-0.05, -1e-3, sigma, lo, hi)
+    m = np.array([1e-3, 0.4, -0.05, -1e-3])
+    assert same_bits(trunc_mean(m, sigma, lo, hi), m)
