@@ -181,8 +181,13 @@ class BestResponseEngine:
     primitive.  The productivity partials r_ab and r_beta, read once per
     point outside any iteration, are differences.
 
-    Pure and reentrant: no mutable state beyond cached constants, so one
-    engine can be shared across threads.
+    ``equilibria`` is ``find_equilibria``'s memo for this engine's own
+    model: one ``EquilibriumSet`` per ``grid_points``, filled on first
+    enumeration and never shared with another engine, so a fresh engine
+    (every ``transform``) enumerates again.  Beyond it the engine holds
+    only cached constants; a set is frozen and the same for every caller,
+    so one engine can be shared across threads (two threads enumerating
+    at once both compute it, and both get the first stored).
     """
 
     _r, _v_e = _probed("r", True), _probed("v_e", True)
@@ -194,6 +199,7 @@ class BestResponseEngine:
 
     def __init__(self, model: ModelPrimitives):
         self.model = model
+        self.equilibria = {}  # find_equilibria's memo: grid_points -> its set
         lq = model.lq
         self._closed = lq is not None
         if self._closed:
@@ -316,16 +322,14 @@ class BestResponseEngine:
                 return target - self.effective_effort(hh, x)
 
             if clamp:
-                # the clamp test's end values start Brent's iteration, which
-                # one-entry arrays take with scipy's steps and scalar bits
+                # the clamp test's end values start scipy's Brent iteration
                 f_lo = excess(m.beta_lo)
                 if f_lo <= 0.0:
                     return m.beta_lo
                 f_hi = excess(m.beta_hi)
                 if f_hi >= 0.0:
                     return m.beta_hi
-                ends = np.array([m.beta_lo, m.beta_hi, f_lo, f_hi])[:, None]
-                return float(brentq_masked(excess, *ends)[0])
+                return brentq_masked(excess, m.beta_lo, m.beta_hi, f_lo, f_hi)
             if target <= 0.0:
                 return 0.0 if target == 0.0 else math.nan
             try:

@@ -137,9 +137,24 @@ def find_equilibria(model: ModelPrimitives, grid_points: int = DEFAULT_GRID,
     the enumerator (0.0 at a pinned edge and at delta_mu = 0, where the
     clamped map is locally constant).  Slopes within ``TANGENCY_SLOPE_TOL``
     of one and uncertified near-tangent points are reported as warnings.
+
+    A given ``engine`` on this very ``model`` keeps the set in its
+    ``equilibria`` memo, keyed by ``grid_points``: a later call with that
+    engine and grid (``limiting_ode``, ``simulate`` and
+    ``monte_carlo_convergence`` on the same ``TransformedModel``) returns
+    the same set without enumerating again.  An engine on another model
+    neither reads nor fills it.
     """
     eng = _engine(model, engine)
-    m = model
+    memo = eng.equilibria if eng.model is model else {}
+    if grid_points not in memo:
+        memo.setdefault(grid_points, _enumerate(model, eng, grid_points))
+    return memo[grid_points]
+
+
+def _enumerate(m: ModelPrimitives, eng: BestResponseEngine,
+               grid_points: int) -> EquilibriumSet:
+    """``find_equilibria``'s enumeration, with no memo."""
     if m.delta_mu == 0.0:
         # the true productivity fits exactly for every assessment
         pt = _make_point(m, eng, m.beta_star, "stable", 0.0)

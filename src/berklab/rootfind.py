@@ -11,7 +11,9 @@ through ``brentq_masked``, scipy's ``brentq.c`` iteration applied
 elementwise: each entry takes the steps and stops at the tolerance scipy's
 would, so where the function maps arrays with its scalar bits the roots
 carry scipy's bits.  Entries leave the working set as they converge, so
-the function is evaluated only on entries still iterating.
+the function is evaluated only on entries still iterating.  A float
+bracket given to ``brentq_masked`` goes to scipy's ``brentq`` instead,
+seeded with its known end values, so neither end is evaluated again.
 
 Per-entry parameters of a solve travel as ``args``: the function is called
 as ``f(x, *args)``, on arrays with the subsets of the array-valued ``args``
@@ -130,10 +132,7 @@ def solve_decreasing(f: Callable, lo, hi, expand: bool = False,
                 if abs(f_hi) < EDGE_TOL:
                     return hi
                 raise NumericalError(f"no bracket: no sign change on [{lo}, {hi}]")
-        global brentq
-        if brentq is None:
-            from scipy.optimize import brentq
-        return brentq(f, lo, hi, args=args, xtol=XTOL, rtol=RTOL, maxiter=MAX_ITER)
+        return _scipy_brentq(f, lo, hi, args)
 
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                           for v in (lo, hi, *args)))
@@ -172,7 +171,16 @@ def solve_decreasing(f: Callable, lo, hi, expand: bool = False,
     return out
 
 
-def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()) -> np.ndarray:
+def _scipy_brentq(f: Callable, xa, xb, args: tuple, **kwargs):
+    """scipy's ``brentq`` at the module's tolerances, bound on first use."""
+    global brentq
+    if brentq is None:
+        from scipy.optimize import brentq
+    return brentq(f, xa, xb, args=args, xtol=XTOL, rtol=RTOL, maxiter=MAX_ITER,
+                  **kwargs)
+
+
+def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()):
     """Roots of f on the 1-d brackets [xa, xb], given fa = f(xa) and fb =
     f(xb) of opposite signs: scipy's ``brentq.c`` iteration elementwise.
 
@@ -181,10 +189,24 @@ def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()) -> np.ndarray:
     iterating.  ValueError for an entry whose f is nan, or whose bracket
     has no sign change (as scipy); NumericalError when an entry does not
     converge within ``MAX_ITER`` iterations (tolerances ``XTOL``, ``RTOL``).
+    Float brackets give a float from scipy's ``brentq`` itself, whose first
+    two calls of f are answered by fa and fb.
     """
     if np.any(np.isnan(fa) | np.isnan(fb)):
         raise ValueError("function value at a bracket end is nan; "
                          "solver cannot continue")
+    if not isinstance(xa, np.ndarray):
+        ends = [fb, fa]
+
+        def seeded(x, *a):
+            return ends.pop() if ends else f(x, *a)
+
+        root, res = _scipy_brentq(seeded, xa, xb, args, full_output=True,
+                                  disp=False)
+        if not res.converged:
+            raise NumericalError("Brent iteration did not converge in "
+                                 f"{MAX_ITER} steps on [{xa!r}, {xb!r}]")
+        return root
     out = np.empty(xa.shape)
     at_a = fa == 0.0
     at_b = ~at_a & (fb == 0.0)

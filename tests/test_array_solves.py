@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -26,8 +26,8 @@ from berklab import (BestResponseEngine, Smooth, build_power, find_equilibria,
                      transform)
 from berklab.best_response import ARRAY_SOLVE_MIN, array_form
 from berklab.learning import _foc_table
-from berklab.rootfind import (REL_STEP, REL_STEP2, RTOL, XTOL, brentq_masked,
-                              fd1, fd2, solve_decreasing)
+from berklab.rootfind import (MAX_ITER, REL_STEP, REL_STEP2, RTOL, XTOL,
+                              brentq_masked, fd1, fd2, solve_decreasing)
 
 from helpers import general_engine, random_lq_instance, three_equilibria_model
 
@@ -61,6 +61,56 @@ def test_masked_brent_returns_scipys_bits(kind, cases):
                             args=tuple(p), xtol=XTOL, rtol=RTOL, maxiter=200)
                      for a, b, *p in zip(lo[keep], hi[keep], *args)])
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.integers(0, 1), case=problems.map(lambda cases: cases[0]))
+def test_float_brackets_are_scipys_brentq_with_seeded_ends(kind, case):
+    # a float bracket goes to scipy's brentq, whose first two calls read the
+    # known end values: scipy's root, the one-entry masked pass's bits, and
+    # exactly two evaluations of f fewer
+    root, c1, c3, below, above = case
+    args = (c1 * root + c3 * root * root * root, c1, c3)
+    seen = []
+
+    def f(x, *a):
+        seen.append(x)
+        return _decreasing(kind, x, *a)
+
+    lo, hi = root - below, root + above
+    f_lo, f_hi = f(lo, *args), f(hi, *args)
+    assume(f_lo > 0.0 and f_hi < 0.0)  # rounding can close a tiny bracket
+    del seen[:]
+    got = brentq_masked(f, lo, hi, f_lo, f_hi, args)
+    ours = len(seen)
+    want, res = brentq(f, lo, hi, args=args, xtol=XTOL, rtol=RTOL,
+                       maxiter=MAX_ITER, full_output=True)
+    one = brentq_masked(f, *(np.array([v]) for v in (lo, hi, f_lo, f_hi)), args)
+    assert type(got) is float
+    assert np.array([got]).tobytes() == np.array([want]).tobytes() == one.tobytes()
+    assert ours == res.function_calls - 2
+
+
+def _step(x):
+    """1 below 0.3 and -1 from there on: bisection at best, which takes
+    about a thousand halvings from a bracket of width 2e300."""
+    return np.where(x < 0.3, 1.0, -1.0) if np.ndim(x) else (1.0 if x < 0.3 else -1.0)
+
+
+@pytest.mark.parametrize("ends,error", [
+    ((0.0, 1.0, math.nan, -1.0), ValueError),
+    ((0.0, 1.0, 1.0, math.nan), ValueError),
+    ((0.0, 1.0, 1.0, 2.0), ValueError),
+    ((-1e300, 1e300, 1.0, -1.0), berklab.NumericalError),
+])
+@pytest.mark.parametrize("float_ends", [True, False])
+def test_brent_errors_are_the_same_for_float_and_array_brackets(ends, error,
+                                                                 float_ends):
+    if not float_ends:
+        ends = tuple(np.array([v]) for v in ends)
+    with pytest.raises(error) as caught:
+        brentq_masked(_step, *ends)
+    assert not isinstance(caught.value, RuntimeError)
 
 
 @settings(max_examples=60, deadline=None)

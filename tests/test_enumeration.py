@@ -103,11 +103,16 @@ def test_saddle_node_sweep_count_matches_the_discriminant(log_gap, below):
 
 def saddle_node_distance(lq, beta_star, delta_mu):
     """|delta_mu - d| over the delta_mu values d where the fixed-point
-    quadratic's discriminant vanishes (a quadratic in delta_mu)."""
-    l1, l2, c, k = lq.lambda1, lq.lambda2, lq.c, lq.kappa
-    coeffs = [(c * l2) ** 2, -(2.0 * l1 * beta_star ** 2 * c * l2 + 4.0 * l1 * k * c * c),
-              (l1 * beta_star ** 2) ** 2]
-    return min((abs(delta_mu - d.real) for d in np.roots(coeffs)), default=math.inf)
+    quadratic's discriminant vanishes: the roots of a d^2 + b d + c0 (a
+    quadratic in delta_mu, b < 0, b^2 - 4 a c0 > 0) by the cancellation-free
+    formula, in Python floats, so that a leading coefficient that underflows
+    (lambda_a about 1e-157) gives an infinite root, not an overflow."""
+    l1, l2, c, k = map(float, (lq.lambda1, lq.lambda2, lq.c, lq.kappa))
+    a = (c * l2) ** 2
+    b = -(2.0 * l1 * beta_star ** 2 * c * l2 + 4.0 * l1 * k * c * c)
+    c0 = (l1 * beta_star ** 2) ** 2
+    q = 0.5 * (math.sqrt(b * b - 4.0 * a * c0) - b)
+    return min(abs(delta_mu - d) for d in (c0 / q, q / a if a else math.inf))
 
 
 @settings(max_examples=10, deadline=None)
@@ -116,6 +121,8 @@ def saddle_node_distance(lq, beta_star, delta_mu):
        delta_mu=st.floats(-1.5, 1.5))
 @example(c=1.8125, kappa_mult=2.0, lambda_e=0.875, lambda_a=0.3125,
          delta_mu=-1.171875)  # G(beta_hi) is 1.3e-3 of |delta_mu|
+@example(c=1.0, kappa_mult=2.0, lambda_e=1.0, lambda_a=9.60675598266873e-158,
+         delta_mu=0.0)  # lambda2^2 underflows in the saddle-node quadratic
 def test_interior_fixed_points_match_numeric_property(c, kappa_mult, lambda_e,
                                                       lambda_a, delta_mu):
     # the admissible family of the engine property test: h(beta_hi) < 1
@@ -256,19 +263,50 @@ def test_one_enumerator_for_every_fixed_point():
     assert importers == ["rootfind.py"]
 
 
-def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    # rootfind imports scipy.optimize on the first scalar solve, which the
-    # LQ closed forms never make
+def _run_fresh(code: str) -> list[str]:
+    """The words ``code`` prints, run in a fresh interpreter on this
+    checkout's package."""
     import os
     import subprocess
     import sys
 
-    code = ("import sys, berklab; "
-            "berklab.find_equilibria(berklab.build_lq(berklab.LQParams(1, 1, 1, 1), "
-            "0.0, 2.0, 0.5, 0.3, 3.0)); print('scipy.optimize' in sys.modules)")
     src = str(Path(berklab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.split() == ["False"]
+    return done.stdout.split()
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # rootfind imports scipy.optimize on the first scalar solve, which the
+    # LQ closed forms never make
+    code = ("import sys, berklab; "
+            "berklab.find_equilibria(berklab.build_lq(berklab.LQParams(1, 1, 1, 1), "
+            "0.0, 2.0, 0.5, 0.3, 3.0)); print('scipy.optimize' in sys.modules)")
+    assert _run_fresh(code) == ["False"]
+
+
+def test_lq_commands_leave_scipy_optimize_unloaded():
+    # every command on both shipped (LQ) configs, refusals included: a float
+    # bracket is the numeric best fit's alone, so no LQ path loads scipy's
+    # solvers (that would cost a multigroup run about 22 MB)
+    configs = sorted(str(p) for p in (Path(__file__).resolve().parents[1]
+                                      / "configs").glob("*.ini"))
+    commands = [["solve"], ["phase"], ["learn"], ["multigroup"],
+                ["compare", "--param", "kappa"], ["disparity"], ["check"]]
+    runs = [[name, config, *flags] for config in configs
+            for name, *flags in commands]
+    code = f"""
+import contextlib, io, sys, tempfile
+from berklab.cli import main
+with tempfile.TemporaryDirectory() as out:
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv + ["--out-dir", f"{{out}}/{{i}}"])
+                 for i, argv in enumerate({runs!r})]
+print(*codes, "scipy.optimize" in sys.modules)
+"""
+    # two_groups refuses disparity, three_equilibria multigroup (exit 2)
+    assert [Path(p).name for p in configs] == ["three_equilibria.ini",
+                                               "two_groups.ini"]
+    assert _run_fresh(code) == "0 0 0 2 0 0 0 0 0 0 0 0 2 0 False".split()

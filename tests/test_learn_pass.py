@@ -11,12 +11,13 @@ import pytest
 import berklab.cli
 import berklab.learning
 import berklab.multigroup
-from berklab import monte_carlo_convergence, simulate, transform
+from berklab import (BestResponseEngine, build_power, find_equilibria,
+                     monte_carlo_convergence, simulate, transform)
 from berklab.cli import main
 from berklab.config import load_config
 from berklab.learning import _run_engine, _single_group_args, noise_stream
 
-from helpers import three_equilibria_model
+from helpers import general_engine, three_equilibria_model
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THREE_EQ = str(CONFIGS / "three_equilibria.ini")
@@ -190,6 +191,53 @@ class TestLearnCommand:
         assert [e.h_hat for e in solved.steady_states] == [e.h_hat for e in members]
         assert given.nearest_index == solved.nearest_index
         assert given.nearest_distance == solved.nearest_distance
+
+
+class TestSteadyStateMemo:
+    """``find_equilibria`` keeps each set in the engine it was given, keyed
+    by ``grid_points``, for that engine's own model only."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        return count_calls(monkeypatch, "interior_fixed_points",
+                           BestResponseEngine)
+
+    @staticmethod
+    def power():
+        return build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
+
+    def test_enumeration_then_monte_carlo_enumerates_once(self, enumerations):
+        tm = transform(self.power())
+        eqs = find_equilibria(tm.model, engine=tm.engine, grid_points=128)
+        rep = monte_carlo_convergence(tm, runs=2, horizon=2, seed=3,
+                                      grid_points=128)
+        assert len(enumerations) == 1
+        assert find_equilibria(tm.model, engine=tm.engine, grid_points=128) is eqs
+        assert [s.beta for s in rep.steady_states] == list(eqs.beliefs)
+        assert tm.engine.equilibria == {128: eqs}
+
+    def test_another_grid_or_transform_enumerates_again(self, enumerations):
+        model = self.power()
+        tm = transform(model)
+        first = find_equilibria(model, engine=tm.engine, grid_points=128)
+        find_equilibria(model, engine=tm.engine, grid_points=64)
+        assert len(enumerations) == 2
+        again = find_equilibria(model, engine=transform(model).engine,
+                                grid_points=128)
+        assert len(enumerations) == 3
+        assert again is not first and again == first
+
+    def test_an_engine_on_another_model_bypasses_the_memo(self, enumerations):
+        # the general engine of an LQ model: its model has no LQ parameters
+        model = three_equilibria_model()
+        eng = general_engine(model)
+        sentinel = object()
+        eng.equilibria[128] = sentinel
+        got = find_equilibria(model, engine=eng, grid_points=128)
+        assert len(enumerations) == 1
+        assert eng.equilibria == {128: sentinel}
+        assert got == find_equilibria(model, engine=general_engine(model),
+                                      grid_points=128)
 
 
 class TestValidation:
