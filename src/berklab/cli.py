@@ -188,7 +188,7 @@ def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
     })
     traj = report.trajectory
     writer.csv("trajectory_000.csv", ["n", "m", "xi", "h", "x"],
-               zip(traj.periods, traj.m, traj.xi, traj.h, traj.x))
+               zip(*(a.tolist() for a in (traj.periods, traj.m, traj.xi, traj.h, traj.x))))
     return 0
 
 
@@ -225,9 +225,8 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
         header = (["n", "h"] + [f"m_{j}" for j in range(pop.size)]
                   + [f"xi_{j}" for j in range(pop.size)]
                   + [f"x_{j}" for j in range(pop.size)])
-        rows = []
-        for i, n in enumerate(traj.periods):
-            rows.append((int(n), traj.h[i], *traj.m[i], *traj.xi[i], *traj.x[i]))
+        rows = [(n, h, *m, *xi, *x) for n, h, m, xi, x in zip(
+            *(a.tolist() for a in (traj.periods, traj.h, traj.m, traj.xi, traj.x)))]
         writer.csv("trajectory_groups.csv", header, rows)
     return 0
 

@@ -248,8 +248,7 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
             m, s = prior.mean, prior.precision
     else:
         m, s = state.m, state.n * state.xi
-    rule = _assessment_rule(tm, np.array([1.0]), runs=1)
-    return float(rule(np.array([[m]], dtype=float), np.array([[s]], dtype=float))[0])
+    return float(_assessment_rule(tm, np.array([1.0]), runs=1)([m], [s]))
 
 
 def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
@@ -269,60 +268,111 @@ def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
     return np.where(s > 0.0, nu, 0.5 * (tm.m_lo + tm.m_hi))
 
 
-def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
-    """Optimal common assessment for population posteriors, vectorized over runs.
+def _interior_test(tm: TransformedModel, least: Callable, most: Callable):
+    """The certainty-equivalent rule's interior test with its bookkeeping,
+    shared by the rule's array and one-run forms; ``least`` and ``most``
+    reduce a state to its least and greatest entry.
 
-    Returns a map from ``m`` and ``s`` of shape (runs, groups) to the (runs,)
-    assessments clipped to [h_lo, h_hi], in an array the next call overwrites,
-    for the states of one simulation: successive calls must not decrease any
-    entry of ``s``.  Which branch applies is decided here, once per
-    simulation; the general branch tabulates the evaluator's marginal value
-    once here.
-
-    The certainty-equivalent branch allocates its buffers here.  When
-    ``truncnorm.interior`` holds for the modes' range and the largest sd a
-    lower bound on ``s`` allows, every posterior mean is its mode, the bits
-    ``trunc_mean`` would return, and the period skips ``_posterior_means``.
-    The bound is refreshed with ``s.min()`` only when the test fails (``s``
+    Returns ``test(m, s)``, true when ``truncnorm.interior`` holds for the
+    modes' range and the largest sd a lower bound on ``s`` allows (every
+    posterior mean is then its mode, the bits ``trunc_mean`` would return),
+    and ``settled()``, true when that bound is at least ``_MIN_PRECISION``.
+    The bound is refreshed with ``least(s)`` only when the test fails (``s``
     never decreases, so a stale bound stays a bound).  A failed test costs
     about a tenth of a fallback period, so it holds for ``_RETEST_PERIODS``
     periods, which fall back untested: states whose modes stay outside the
     interior (a corner-sink start) pay one test per ``_RETEST_PERIODS``.
     """
+    lo, hi = tm.m_lo, tm.m_hi
+    # a lower bound on every entry of s, the largest sd it allows, and the
+    # periods left before the next test
+    s_floor, sigma_max, untested = -math.inf, math.inf, 0
+
+    def test(m, s) -> bool:
+        nonlocal s_floor, sigma_max, untested
+        if untested:
+            untested -= 1
+            return False
+        m_min, m_max = least(m), most(m)
+        if interior(m_min, m_max, sigma_max, lo, hi):
+            return True
+        s_floor = float(least(s))
+        sigma_max = 1.0 / math.sqrt(s_floor) if s_floor >= _MIN_PRECISION else math.inf
+        if interior(m_min, m_max, sigma_max, lo, hi):
+            return True
+        untested = _RETEST_PERIODS - 1
+        return False
+
+    def settled() -> bool:
+        return s_floor >= _MIN_PRECISION
+    return test, settled
+
+
+def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
+    """Optimal common assessment for population posteriors, clipped to
+    [h_lo, h_hi], for the states of one simulation: successive calls must
+    not decrease any entry of ``s``.  Which branch applies is decided here,
+    once per simulation; the general branch tabulates the evaluator's
+    marginal value once here, and the certainty-equivalent branch allocates
+    its buffers here and calls ``_posterior_means`` only on periods that
+    fail its interior test (``_interior_test``).
+
+    For ``runs`` > 1 the rule maps ``m`` and ``s`` of shape (runs, groups)
+    to the (runs,) assessments, in an array the next call overwrites.  For
+    one run it maps sequences of one float per group to a float with the
+    same bits: the floats are copied into (1, groups) rows for the
+    population mean (``np.dot``, as in the array form), for
+    ``_posterior_means`` and for the table, and the clip is ``min`` and
+    ``max``.
+    """
+    one = runs == 1
+    shape = (runs, alphas.size)
+    mean = np.empty(runs)
+    if one:
+        m_row, s_row = np.empty(shape), np.empty(shape)
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
-        lo, hi = tm.m_lo, tm.m_hi
-        least, most = np.minimum.reduce, np.maximum.reduce
-        root, sigma = np.empty((runs, alphas.size)), np.empty((runs, alphas.size))
-        mean = np.empty(runs)
-        # a lower bound on every entry of s, the largest sd it allows, and
-        # the periods left before the next test
-        s_floor, sigma_max, untested = -math.inf, math.inf, 0
+        root, sigma = np.empty(shape), np.empty(shape)
+        if one:
+            # a NaN mode reaches every group at once (through a NaN h), so
+            # min and max, which may skip a NaN, still see it
+            test, settled = _interior_test(tm, min, max)
 
-        def optimum(m, s):
-            nonlocal s_floor, sigma_max, untested
-            if untested:
-                untested -= 1
-            else:
-                m_min, m_max = least(m, None), most(m, None)
-                inside = interior(m_min, m_max, sigma_max, lo, hi)
-                if not inside:
-                    s_floor = float(least(s, None))
-                    sigma_max = (1.0 / math.sqrt(s_floor) if s_floor >= _MIN_PRECISION
-                                 else math.inf)
-                    inside = interior(m_min, m_max, sigma_max, lo, hi)
-                if inside:
+            def optimum(m, s):  # ndarray.dot: np.dot's product, for less overhead
+                m_row[0] = m
+                if test(m, s):
+                    return ce(m_row.dot(alphas, mean).item())
+                s_row[0] = s
+                nu = _posterior_means(tm, m_row, s_row, root, sigma, settled())
+                return ce(nu.dot(alphas, mean).item())
+        else:
+            least, most, dot = np.minimum.reduce, np.maximum.reduce, np.dot
+            test, settled = _interior_test(tm, lambda a: least(a, None),
+                                           lambda a: most(a, None))
+
+            def optimum(m, s):
+                if test(m, s):
                     # ce(m @ alphas): np.dot with out= calls the same BLAS
                     # gemv as matmul, for less overhead
-                    return ce(np.dot(m, alphas, out=mean))
-                untested = _RETEST_PERIODS - 1
-            nu = _posterior_means(tm, m, s, root, sigma, s_floor >= _MIN_PRECISION)
-            return ce(np.dot(nu, alphas, out=mean))
+                    return ce(dot(m, alphas, out=mean))
+                return ce(dot(_posterior_means(tm, m, s, root, sigma, settled()),
+                              alphas, out=mean))
     else:
         table = _foc_table(tm)
+        if one:
+            def optimum(m, s):
+                m_row[0] = m
+                s_row[0] = s
+                return _quadrature_assessment(tm, table, alphas, m_row, s_row).item()
+        else:
+            def optimum(m, s):
+                return _quadrature_assessment(tm, table, alphas, m, s)
+    if one:
+        h_lo, h_hi = tm.h_lo, tm.h_hi
 
-        def optimum(m, s):
-            return _quadrature_assessment(tm, table, alphas, m, s)
+        def rule(m, s):
+            return min(max(optimum(m, s), h_lo), h_hi)
+        return rule
     h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)  # 0-d: no conversion per call
     floor, h = np.empty(runs), np.empty(runs)
     minimum, maximum = np.minimum, np.maximum
@@ -521,15 +571,21 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     ``record_stride`` periods (0: none); ``prior`` has one entry (None:
     uniform) per group.
 
-    The period loop allocates almost nothing: the state (m, s) and the
-    per-period (runs, groups) and (runs,) quantities live in buffers
-    allocated once per call and written with ``out=``, and its ufuncs are
-    bound to locals once.  Every operation keeps the order and association
-    of the plain expressions in the comments, so each stored value has their
-    bits.  s never decreases (it gains I(h) = g2(h)^2 h >= 0), which the
+    There are two period loops, chosen by ``runs``, the input size: several
+    runs step as (runs, groups) arrays (``_lockstep``), where each numpy
+    call serves the whole batch; one run steps on Python floats
+    (``_one_run``), where a numpy call on a (1, groups) array would cost
+    far more than its few flops.  Both keep the order and association of
+    the plain expressions in ``_lockstep``'s comments, so each stored value
+    has their bits at the same ``runs``.  The population mean stays
+    ``np.dot`` in both, for a Python sum rounds differently from the BLAS
+    kernel.  numpy hands a (1, groups) row to ddot and a batch to gemv, which
+    OpenBLAS adds in opposite fma orders, so with two or more groups a run
+    alone may differ in the last bits from the same run in a batch.
+    s never decreases (it gains I(h) = g2(h)^2 h >= 0), which the
     certainty-equivalent rule relies on: it calls ``trunc_mean`` only on
     periods whose modes and precisions fail its interior test (see
-    ``_assessment_rule``), and on settled runs not at all.
+    ``_interior_test``), and on settled runs not at all.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -538,12 +594,10 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     groups = len(alphas)
     if prior is not None and len(prior) != groups:
         raise ValueError(f"prior has {len(prior)} entries for {groups} groups")
-    # loop invariants, one row per group repeated over runs, so that they
-    # meet the (runs, groups) state shape for shape (broadcasting costs more)
-    bstar_t, mu_star_row, mu_hat_row = (np.repeat(row, runs, axis=0) for row in (
-        np.array([[float(tm.g1(b)) for b in beta_stars]]),
-        np.array([mu_stars], dtype=float),
-        np.array([mu_stars], dtype=float) + np.array([deltas], dtype=float)))
+    # loop invariants, one row per group
+    bstar_t = np.array([[float(tm.g1(b)) for b in beta_stars]])
+    mu_star_row = np.array([mu_stars], dtype=float)
+    mu_hat_row = mu_star_row + np.array([deltas], dtype=float)
     assess = _assessment_rule(tm, np.asarray(alphas, dtype=float), runs)
 
     m = np.zeros((runs, groups))
@@ -553,16 +607,32 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
             if pj is not None:
                 m[:, j] = pj.mean
                 s[:, j] = pj.precision
+    gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
+            for k in range(runs)]
+    if runs == 1:
+        return _one_run(tm, assess, bstar_t[0].tolist(), mu_star_row[0].tolist(),
+                        mu_hat_row[0].tolist(), m[0].tolist(), s[0].tolist(),
+                        gens[0], horizon, zero_noise, clip_noise, record_stride)
+    # the rows repeated over runs, so that they meet the (runs, groups) state
+    # shape for shape (broadcasting costs more)
+    return _lockstep(tm, assess, *(np.repeat(row, runs, axis=0)
+                                   for row in (bstar_t, mu_star_row, mu_hat_row)),
+                     m, s, gens, horizon, zero_noise, clip_noise, record_stride)
 
+
+def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
+              zero_noise, clip_noise, record_stride) -> _RunResult:
+    """``_run_engine``'s loop for several runs.  It allocates almost
+    nothing: the state (m, s) and the per-period (runs, groups) and (runs,)
+    quantities live in buffers allocated once per call and written with
+    ``out=``, and its ufuncs are bound to locals once."""
+    runs, groups = m.shape
     # per-period buffers, each written only by operations that do not also
     # read it (in-place ufuncs cost more on tiny arrays); the columns are
     # (runs, 1) views and s alternates with s_next
     x, w1, w2, w3, s_next = (np.empty((runs, groups)) for _ in range(5))
     g2h2, info, root_h, weight = (np.empty(runs) for _ in range(4))
     info_col, root_h_col, weight_col = info[:, None], root_h[:, None], weight[:, None]
-
-    gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
-            for k in range(runs)]
 
     rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
     # the period loop's callables, bound once: a global or attribute lookup
@@ -610,8 +680,65 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 rec_h.append(float(h[0]))
                 rec_x.append(x[0].copy())
         remaining -= block
-
     return _RunResult(m=m, s=s,
+                      rec_n=np.array(rec_n, dtype=int),
+                      rec_m=np.array(rec_m), rec_xi=np.array(rec_xi),
+                      rec_h=np.array(rec_h), rec_x=np.array(rec_x))
+
+
+def _one_run(tm, assess, bstar, mu_star, mu_hat, m, s, gens, horizon,
+             zero_noise, clip_noise, record_stride) -> _RunResult:
+    """``_run_engine``'s loop for one run: the state, the loop invariants
+    and each block of noise (one list per group) hold one Python float per
+    group, and each period evaluates ``_lockstep``'s plain expressions group
+    by group (an indexed loop costs less than comprehensions).  g2 takes h
+    in a one-entry array: a model's g2 may take powers, which numpy's SIMD
+    loops and the C library round differently.  A period whose h is not
+    positive (or is NaN) computes on numpy scalars, which give inf or NaN
+    where ``math.sqrt`` and float division raise; so does one whose
+    information vanishes, where s_next may be zero."""
+    rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
+    g2, sqrt, log = tm.g2, math.sqrt, math.log
+    h_buf = np.empty(1)
+    groups = range(len(m))
+    n = 0
+    for start in range(0, horizon, CHUNK):
+        block = min(CHUNK, horizon - start)
+        columns = [[0.0] * block if zero_noise else gen.standard_normal(block).tolist()
+                   for gen in gens]
+        for e in zip(*columns):
+            n += 1
+            if clip_noise:
+                bound = sqrt(2.0 * log(max(n, 2)))
+            h = assess(m, s)
+            h_buf[0] = h
+            g2h = g2(h_buf).item()
+            if h > 0.0:
+                root_h = sqrt(h)
+            else:
+                h = np.float64(h)
+                root_h = np.sqrt(h)
+            info = g2h * g2h * h
+            if not info > 0.0:
+                info = np.float64(info)
+            weight = h * g2h
+            x, m_next, s_next = [], [], []
+            for j in groups:
+                ej = min(max(e[j], -bound), bound) if clip_noise else e[j]
+                xj = mu_star[j] + bstar[j] * g2h + ej / root_h
+                sj = s[j]
+                sn = sj + info
+                x.append(xj)
+                s_next.append(sn)
+                m_next.append((sj * m[j] + (xj - mu_hat[j]) * weight) / sn)
+            m, s = m_next, s_next
+            if record_stride and (n % record_stride == 0 or n == 1 or n == horizon):
+                rec_n.append(n)
+                rec_m.append(m)
+                rec_xi.append([sj / n for sj in s])
+                rec_h.append(float(h))
+                rec_x.append(x)
+    return _RunResult(m=np.array([m]), s=np.array([s]),
                       rec_n=np.array(rec_n, dtype=int),
                       rec_m=np.array(rec_m), rec_xi=np.array(rec_xi),
                       rec_h=np.array(rec_h), rec_x=np.array(rec_x))

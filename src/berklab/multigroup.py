@@ -14,6 +14,7 @@ spectrum, not of the method that found it.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -75,6 +76,13 @@ class GroupPopulation:
     def delta_bar(self) -> float:
         """Population-weighted average misspecification."""
         return float(sum(a * d for a, d in zip(self.alphas, self.deltas)))
+
+    @functools.cached_property
+    def _shared(self) -> _SharedAssessment:
+        """The shared-assessment problem, built on first use: the population
+        is frozen, so ``color_sighted_equilibrium`` and
+        ``color_sighted_equilibria`` share it and its one enumeration."""
+        return _SharedAssessment(self)
 
 
 def color_blind_equilibria(pop: GroupPopulation) -> EquilibriumSet:
@@ -141,6 +149,7 @@ class _SharedAssessment:
         self.truths = np.asarray(pop.beta_stars, dtype=float)
         self.deltas = np.asarray(pop.deltas, dtype=float)
         self.evaluations = 0
+        self._found = None
 
     def fit(self, h):  # (J,) best fits at a float h, (N, J) at N of them
         return self.eng.best_fit(np.asarray(h)[..., None], self.truths, self.deltas)
@@ -149,7 +158,15 @@ class _SharedAssessment:
         self.evaluations += np.size(h)
         return self.eng.assessment_multigroup(self.fit(h), self.alphas) - h
 
-    def roots(self) -> list[tuple[float, float]]:
+    def roots(self) -> tuple[tuple[tuple[float, float], ...], int]:
+        """The roots of F (``_enumerate``) and the evaluations of F that found
+        them, enumerated on the first call only."""
+        if self._found is None:
+            roots = self._enumerate()
+            self._found = roots, self.evaluations
+        return self._found
+
+    def _enumerate(self) -> tuple[tuple[float, float], ...]:
         """(h, F'(h)) at every root of F, ascending, each counted once:
         ``certified_roots`` on each piece between the kinks of F, where a
         group's unclamped fit meets a support edge (the one sign change of
@@ -178,11 +195,12 @@ class _SharedAssessment:
         for h, slope in sorted(found):
             if not out or h - out[-1][0] >= DEDUP_TOL:
                 out.append((h, slope))
-        return out
+        return tuple(out)
 
-    def member(self, h: float, slope: float) -> MultigroupEquilibrium:
+    def member(self, h: float, slope: float, iterations: int) -> MultigroupEquilibrium:
         """The equilibrium at the root h of F: beta = best_fit(h), confirmed
-        by one step of the joint belief map, whose size is the residual."""
+        by one step of the joint belief map, whose size is the residual;
+        ``iterations`` evaluations of F found it."""
         eng, alphas, truths, deltas = self.eng, self.alphas, self.truths, self.deltas
         prev = self.fit(h)
         betas = self.fit(eng.assessment_multigroup(prev, alphas))
@@ -200,7 +218,7 @@ class _SharedAssessment:
             beta_hat=betas, h_hat=h, sce_flags=sce, g=g, grad_h=gh,
             eigenvalues=np.sort(eigs), slope=slope,
             residual=float(np.max(np.abs(betas - prev))),
-            iterations=self.evaluations,
+            iterations=iterations,
             domain_lo=np.where(deltas > 0, eng.model.beta_lo, truths),
             domain_hi=np.where(deltas > 0, truths, eng.model.beta_hi))
 
@@ -209,8 +227,9 @@ def color_sighted_equilibria(pop: GroupPopulation) -> tuple[MultigroupEquilibriu
     """Every equilibrium under sighted impartial assessment, by descending
     shared assessment h: the roots of H(best_fit(h)) - h, enumerated by
     ``certified_roots``.  A member is a sink when ``stable``."""
-    problem = _SharedAssessment(pop)
-    return tuple(problem.member(h, s) for h, s in reversed(problem.roots()))
+    problem = pop._shared
+    roots, evaluations = problem.roots()
+    return tuple(problem.member(h, s, evaluations) for h, s in reversed(roots))
 
 
 def color_sighted_equilibrium(pop: GroupPopulation) -> MultigroupEquilibrium:
@@ -219,12 +238,13 @@ def color_sighted_equilibrium(pop: GroupPopulation) -> MultigroupEquilibrium:
     or else the nearest one from h0 = H(beta*) in the direction of
     H(best_fit(h0)) - h0, where the iterates head; a warning names the others.
     """
-    problem = _SharedAssessment(pop)
-    roots = problem.roots()
+    problem = pop._shared
+    roots, evaluations = problem.roots()
     chosen = roots[0]
     if len(roots) > 1:
         h0 = problem.eng.assessment_multigroup(problem.truths, problem.alphas)
         f0 = problem.excess(h0)
+        evaluations += 1
         ahead = [r for r in roots if (r[0] - h0) * f0 >= 0.0] or roots
         chosen = min(ahead, key=lambda r: abs(r[0] - h0))
         others = "; ".join(f"h = {r[0]:.9g}, beliefs {problem.fit(r[0])}"
@@ -232,7 +252,7 @@ def color_sighted_equilibrium(pop: GroupPopulation) -> MultigroupEquilibrium:
         warnings.warn(f"{len(roots)} color-sighted equilibria; returning the one "
                       f"iteration from the truths reaches, at h = {chosen[0]:.9g}; "
                       f"the others: {others}")
-    return problem.member(*chosen)
+    return problem.member(*chosen, evaluations)
 
 
 def sherman_morrison_inverse(u, v) -> np.ndarray:

@@ -360,6 +360,12 @@ def three_equilibria_model() -> ModelPrimitives:
                     beta_lo=0.3, beta_hi=3.0)
 
 
+# per-group (alphas, beta_stars, deltas, mu_stars) for two groups on the
+# three-equilibria model: uneven weights, so the population mean is not an
+# exact halving
+TWO_GROUPS = ((0.3, 0.7), (2.0, 1.8), (0.5, -0.2), (0.0, 0.1))
+
+
 def unique_equilibrium_model(delta_mu: float = -0.5) -> ModelPrimitives:
     params = LQParams(c=1.0, kappa=1.0, lambda_e=1.0, lambda_a=1.0, delta=0.0)
     return build_lq(params, mu_star=0.0, beta_star=2.0, mu_hat=delta_mu,

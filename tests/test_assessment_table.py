@@ -17,11 +17,11 @@ from scipy.optimize import brentq
 import berklab.learning
 from berklab import (BestResponseEngine, LearningState, NumericalError,
                      build_power, evaluator_step, transform)
-from berklab.learning import (_foc_table, _group_quadrature, _run_engine,
+from berklab.learning import (CHUNK, _foc_table, _group_quadrature, _run_engine,
                               _single_group_args, _table_assessments)
 from berklab.rootfind import RTOL, XTOL
 
-from helpers import direct_quadrature_assessment, three_equilibria_model
+from helpers import TWO_GROUPS, direct_quadrature_assessment, three_equilibria_model
 
 
 def power_model(gamma: float = 2.5):
@@ -133,15 +133,31 @@ def test_one_table_per_simulation(monkeypatch, tm_power):
     assert counts == [per_table, per_table]
 
 
-def test_runs_do_not_depend_on_the_batch(tm_power):
-    args = _single_group_args(tm_power)
-    batch = _run_engine(tm_power, *args, runs=3, horizon=3, seed=8)
-    ahead = _run_engine(tm_power, *args, runs=2, horizon=3, seed=8,
+@pytest.mark.parametrize("case", ("power", "three_equilibria", pytest.param(
+    "two_groups", marks=pytest.mark.xfail(strict=True, reason=(
+        "np.dot forms one run's population mean with BLAS ddot and a batch's "
+        "with gemv, and on OpenBLAS they add the two products in opposite "
+        "fma orders")))))
+def test_runs_do_not_depend_on_the_batch(tm_power, case):
+    # a run alone steps on floats and a batch on arrays: run k alone is row k
+    # of the batch bit for bit, on the general path and, past a block of
+    # noise, on the certainty-equivalent path with one group and with two
+    if case == "power":
+        tm, args, horizon = tm_power, _single_group_args(tm_power), 3
+    else:
+        tm, horizon = transform(three_equilibria_model()), CHUNK + 5
+        args = _single_group_args(tm) if case == "three_equilibria" else TWO_GROUPS
+    batch = _run_engine(tm, *args, runs=3, horizon=horizon, seed=8)
+    ahead = _run_engine(tm, *args, runs=2, horizon=horizon, seed=8,
                         record_stride=1, first_run=2)
-    alone = _run_engine(tm_power, *args, runs=1, horizon=3, seed=8,
-                        record_stride=1, first_run=2)
-    assert ahead.rec_h.tobytes() == alone.rec_h.tobytes()
-    assert batch.m[2].tobytes() == alone.m[0].tobytes()
+    for k in range(3):
+        alone = _run_engine(tm, *args, runs=1, horizon=horizon, seed=8,
+                            record_stride=1, first_run=k)
+        assert batch.m[k].tobytes() == alone.m[0].tobytes()
+        assert batch.s[k].tobytes() == alone.s[0].tobytes()
+    # run 2 alone against run 2 leading a batch of two, every recorded field
+    for field in ("rec_n", "rec_m", "rec_xi", "rec_h", "rec_x"):
+        assert getattr(ahead, field).tobytes() == getattr(alone, field).tobytes()
 
 
 def test_certainty_equivalent_models_never_build_the_table(monkeypatch):

@@ -155,9 +155,12 @@ class TestLearnCommand:
                              berklab.multigroup, berklab.cli)
         sets = count_calls(monkeypatch, "color_sighted_equilibria",
                            berklab.multigroup, berklab.cli)
+        # the selected member and the set come from one enumeration
+        scans = count_calls(monkeypatch, "_enumerate",
+                            berklab.multigroup._SharedAssessment)
         assert main(["multigroup", GROUPS, "--out-dir", str(tmp_path / "o"),
                      "--horizon", "300"]) == 0
-        assert (len(solves), len(sets)) == (1, 1)
+        assert (len(solves), len(sets), len(scans)) == (1, 1, 1)
 
     @pytest.mark.parametrize("groups", [0, 1, 2])
     def test_drivers_transform_and_classify_once(self, monkeypatch, groups):

@@ -23,13 +23,11 @@ from berklab.learning import (CHUNK, _RETEST_PERIODS, TruncNormalPrior, _assessm
                               _run_engine, _single_group_args)
 from berklab.truncnorm import interior, trunc_mean
 
-from helpers import interior_edge, nudged, run_engine_reference, three_equilibria_model
+from helpers import (TWO_GROUPS, interior_edge, nudged, run_engine_reference,
+                     three_equilibria_model)
 
 FIELDS = ("m", "s", "rec_n", "rec_m", "rec_xi", "rec_h", "rec_x")
 CORNER = -2.0555555555555562  # the corner sink of the three-equilibria model
-# per-group truths for two groups: uneven weights, so the population mean
-# is not an exact halving
-TWO_GROUPS = ((0.3, 0.7), (2.0, 1.8), (0.5, -0.2), (0.0, 0.1))
 
 
 @pytest.fixture(scope="module")
@@ -99,10 +97,11 @@ def test_priors_at_the_edges_of_the_interior_path(tm3, ulps):
                         run_engine_reference(tm3, *TWO_GROUPS, **kwargs))
 
 
-def test_buffers_carry_over_into_the_next_noise_block(tm3):
+@pytest.mark.parametrize("runs", (1, 2))
+def test_buffers_carry_over_into_the_next_noise_block(tm3, runs):
     # the noise is drawn in blocks of CHUNK periods, while the state and the
     # clipped noise live in buffers that persist from one block to the next
-    kwargs = dict(runs=2, horizon=CHUNK + 5, seed=23, clip_noise=True,
+    kwargs = dict(runs=runs, horizon=CHUNK + 5, seed=23, clip_noise=True,
                   record_stride=CHUNK)
     args = _single_group_args(tm3)
     got = _run_engine(tm3, *args, **kwargs)
@@ -110,9 +109,10 @@ def test_buffers_carry_over_into_the_next_noise_block(tm3):
     assert_same_run(got, run_engine_reference(tm3, *args, **kwargs))
 
 
-def test_general_primitives_step_matches_the_reference():
+@pytest.mark.parametrize("runs", (1, 2))
+def test_general_primitives_step_matches_the_reference(runs):
     tm = transform(build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0))
-    kwargs = dict(runs=2, horizon=3, seed=8, record_stride=1)
+    kwargs = dict(runs=runs, horizon=3, seed=8, record_stride=1)
     args = _single_group_args(tm)
     assert_same_run(_run_engine(tm, *args, **kwargs),
                     run_engine_reference(tm, *args, **kwargs))
@@ -169,24 +169,25 @@ def fallback_periods(periods, size):
 
 
 @pytest.mark.parametrize("groups", (1, 2))
+@pytest.mark.parametrize("runs", ((5, 4, 3), (1, 1, 1)))
 def test_trunc_mean_is_called_only_where_the_interior_test_fails(tm3, monkeypatch,
-                                                                groups):
+                                                                groups, runs):
     # a uniform start falls back while its posteriors are wide, then settles
     # for good; a corner-sink start keeps its modes below the support and
     # falls back every period
     periods = period_log(monkeypatch)
-    _run_engine(tm3, *group_args(tm3, groups), runs=5, horizon=300, seed=2)
-    first = fallback_periods(periods, 5 * groups)
+    _run_engine(tm3, *group_args(tm3, groups), runs=runs[0], horizon=300, seed=2)
+    first = fallback_periods(periods, runs[0] * groups)
     assert 0 < len(first) < 100 and first == list(range(1, len(first) + 1))
     periods.clear()
-    simulate(tm3, horizon=250, seed=3, runs=4)
-    first = fallback_periods(periods, 4)
+    simulate(tm3, horizon=250, seed=3, runs=runs[1])
+    first = fallback_periods(periods, runs[1])
     assert 0 < len(first) < 100 and first == list(range(1, len(first) + 1))
     periods.clear()
     prior = [TruncNormalPrior(CORNER, 0.01)] * groups
-    _run_engine(tm3, *group_args(tm3, groups), runs=3, horizon=200, seed=4,
+    _run_engine(tm3, *group_args(tm3, groups), runs=runs[2], horizon=200, seed=4,
                 prior=prior)
-    assert fallback_periods(periods, 3 * groups) == list(range(1, 201))
+    assert fallback_periods(periods, runs[2] * groups) == list(range(1, 201))
 
 
 def test_evaluator_step_on_a_terminal_state_gives_the_next_assessment(tm3):
