@@ -156,7 +156,9 @@ class BestResponseEngine:
     ``r_partials``, ``best_fit``, ``assessment``, ``first_order_assessment``)
     takes scalars, giving floats, or broadcastable arrays, giving arrays (a
     pair of them for pairs), on both paths: closed forms once over the
-    arrays.  ``certainty_equivalent`` is the LQ closed form alone.  On the
+    arrays, and in float arithmetic on a float (``math.sqrt``, ``min``,
+    ``max`` and comparisons, with numpy's bits but none of its 0-d call
+    overhead).  ``certainty_equivalent`` is the LQ closed form alone.  On the
     numeric path every point map but ``best_fit`` (point by point) solves
     all points in one masked Brent pass of ``rootfind.solve_decreasing``
     (point by point below ``ARRAY_SOLVE_MIN`` points); the assessment maps
@@ -309,6 +311,10 @@ class BestResponseEngine:
             # beta_star * beta_star, not ** 2: a float's ** 2 calls pow, which
             # can round differently from an array's ** 2 (a square)
             val = beta_star * beta_star - delta_mu * m.lq.c / h
+            if isinstance(val, float):  # min and max keep a NaN val, as numpy's
+                if clamp:
+                    return min(math.sqrt(max(val, m.beta_lo ** 2)), m.beta_hi)
+                return math.sqrt(val) if val >= 0.0 else math.nan
             if clamp:
                 out = np.minimum(np.sqrt(np.maximum(val, m.beta_lo ** 2)), m.beta_hi)
             else:
@@ -375,16 +381,16 @@ class BestResponseEngine:
         b = self._l1 * beta_star ** 2 - delta_mu * lq.c * self._l2
         c0 = delta_mu * lq.kappa * lq.c ** 2
         disc = b * b - 4.0 * self._l1 * c0
-        xs = np.empty(0)
+        xs = []  # the distinct roots inside the support, ascending
         if disc >= 0.0:
             q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
-            xs = np.unique([q / self._l1, c0 / q])
-            xs = xs[(xs > m.beta_lo ** 2) & (xs < m.beta_hi ** 2)]
-        slopes = c0 / (self._l1 * xs * xs)
-        ends = np.array([m.beta_lo, m.beta_hi])
-        f_lo, f_hi = self._fit_gap(self.assessment(ends), ends, beta_star, delta_mu)
-        return Roots(np.sqrt(xs), slopes < 1.0, slopes, np.empty(0),
-                     float(f_lo), float(f_hi))
+            xs = [x for x in sorted({q / self._l1, c0 / q})
+                  if m.beta_lo ** 2 < x < m.beta_hi ** 2]
+        slopes = np.array([c0 / (self._l1 * x * x) for x in xs])
+        f_lo, f_hi = (float(self._fit_gap(self.assessment(e), e, beta_star, delta_mu))
+                      for e in (m.beta_lo, m.beta_hi))
+        return Roots(np.array([math.sqrt(x) for x in xs]), slopes < 1.0, slopes,
+                     np.empty(0), f_lo, f_hi)
 
     # -- evaluator ------------------------------------------------------
 
@@ -539,15 +545,21 @@ class BestResponseEngine:
         return a
 
     def _require_interior(self, h, beta, error=InvariantViolation) -> None:
-        h_arr = np.asarray(h)
-        bad = (h_arr <= 0.0) | (h_arr >= 1.0)
-        if np.any(bad):
+        """``error`` unless 0 < h < 1 at every entry, which a NaN fails."""
+        if isinstance(h, float):
+            if 0.0 < h < 1.0:
+                return
+        else:
+            h_arr = np.asarray(h)
+            bad = ~((h_arr > 0.0) & (h_arr < 1.0))
+            if not bad.any():
+                return
             if h_arr.ndim:  # report the first offending entry (a population's row)
                 i = np.unravel_index(int(np.argmax(bad)), h_arr.shape)
                 h, beta = float(h_arr[i]), np.asarray(beta)[i].tolist()
-            raise error(
-                f"assessment {h!r} at beta={beta!r} is not interior to (0, 1); "
-                "primitives violate the interiority assumption")
+        raise error(
+            f"assessment {h!r} at beta={beta!r} is not interior to (0, 1); "
+            "primitives violate the interiority assumption")
 
     # -- support-level constants -----------------------------------------
 

@@ -104,6 +104,13 @@ class TestAssessment:
                      0.0, 2.0, 0.0, 0.5, 3.0)
         with pytest.raises(InvariantViolation):
             BestResponseEngine(m).assessment(3.0)
+        # a NaN assessment is not interior either, on a float or in an array
+        eng = BestResponseEngine(unique_equilibrium_model())
+        for beta in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(InvariantViolation, match="nan"):
+                eng.assessment(beta)
+        with pytest.raises(NumericalError, match="nan"):
+            eng.first_order_assessment(math.nan)
 
 
 class TestAssessmentMultigroup:
@@ -505,7 +512,12 @@ def test_array_calls_are_the_scalar_calls_bit_for_bit(numeric, hs, betas,
         for arg in (b[0], np.array(b[0]), b, b[:, None], np.linspace(*b, 64)):
             assert _same_bits(method(arg), _scalar_calls(method, (arg,)))
     t, d = np.array(truths), np.array(deltas)
-    for args in [(h[0], t[0], d[0]), (h[0], t, d), (h[:, None], t, d)]:
+    # fixed points the draws may miss: the fit clamped at beta_lo (with no
+    # unclamped root) and at beta_hi, and on the closed path NaN inputs
+    edges = (np.array([0.05, 0.05, math.nan, 0.5]), np.array([0.6, 2.9, 2.0, 2.0]),
+             np.array([0.3, -0.3, 0.1, math.nan]))
+    edges = tuple(e[:2] for e in edges) if numeric else edges
+    for args in [(h[0], t[0], d[0]), (h[0], t, d), (h[:, None], t, d), edges]:
         for clamp in (True, False):
             assert _same_bits(eng.best_fit(*args, clamp=clamp),
                               _scalar_calls(eng.best_fit, args, clamp=clamp))
