@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -65,6 +66,13 @@ def _population(betas, weights):
     if not np.all(betas > 0.0):
         raise ValueError("all productivities must be positive")
     return betas, weights
+
+
+def population_mean(columns, weights):
+    """sum_j w_j c_j of one column per group (floats, or arrays of one shape)
+    as the left fold w_0 c_0 + w_1 c_1 + ...: unlike a BLAS product's, its
+    order of summation does not depend on the batch."""
+    return functools.reduce(operator.add, map(operator.mul, weights, columns))
 
 
 def _elementwise(fn, *args, pair: bool = False):
@@ -438,7 +446,7 @@ class BestResponseEngine:
         a float for J of them, an array of N for an (N, J) array."""
         betas, weights = _population(betas, weights)
         if self._closed:
-            s = np.dot(betas ** 2, weights)
+            s = population_mean((betas ** 2).T, weights.tolist())
             h = self.certainty_equivalent(float(s) if s.ndim == 0 else s)
             self._require_interior(h, betas)
             return h
@@ -490,7 +498,7 @@ class BestResponseEngine:
         betas, weights = _population(betas, weights)
         if self._closed:
             lq = self.model.lq
-            s = float(np.dot(weights, betas ** 2))
+            s = float(population_mean(betas ** 2, weights.tolist()))
             denom = (self._l2 * s + self._kc) ** 2
             return self._l1 * lq.kappa * lq.c * 2.0 * weights * betas / denom
         own = np.eye(betas.size, dtype=bool)
@@ -517,9 +525,9 @@ class BestResponseEngine:
         condition at h(a) decreases in a.  The bracket is the effort
         at the ends of (0, 1); only groups after the first solve effort
         at h(a).  No bracket (or no effort response, as at zero
-        productivity) means no interior optimum: an InvariantViolation, or
-        a NumericalError under a fixed effort ``belief`` (first-order
-        misspecification).
+        productivity, or a NaN productivity, which no solve can bracket)
+        means no interior optimum: an InvariantViolation, or a NumericalError
+        under a fixed effort ``belief`` (first-order misspecification).
         """
 
         def condition(a, *bs):  # floats or 1-d arrays, decreasing in a
@@ -530,6 +538,8 @@ class BestResponseEngine:
 
         b_a = betas[0] if belief is None else belief
         try:
+            if any(np.isnan(b).any() for b in betas):
+                raise NumericalError("no bracket: a productivity is nan")
             a_lo, a_hi = (_pointwise(self._effort_numeric, h, b_a)
                           for h in (H_EDGE, 1.0 - H_EDGE))
             if np.any(a_hi <= a_lo):

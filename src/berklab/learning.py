@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .best_response import BestResponseEngine, array_form
+from .best_response import BestResponseEngine, array_form, population_mean
 from .chebyshev import _cheb_basis, certified_series
 from .equilibrium import DEFAULT_GRID, find_equilibria
 from .errors import NumericalError
@@ -320,50 +320,41 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     For ``runs`` > 1 the rule maps ``m`` and ``s`` of shape (runs, groups)
     to the (runs,) assessments, in an array the next call overwrites.  For
     one run it maps sequences of one float per group to a float with the
-    same bits: the floats are copied into (1, groups) rows for the
-    population mean (``np.dot``, as in the array form), for
-    ``_posterior_means`` and for the table, and the clip is ``min`` and
-    ``max``.
+    same bits: both fold the population mean by ``population_mean``, the
+    floats become arrays only for ``_posterior_means`` and the table, and
+    the clip is ``min`` and ``max``.
     """
     one = runs == 1
-    shape = (runs, alphas.size)
-    mean = np.empty(runs)
-    if one:
-        m_row, s_row = np.empty(shape), np.empty(shape)
+    weights = alphas.tolist()
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
+        shape = (alphas.size,) if one else (runs, alphas.size)
         root, sigma = np.empty(shape), np.empty(shape)
         if one:
             # a NaN mode reaches every group at once (through a NaN h), so
             # min and max, which may skip a NaN, still see it
             test, settled = _interior_test(tm, min, max)
 
-            def optimum(m, s):  # ndarray.dot: np.dot's product, for less overhead
-                m_row[0] = m
-                if test(m, s):
-                    return ce(m_row.dot(alphas, mean).item())
-                s_row[0] = s
-                nu = _posterior_means(tm, m_row, s_row, root, sigma, settled())
-                return ce(nu.dot(alphas, mean).item())
+            def optimum(m, s):
+                if not test(m, s):
+                    m = _posterior_means(tm, np.array(m), np.array(s), root, sigma,
+                                         settled()).tolist()
+                return ce(population_mean(m, weights))
         else:
-            least, most, dot = np.minimum.reduce, np.maximum.reduce, np.dot
+            least, most = np.minimum.reduce, np.maximum.reduce
             test, settled = _interior_test(tm, lambda a: least(a, None),
                                            lambda a: most(a, None))
 
             def optimum(m, s):
-                if test(m, s):
-                    # ce(m @ alphas): np.dot with out= calls the same BLAS
-                    # gemv as matmul, for less overhead
-                    return ce(dot(m, alphas, out=mean))
-                return ce(dot(_posterior_means(tm, m, s, root, sigma, settled()),
-                              alphas, out=mean))
+                if not test(m, s):
+                    m = _posterior_means(tm, m, s, root, sigma, settled())
+                return ce(population_mean(m.T, weights))
     else:
         table = _foc_table(tm)
         if one:
             def optimum(m, s):
-                m_row[0] = m
-                s_row[0] = s
-                return _quadrature_assessment(tm, table, alphas, m_row, s_row).item()
+                return _quadrature_assessment(tm, table, alphas, np.array([m]),
+                                              np.array([s])).item()
         else:
             def optimum(m, s):
                 return _quadrature_assessment(tm, table, alphas, m, s)
@@ -576,12 +567,9 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     call serves the whole batch; one run steps on Python floats
     (``_one_run``), where a numpy call on a (1, groups) array would cost
     far more than its few flops.  Both keep the order and association of
-    the plain expressions in ``_lockstep``'s comments, so each stored value
-    has their bits at the same ``runs``.  The population mean stays
-    ``np.dot`` in both, for a Python sum rounds differently from the BLAS
-    kernel.  numpy hands a (1, groups) row to ddot and a batch to gemv, which
-    OpenBLAS adds in opposite fma orders, so with two or more groups a run
-    alone may differ in the last bits from the same run in a batch.
+    the plain expressions in ``_lockstep``'s comments, and both form the
+    population mean by ``population_mean``'s fold, so each stored value of
+    a run has the same bits alone and in any batch.
     s never decreases (it gains I(h) = g2(h)^2 h >= 0), which the
     certainty-equivalent rule relies on: it calls ``trunc_mean`` only on
     periods whose modes and precisions fail its interior test (see

@@ -369,7 +369,8 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
     value under the groups' independent posteriors; outcomes are drawn
     independently per group.  With one group this reduces exactly (same
     noise streams, same arithmetic) to the single-agent simulator, runs
-    ``run + 1 .. run + runs - 1`` included.  Its ``Trajectory`` has (T, J)
+    ``run + 1 .. run + runs - 1`` included; as there, every path is the
+    same however it is batched.  Its ``Trajectory`` has (T, J)
     paths, and every run is classified against every member of
     ``equilibria``, the color-sighted equilibria (enumerated when not given).
     """

@@ -386,7 +386,14 @@ def _assessment_rule_reference(tm, alphas):
         ce = tm.engine.certainty_equivalent
 
         def rule(m, s):
-            return ce(_posterior_means_reference(tm, m, s) @ alphas)
+            # the population mean as a left fold over the groups' columns,
+            # alpha_0 nu_0 + alpha_1 nu_1 + ...: no BLAS product, whose
+            # order of summation may depend on the number of runs
+            nu = _posterior_means_reference(tm, m, s)
+            mean = alphas[0] * nu[:, 0]
+            for j in range(1, alphas.size):
+                mean = mean + alphas[j] * nu[:, j]
+            return ce(mean)
     else:
         table = _foc_table(tm)
 

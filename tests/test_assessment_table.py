@@ -133,11 +133,7 @@ def test_one_table_per_simulation(monkeypatch, tm_power):
     assert counts == [per_table, per_table]
 
 
-@pytest.mark.parametrize("case", ("power", "three_equilibria", pytest.param(
-    "two_groups", marks=pytest.mark.xfail(strict=True, reason=(
-        "np.dot forms one run's population mean with BLAS ddot and a batch's "
-        "with gemv, and on OpenBLAS they add the two products in opposite "
-        "fma orders")))))
+@pytest.mark.parametrize("case", ("power", "three_equilibria", "two_groups"))
 def test_runs_do_not_depend_on_the_batch(tm_power, case):
     # a run alone steps on floats and a batch on arrays: run k alone is row k
     # of the batch bit for bit, on the general path and, past a block of

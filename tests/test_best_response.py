@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from berklab import (BerklabError, BestResponseEngine, InvariantViolation,
                      LQParams, NumericalError, build_lq, build_power,
                      first_order_comparison)
+from berklab.best_response import ARRAY_SOLVE_MIN
 from berklab.rootfind import XTOL
 
 from helpers import (_power_assessment, general_engine, lq_assessment,
@@ -104,13 +105,17 @@ class TestAssessment:
                      0.0, 2.0, 0.0, 0.5, 3.0)
         with pytest.raises(InvariantViolation):
             BestResponseEngine(m).assessment(3.0)
-        # a NaN assessment is not interior either, on a float or in an array
-        eng = BestResponseEngine(unique_equilibrium_model())
-        for beta in (math.nan, np.array([1.0, math.nan])):
-            with pytest.raises(InvariantViolation, match="nan"):
-                eng.assessment(beta)
-        with pytest.raises(NumericalError, match="nan"):
-            eng.first_order_assessment(math.nan)
+        # a NaN productivity has no interior assessment either, on a float or
+        # in an array (of fewer or more points than one masked solve takes),
+        # and both paths say so with the same error
+        unit = unique_equilibrium_model()
+        for eng in (BestResponseEngine(unit), general_engine(unit)):
+            for beta in (math.nan, np.array([1.0, math.nan]),
+                         np.append(np.linspace(1.0, 2.0, 63), math.nan)):
+                with pytest.raises(InvariantViolation, match="nan"):
+                    eng.assessment(beta)
+            with pytest.raises(NumericalError, match="nan"):
+                eng.first_order_assessment(math.nan)
 
 
 class TestAssessmentMultigroup:
@@ -524,6 +529,16 @@ def test_array_calls_are_the_scalar_calls_bit_for_bit(numeric, hs, betas,
     for args in [(h[0], b[0], t[0], d[0]), (h[0], b, t, d),
                  (h[:, None], b, t, d)]:
         assert _same_bits(eng._fit_gap(*args), _scalar_calls(eng._fit_gap, args))
+    # the shared assessment of N populations of two and three groups, an
+    # (N, J) array, is the N calls on its rows (N = ARRAY_SOLVE_MIN: the
+    # fewest points of one masked solve)
+    grid = np.linspace(0.0, 1.0, ARRAY_SOLVE_MIN)
+    cols = [b[0] + (b[1] - b[0]) * grid, t[1] + (t[0] - t[1]) * grid,
+            b[1] + (t[0] - b[1]) * grid[::-1]]
+    for w in ((hs[0], 1.0 - hs[0]), (0.5 * hs[0], 0.5 * hs[1], 1.0 - 0.5 * sum(hs))):
+        pops = np.column_stack(cols[:len(w)])
+        want = np.array([eng.assessment_multigroup(row, w) for row in pops.tolist()])
+        assert _same_bits(eng.assessment_multigroup(pops, w), want)
 
 
 def test_closed_best_fit_squares_a_float_truth_like_an_array():

@@ -69,6 +69,36 @@ def test_step_is_bit_identical_to_the_reference(tm3, runs, groups, prior_on,
                     run_engine_reference(tm3, *args, **kwargs))
 
 
+@settings(max_examples=40, deadline=None)
+@given(groups=st.sampled_from((2, 3)), runs=st.integers(2, 6),
+       raw=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       inside=st.booleans(), data=st.data())
+def test_batch_rule_rows_are_the_one_run_rule(tm3, groups, runs, raw, inside, data):
+    # the population mean is one fold for every batch size: row k of the
+    # batch rule is the one-run rule on row k, bit for bit, with every
+    # state inside the interior test's reach or each entry anywhere, from
+    # below to above the support, with a precision from zero up
+    alphas = np.array(raw[:groups]) / sum(raw[:groups])
+    lo, hi = tm3.m_lo, tm3.m_hi
+    if inside:
+        mode = st.floats(lo + 0.1 * (hi - lo), 0.5 * (lo + hi))
+        precision = st.floats(4.0, 7.0).map(lambda e: 10.0 ** e)
+    else:
+        mode = st.floats(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo))
+        precision = st.one_of(st.just(0.0),
+                              st.floats(-1.0, 7.0).map(lambda e: 10.0 ** e))
+    m, s = (np.array(data.draw(st.lists(st.lists(entry, min_size=groups,
+                                                 max_size=groups),
+                                        min_size=runs, max_size=runs)))
+            for entry in (mode, precision))
+    if inside:
+        assert interior(m.min(), m.max(), 1.0 / math.sqrt(s.min()), lo, hi)
+    batch = _assessment_rule(tm3, alphas, runs)(m, s)
+    for k in range(runs):
+        alone = _assessment_rule(tm3, alphas, 1)(m[k].tolist(), s[k].tolist())
+        assert alone.hex() == float(batch[k]).hex()
+
+
 def test_corner_sink_start_over_many_periods(tm3):
     # every mode stays far below the support, so each period evaluates the
     # far tail of the truncated mean on every run

@@ -1,8 +1,9 @@
 """Source guards that span the package and the benchmark harness.
 
 Each small tolerance in ``src/berklab`` is a named constant, so a rule that
-two functions share is written once; and every name the benchmark's tracer
-wraps still resolves in the package.
+two functions share is written once; the population mean is one fold, never
+a dot product; and every name the benchmark's tracer wraps still resolves in
+the package.
 """
 
 import ast
@@ -62,4 +63,18 @@ def test_only_truncnorm_reads_the_interior_rule():
                         and type(node.value) is float
                         and node.value in (INTERIOR_SIGMAS, _ULP_GUARD))):
                 sites.add(f"{path.name}:{node.lineno}")
+    assert sites == set()
+
+
+def test_no_dot_product_forms_a_population_mean():
+    # the population mean is best_response.population_mean's left fold; a
+    # BLAS dot product (np.dot, ndarray.dot, or either bound to a name)
+    # may sum in an order that depends on the batch, so neither learning
+    # nor the engine names one
+    sites = set()
+    for name in ("learning.py", "best_response.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if ((isinstance(node, ast.Attribute) and node.attr == "dot")
+                    or (isinstance(node, ast.Name) and node.id == "dot")):
+                sites.add(f"{name}:{node.lineno}")
     assert sites == set()
