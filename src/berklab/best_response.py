@@ -494,8 +494,11 @@ class BestResponseEngine:
         return m.beta_lo, min(hi, m.beta_hi)
 
     def assessment_gradient(self, betas, weights) -> np.ndarray:
-        """Gradient of the shared assessment in the productivities."""
+        """Gradient of the shared assessment in one population's J productivities."""
         betas, weights = _population(betas, weights)
+        if betas.ndim != 1:
+            raise ValueError("assessment_gradient takes one productivity per group, "
+                             f"not an array of shape {betas.shape}")
         if self._closed:
             lq = self.model.lq
             s = float(population_mean(betas ** 2, weights.tolist()))

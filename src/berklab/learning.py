@@ -251,20 +251,10 @@ def evaluator_step(tm: TransformedModel, state: LearningState,
     return float(_assessment_rule(tm, np.array([1.0]), runs=1)([m], [s]))
 
 
-def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray,
-                     root: np.ndarray, sigma: np.ndarray, settled: bool) -> np.ndarray:
-    """Truncated-posterior means; zero-precision entries fall back to uniform.
-
-    ``root`` and ``sigma`` are buffers of ``s``'s shape.  ``settled`` says
-    that every entry of ``s`` is at least ``_MIN_PRECISION``; the floor and
-    the uniform fallback are then identities and are skipped.
-    """
-    # sigma = 1.0 / np.sqrt(np.maximum(s, _MIN_PRECISION))
-    np.sqrt(s if settled else np.maximum(s, _MIN_PRECISION, out=sigma), out=root)
-    np.divide(1.0, root, out=sigma)
+def _posterior_means(tm: TransformedModel, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Truncated-posterior means; zero-precision entries fall back to uniform."""
+    sigma = 1.0 / np.sqrt(np.maximum(s, _MIN_PRECISION))
     nu = trunc_mean(m, sigma, tm.m_lo, tm.m_hi)
-    if settled:
-        return nu
     return np.where(s > 0.0, nu, 0.5 * (tm.m_lo + tm.m_hi))
 
 
@@ -275,11 +265,11 @@ def _interior_test(tm: TransformedModel, least: Callable, most: Callable):
 
     Returns ``test(m, s)``, true when ``truncnorm.interior`` holds for the
     modes' range and the largest sd a lower bound on ``s`` allows (every
-    posterior mean is then its mode, the bits ``trunc_mean`` would return),
-    and ``settled()``, true when that bound is at least ``_MIN_PRECISION``.
+    posterior mean is then its mode, the bits ``trunc_mean`` would return).
     The bound is refreshed with ``least(s)`` only when the test fails (``s``
     never decreases, so a stale bound stays a bound).  A failed test costs
-    about a tenth of a fallback period, so it holds for ``_RETEST_PERIODS``
+    up to a tenth of a fallback period (0.08-0.11 for 200 runs, 0.03 for
+    one, from a corner start on one core), so it holds for ``_RETEST_PERIODS``
     periods, which fall back untested: states whose modes stay outside the
     interior (a corner-sink start) pay one test per ``_RETEST_PERIODS``.
     """
@@ -302,10 +292,7 @@ def _interior_test(tm: TransformedModel, least: Callable, most: Callable):
             return True
         untested = _RETEST_PERIODS - 1
         return False
-
-    def settled() -> bool:
-        return s_floor >= _MIN_PRECISION
-    return test, settled
+    return test
 
 
 def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
@@ -313,9 +300,9 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     [h_lo, h_hi], for the states of one simulation: successive calls must
     not decrease any entry of ``s``.  Which branch applies is decided here,
     once per simulation; the general branch tabulates the evaluator's
-    marginal value once here, and the certainty-equivalent branch allocates
-    its buffers here and calls ``_posterior_means`` only on periods that
-    fail its interior test (``_interior_test``).
+    marginal value once here, and the certainty-equivalent branch calls
+    ``_posterior_means`` only on periods that fail its interior test
+    (``_interior_test``).
 
     For ``runs`` > 1 the rule maps ``m`` and ``s`` of shape (runs, groups)
     to the (runs,) assessments, in an array the next call overwrites.  For
@@ -328,26 +315,22 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     weights = alphas.tolist()
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
-        shape = (alphas.size,) if one else (runs, alphas.size)
-        root, sigma = np.empty(shape), np.empty(shape)
         if one:
             # a NaN mode reaches every group at once (through a NaN h), so
             # min and max, which may skip a NaN, still see it
-            test, settled = _interior_test(tm, min, max)
+            test = _interior_test(tm, min, max)
 
             def optimum(m, s):
                 if not test(m, s):
-                    m = _posterior_means(tm, np.array(m), np.array(s), root, sigma,
-                                         settled()).tolist()
+                    m = _posterior_means(tm, np.array(m), np.array(s)).tolist()
                 return ce(population_mean(m, weights))
         else:
             least, most = np.minimum.reduce, np.maximum.reduce
-            test, settled = _interior_test(tm, lambda a: least(a, None),
-                                           lambda a: most(a, None))
+            test = _interior_test(tm, lambda a: least(a, None), lambda a: most(a, None))
 
             def optimum(m, s):
                 if not test(m, s):
-                    m = _posterior_means(tm, m, s, root, sigma, settled())
+                    m = _posterior_means(tm, m, s)
                 return ce(population_mean(m.T, weights))
     else:
         table = _foc_table(tm)
@@ -573,7 +556,7 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     s never decreases (it gains I(h) = g2(h)^2 h >= 0), which the
     certainty-equivalent rule relies on: it calls ``trunc_mean`` only on
     periods whose modes and precisions fail its interior test (see
-    ``_interior_test``), and on settled runs not at all.
+    ``_interior_test``).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -3,7 +3,8 @@
 The learning recursion parameterizes posteriors by the mode and variance of
 an untruncated normal whose mode can drift far outside the support, so the
 mean and mass formulas are written in terms of the scaled complementary
-error function to avoid cancellation in the far-tail regime.
+error function to avoid cancellation in the far-tail regime.  ``interior``
+says where the mean is the mode itself, so that learning may skip it.
 """
 
 from __future__ import annotations
@@ -21,18 +22,18 @@ _LOG_FLOOR = 1e-300  # least mass log_mass takes the log of
 # Past INTERIOR_SIGMAS standard deviations inside the support the mean sits
 # sigma * ratio above the (reflected) mode, with 0 <= ratio < 5e-32 (that is
 # sqrt(2/pi) exp(-12^2 / 2) over a denominator of at least 0.99).  Half an
-# ulp of the mode is at least 2^-54 |mode|, so whenever |mode| exceeds
-# _ULP_GUARD * sigma the two-branch formula rounds back to the mode itself
-# and the fast path returns the same bits without evaluating it.
+# ulp of the mode is at least 2^-54 |mode|, so whenever |mode| also exceeds
+# _ULP_GUARD * sigma the tail formula of ``trunc_mean`` rounds back to the
+# mode itself: ``interior`` states where, and only it reads the two values.
 INTERIOR_SIGMAS = 12.0
 _ULP_GUARD = 1e-14
 
 
 def interior(m_min: float, m_max: float, sigma_max: float, lo: float, hi: float) -> bool:
-    """True only when every mode in [m_min, m_max] with sd at most sigma_max
-    takes ``trunc_mean``'s unreflected interior path, where the mean is the
-    mode itself.  Rounding is monotone, so the bounds' own tests imply each
-    element's; NaN bounds give False."""
+    """The interior rule: true only when every mode in [m_min, m_max] with
+    sd at most sigma_max is its own ``trunc_mean`` (see above), so a caller
+    may skip the formula.  Rounding is monotone, so the bounds' own tests
+    imply each element's; NaN bounds give False."""
     if not (m_max <= 0.5 * (lo + hi) and m_min - lo > INTERIOR_SIGMAS * sigma_max):
         return False
     # the least |mode| on [m_min, m_max] (0 when it spans zero)
@@ -40,40 +41,18 @@ def interior(m_min: float, m_max: float, sigma_max: float, lo: float, hi: float)
 
 
 def trunc_mean(m, sigma, lo: float, hi: float):
-    """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m.
-
-    Array results are fresh arrays.  When no mode lies above the midpoint the
-    reflection is skipped, and when moreover every element takes the interior
-    fast path the final clip is skipped too: for sigma >= 0 each mode then
-    satisfies lo < m <= (lo + hi) / 2, where the clip is the identity.  (A
-    reflected mode may round past hi by part of an ulp of lo + hi, so the
-    clip stays whenever a mode was reflected.)
-    """
+    """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m,
+    array results fresh.  A mode above the midpoint is reflected below it
+    and its mean back, which may round past hi by part of an ulp of lo + hi,
+    hence the clip."""
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != m.shape:
         sigma = np.broadcast_to(sigma, m.shape)
-    mid = 0.5 * (lo + hi)
-    # reflect so the mode sits at or below the midpoint
-    flip = m > mid
-    reflected = np.count_nonzero(flip) > 0
-    mm = np.where(flip, lo + hi - m, m) if reflected else m
-    inside = mm - lo > INTERIOR_SIGMAS * sigma
-    if lo < 0.0:  # for lo >= 0 the mode already exceeds 12 sigma
-        inside &= np.abs(mm) > _ULP_GUARD * sigma
-    n_inside = np.count_nonzero(inside)
-    if n_inside == inside.size:
-        if not reflected:
-            return m.copy() if m.ndim else float(m)
-        out = mm
-    elif n_inside == 0:
-        out = mm + sigma * _tail_ratio(mm, sigma, lo, hi)
-    else:
-        edge = ~inside
-        out = mm.copy()
-        out[edge] += sigma[edge] * _tail_ratio(mm[edge], sigma[edge], lo, hi)
-    if reflected:
-        out = np.where(flip, lo + hi - out, out)
+    flip = m > 0.5 * (lo + hi)
+    mm = np.where(flip, lo + hi - m, m)
+    out = mm + sigma * _tail_ratio(mm, sigma, lo, hi)
+    out = np.where(flip, lo + hi - out, out)
     # np.clip's bits for ordered bounds, with less call overhead
     out = np.minimum(np.maximum(out, lo), hi)
     return out if out.ndim else float(out)

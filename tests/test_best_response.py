@@ -145,6 +145,10 @@ class TestAssessmentMultigroup:
             for method in (eng.assessment_multigroup, eng.assessment_gradient):
                 with pytest.raises(ValueError):
                     method([1.0, 2.0], [0.7, 0.7])
+            # the gradient is of one population: J productivities, never (N, J)
+            for betas in ([[1.0, 2.0], [1.5, 2.5]], [[1.0, 2.0]]):
+                with pytest.raises(ValueError, match="one productivity per group"):
+                    eng.assessment_gradient(betas, [0.3, 0.7])
 
 
 class TestEffortSensitivities:

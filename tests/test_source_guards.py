@@ -46,12 +46,21 @@ def test_every_traced_name_resolves():
 
 
 def test_only_truncnorm_reads_the_interior_rule():
-    # the interior path's constants have one owner; other modules ask
-    # ``truncnorm.interior`` instead of restating its test, and learning,
-    # which asks it every period, writes neither value as a literal
+    # the interior rule's constants have one owner, ``truncnorm.interior``:
+    # other modules ask it instead of restating its test, learning, which
+    # asks it every period, writes neither value as a literal, and no other
+    # function of truncnorm (``trunc_mean`` in particular) reads them
     from berklab.truncnorm import _ULP_GUARD, INTERIOR_SIGMAS
     names = {"INTERIOR_SIGMAS", "_ULP_GUARD"}
     sites = set()
+    tree = ast.parse((SRC / "truncnorm.py").read_text())
+    owner = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "interior")
+    owned = set(map(id, ast.walk(owner)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id in names
+                and isinstance(node.ctx, ast.Load) and id(node) not in owned):
+            sites.add(f"truncnorm.py:{node.lineno}")
     for path in sorted(SRC.glob("*.py")):
         if path.name == "truncnorm.py":
             continue

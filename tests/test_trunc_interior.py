@@ -1,12 +1,13 @@
-"""The interior fast path of ``trunc_mean`` against the two-branch formula.
+"""``trunc_mean`` deep inside the support, against the two-branch formula.
 
-Modes more than INTERIOR_SIGMAS standard deviations inside the support skip
-the tail formula, and the rest evaluate only the tail branch (erfcx or
-erfc) that applies to them; the result must be the formula's, bit for bit,
-on arrays that mix such modes with modes near, beyond or far outside either
-edge.  ``log_mass`` evaluates one branch per element the same way.  The
-scalar test ``interior`` may hold only where every mode of its range, at
-every sd up to its bound, is its own mean under both.
+Modes more than INTERIOR_SIGMAS standard deviations inside the support are
+their own means, and the tail formula evaluates only the branch (erfcx or
+erfc) that applies to each element; the result must be the two-branch
+formula's, bit for bit, on arrays that mix such modes with modes near,
+beyond or far outside either edge.  ``log_mass`` evaluates one branch per
+element the same way.  The scalar test ``interior``, the one statement of
+the interior rule, may hold only where every mode of its range, at every sd
+up to its bound, is its own mean under both.
 """
 
 import math
