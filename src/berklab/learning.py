@@ -538,12 +538,11 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 beta_stars: Sequence[float], deltas: Sequence[float],
                 mu_stars: Sequence[float], runs: int, horizon: int, seed: int,
                 prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
-                zero_noise: bool = False, clip_noise: bool = False,
                 record_stride: int = 0, first_run: int = 0) -> _RunResult:
     """Advance runs ``first_run .. first_run + runs - 1`` in lockstep for
     ``horizon`` periods, recording the path of ``first_run`` every
     ``record_stride`` periods (0: none); ``prior`` has one entry (None:
-    uniform) per group.
+    uniform) per group.  Each period takes its noise as drawn from ``noise_stream``.
 
     There are two period loops, chosen by ``runs``, the input size: several
     runs step as (runs, groups) arrays (``_lockstep``), where each numpy
@@ -583,20 +582,21 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     if runs == 1:
         return _one_run(tm, assess, bstar_t[0].tolist(), mu_star_row[0].tolist(),
                         mu_hat_row[0].tolist(), m[0].tolist(), s[0].tolist(),
-                        gens[0], horizon, zero_noise, clip_noise, record_stride)
+                        gens[0], horizon, record_stride)
     # the rows repeated over runs, so that they meet the (runs, groups) state
     # shape for shape (broadcasting costs more)
     return _lockstep(tm, assess, *(np.repeat(row, runs, axis=0)
                                    for row in (bstar_t, mu_star_row, mu_hat_row)),
-                     m, s, gens, horizon, zero_noise, clip_noise, record_stride)
+                     m, s, gens, horizon, record_stride)
 
 
 def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
-              zero_noise, clip_noise, record_stride) -> _RunResult:
+              record_stride) -> _RunResult:
     """``_run_engine``'s loop for several runs.  It allocates almost
     nothing: the state (m, s) and the per-period (runs, groups) and (runs,)
     quantities live in buffers allocated once per call and written with
-    ``out=``, and its ufuncs are bound to locals once."""
+    ``out=``, its ufuncs are bound to locals once, and each period reads
+    its noise as drawn, a view of its block."""
     runs, groups = m.shape
     # per-period buffers, each written only by operations that do not also
     # read it (in-place ufuncs cost more on tiny arrays); the columns are
@@ -609,24 +609,16 @@ def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
     # the period loop's callables, bound once: a global or attribute lookup
     # per call is a sizeable share of an operation on (runs, groups) arrays
     add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
-    minimum, maximum, g2 = np.minimum, np.maximum, tm.g2
+    g2 = tm.g2
     n = 0
-    remaining = horizon
-    while remaining > 0:
-        block = min(CHUNK, remaining)
+    for start in range(0, horizon, CHUNK):
+        block = min(CHUNK, horizon - start)
         eps = np.empty((block, runs, groups))
         for k in range(runs):
             for j in range(groups):
                 eps[:, k, j] = gens[k][j].standard_normal(block)
-        if zero_noise:
-            eps[:] = 0.0
-        for t in range(block):
+        for e in eps:
             n += 1
-            e = eps[t]
-            if clip_noise:
-                # e = np.clip(e, -bound, bound)
-                bound = math.sqrt(2.0 * math.log(max(n, 2)))
-                minimum(maximum(e, -bound, out=w1), bound, out=e)
             h = assess(m, s)
             g2h = g2(h)
             # info = g2h * g2h * h
@@ -650,7 +642,6 @@ def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
                 rec_xi.append(s[0] / n)
                 rec_h.append(float(h[0]))
                 rec_x.append(x[0].copy())
-        remaining -= block
     return _RunResult(m=m, s=s,
                       rec_n=np.array(rec_n, dtype=int),
                       rec_m=np.array(rec_m), rec_xi=np.array(rec_xi),
@@ -658,29 +649,27 @@ def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
 
 
 def _one_run(tm, assess, bstar, mu_star, mu_hat, m, s, gens, horizon,
-             zero_noise, clip_noise, record_stride) -> _RunResult:
-    """``_run_engine``'s loop for one run: the state, the loop invariants
-    and each block of noise (one list per group) hold one Python float per
-    group, and each period evaluates ``_lockstep``'s plain expressions group
-    by group (an indexed loop costs less than comprehensions).  g2 takes h
+             record_stride) -> _RunResult:
+    """``_run_engine``'s loop for one run: the state and the loop
+    invariants hold one Python float per group, each block of noise (one
+    list per group) as drawn, and each period evaluates ``_lockstep``'s
+    plain expressions group by group (an indexed loop costs less than
+    comprehensions).  g2 takes h
     in a one-entry array: a model's g2 may take powers, which numpy's SIMD
     loops and the C library round differently.  A period whose h is not
     positive (or is NaN) computes on numpy scalars, which give inf or NaN
     where ``math.sqrt`` and float division raise; so does one whose
     information vanishes, where s_next may be zero."""
     rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
-    g2, sqrt, log = tm.g2, math.sqrt, math.log
+    g2, sqrt = tm.g2, math.sqrt
     h_buf = np.empty(1)
     groups = range(len(m))
     n = 0
     for start in range(0, horizon, CHUNK):
         block = min(CHUNK, horizon - start)
-        columns = [[0.0] * block if zero_noise else gen.standard_normal(block).tolist()
-                   for gen in gens]
+        columns = [gen.standard_normal(block).tolist() for gen in gens]
         for e in zip(*columns):
             n += 1
-            if clip_noise:
-                bound = sqrt(2.0 * log(max(n, 2)))
             h = assess(m, s)
             h_buf[0] = h
             g2h = g2(h_buf).item()
@@ -695,8 +684,7 @@ def _one_run(tm, assess, bstar, mu_star, mu_hat, m, s, gens, horizon,
             weight = h * g2h
             x, m_next, s_next = [], [], []
             for j in groups:
-                ej = min(max(e[j], -bound), bound) if clip_noise else e[j]
-                xj = mu_star[j] + bstar[j] * g2h + ej / root_h
+                xj = mu_star[j] + bstar[j] * g2h + e[j] / root_h
                 sj = s[j]
                 sn = sj + info
                 x.append(xj)
@@ -780,8 +768,7 @@ def _trajectory(tm: TransformedModel, res: _RunResult, horizon: int, seed: int,
 
 def simulate(model, horizon: int, seed: int, run: int = 0,
              prior: Optional[TruncNormalPrior] = None,
-             stride: Optional[int] = None, zero_noise: bool = False,
-             clip_noise: bool = False,
+             stride: Optional[int] = None,
              grid_points: int = DEFAULT_GRID, runs: int = 1) -> Trajectory:
     """Simulate one learning path and classify its terminal belief.
 
@@ -795,12 +782,9 @@ def simulate(model, horizon: int, seed: int, run: int = 0,
     period plus the first and the last.
     """
     tm = _as_transformed(model)
-    res = _run_engine(tm, *_single_group_args(tm), runs=runs,
-                      horizon=horizon, seed=seed,
-                      prior=[prior], zero_noise=zero_noise,
-                      clip_noise=clip_noise,
-                      record_stride=_record_stride(stride, horizon),
-                      first_run=run)
+    res = _run_engine(tm, *_single_group_args(tm), runs=runs, horizon=horizon,
+                      seed=seed, prior=[prior],
+                      record_stride=_record_stride(stride, horizon), first_run=run)
     states = limiting_ode(tm, grid_points=grid_points).steady_states
     return _trajectory(tm, res, horizon, seed, run, states,
                        [[ss.m] for ss in states], one_group=True)

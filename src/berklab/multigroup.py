@@ -360,7 +360,7 @@ def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
 def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
                         run: int = 0,
                         prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
-                        stride: Optional[int] = None, zero_noise: bool = False,
+                        stride: Optional[int] = None,
                         equilibria: Optional[Sequence[MultigroupEquilibrium]] = None,
                         runs: int = 1) -> Trajectory:
     """Simulate the shared-assessment learning process for all groups.
@@ -377,7 +377,6 @@ def simulate_multigroup(pop: GroupPopulation, horizon: int, seed: int,
     tm = _as_transformed(pop.model)
     res = _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
                       runs=runs, horizon=horizon, seed=seed, prior=prior,
-                      zero_noise=zero_noise,
                       record_stride=_record_stride(stride, horizon),
                       first_run=run)
     members = color_sighted_equilibria(pop) if equilibria is None else equilibria

@@ -44,7 +44,8 @@ def trunc_mean(m, sigma, lo: float, hi: float):
     """Mean of a normal(m, sigma^2) truncated to [lo, hi]; vectorized in m,
     array results fresh.  A mode above the midpoint is reflected below it
     and its mean back, which may round past hi by part of an ulp of lo + hi,
-    hence the clip."""
+    hence the clip.  A zero sigma is a point mass: its mean is the mode
+    clipped to [lo, hi] (exactly when lo >= 0, as the reflection then is)."""
     m = np.asarray(m, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != m.shape:
@@ -58,21 +59,24 @@ def trunc_mean(m, sigma, lo: float, hi: float):
     return out if out.ndim else float(out)
 
 
-def _by_branch(u, w, far, near):
-    """``far(u, w)`` where u >= 0 and ``near(u, w)`` elsewhere, each
-    evaluated only on the elements it applies to; the one ``errstate``
-    block of a tail evaluation, since both forms under- and overflow by
-    design.  Past ~1e154 sigmas the far forms' u^2 - w^2 is inf - inf, which
-    they read as 0: the mean is then the mode, which the clip puts on the
-    nearer edge, and the log mass is -inf."""
-    is_far = u >= 0.0
-    n_far = np.count_nonzero(is_far)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if n_far == is_far.size:
+def _by_branch(mm, scale, lo: float, hi: float, far, near):
+    """``near(u, w)`` where u < 0 and ``far(u, w)`` elsewhere, for u, w =
+    (lo - mm) / scale, (hi - mm) / scale, each form evaluated only on the
+    elements it applies to; the one ``errstate`` block of a tail evaluation,
+    since both forms under- and overflow by design.  Past ~1e154 sigmas the
+    far forms' u^2 - w^2 is inf - inf, which they read as 0: the mean is then
+    the mode, which the clip puts on the nearer edge, and the log mass is
+    -inf.  A zero scale gives infinite arguments, or a NaN u (0 / 0) for a
+    mode on lo, which goes far: either ratio then reads 0, the mean the mode."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        u, w = (lo - mm) / scale, (hi - mm) / scale
+        is_near = u < 0.0
+        n_near = np.count_nonzero(is_near)
+        if n_near == 0:
             return far(u, w)
-        if n_far == 0:
+        if n_near == is_near.size:
             return near(u, w)
-        is_near = ~is_far
+        is_far = ~is_near
         out = np.empty(u.shape)
         out[is_far] = far(u[is_far], w[is_far])
         out[is_near] = near(u[is_near], w[is_near])
@@ -94,8 +98,7 @@ def _ratio_near(u, w):
 
 def _tail_ratio(mm, sigma, lo: float, hi: float):
     """(mean - mode) / sigma for reflected modes mm <= (lo + hi) / 2."""
-    scale = sigma * _SQRT2
-    return _by_branch((lo - mm) / scale, (hi - mm) / scale, _ratio_far, _ratio_near)
+    return _by_branch(mm, sigma * _SQRT2, lo, hi, _ratio_far, _ratio_near)
 
 
 def _log_mass_far(u, w):
@@ -114,9 +117,7 @@ def log_mass(m, sigma, lo: float, hi: float):
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), m.shape)
     mid = 0.5 * (lo + hi)
     mm = np.where(m > mid, lo + hi - m, m)
-    u = (lo - mm) / (sigma * _SQRT2)
-    w = (hi - mm) / (sigma * _SQRT2)
-    out = _by_branch(u, w, _log_mass_far, _log_mass_near)
+    out = _by_branch(mm, sigma * _SQRT2, lo, hi, _log_mass_far, _log_mass_near)
     return out if out.ndim else float(out)
 
 

@@ -7,19 +7,22 @@ tests compare two genuinely separate routes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import types
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc, erfcx
 
+import berklab.learning
 from berklab import BestResponseEngine, LQParams, ModelPrimitives, build_lq
 from berklab.best_response import SOLVE_REL_STEP
 from berklab.learning import (CHUNK, TransformedModel, TruncNormalPrior,
                               _foc_table, _group_quadrature,
-                              _quadrature_assessment, _RunResult, noise_stream)
+                              _quadrature_assessment, _RunResult)
 from berklab.rootfind import fd1
 from berklab.truncnorm import INTERIOR_SIGMAS
 
@@ -402,17 +405,32 @@ def _assessment_rule_reference(tm, alphas):
     return rule
 
 
+@contextlib.contextmanager
+def zero_noise():
+    """Every learning run draws zero noise while the block lasts: the one
+    owner of the noise, ``berklab.learning.noise_stream``, is replaced by a
+    stream of zeros (a context manager, not a fixture, so that it serves
+    under ``@given`` too)."""
+    drawn = berklab.learning.noise_stream
+    zeros = types.SimpleNamespace(standard_normal=np.zeros)
+    berklab.learning.noise_stream = lambda seed, run, group=0: zeros
+    try:
+        yield
+    finally:
+        berklab.learning.noise_stream = drawn
+
+
 def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
                          beta_stars: Sequence[float], deltas: Sequence[float],
                          mu_stars: Sequence[float], runs: int, horizon: int, seed: int,
                          prior: Optional[Sequence[Optional[TruncNormalPrior]]] = None,
-                         zero_noise: bool = False, clip_noise: bool = False,
                          record_stride: int = 0, first_run: int = 0) -> _RunResult:
     """The lockstep learning step written as plain array expressions, one
     fresh temporary per operation and every guard applied each period: the
     reference ``learning._run_engine``'s buffered step must reproduce bit
     for bit.  The certainty-equivalent rule's posterior means go through
-    ``trunc_mean_two_branch``."""
+    ``trunc_mean_two_branch``.  The noise comes from
+    ``berklab.learning.noise_stream``, so ``zero_noise`` serves both sides."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if runs < 1:
@@ -435,8 +453,8 @@ def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
                 m[:, j] = pj.mean
                 s[:, j] = pj.precision
 
-    gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
-            for k in range(runs)]
+    gens = [[berklab.learning.noise_stream(seed, first_run + k, j)
+             for j in range(groups)] for k in range(runs)]
 
     rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
     n = 0
@@ -447,14 +465,9 @@ def run_engine_reference(tm: TransformedModel, alphas: Sequence[float],
         for k in range(runs):
             for j in range(groups):
                 eps[:, k, j] = gens[k][j].standard_normal(block)
-        if zero_noise:
-            eps[:] = 0.0
         for t in range(block):
             n += 1
             e = eps[t]
-            if clip_noise:
-                bound = math.sqrt(2.0 * math.log(max(n, 2)))
-                e = np.clip(e, -bound, bound)
             h = np.minimum(np.maximum(assess(m, s), h_lo), h_hi)
             g2h = tm.g2(h)
             g3c = (0.0 * h)[:, None]  # the builders' additive term, g3(h)

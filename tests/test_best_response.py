@@ -299,14 +299,13 @@ OPTIONS = {
     "equilibrium.find_equilibria": ("grid_points", "engine"),
     "learning.evaluator_step": ("prior",),
     "learning.noise_stream": ("group",),
-    "learning.simulate": ("run", "prior", "stride", "zero_noise", "clip_noise",
-                          "grid_points", "runs"),
+    "learning.simulate": ("run", "prior", "stride", "grid_points", "runs"),
     "learning.limiting_ode": ("grid_points",),
     "learning.phase_field": ("grid",),
     "learning.monte_carlo_convergence": ("radius", "prior", "grid_points",
                                          "stride"),
-    "multigroup.simulate_multigroup": ("run", "prior", "stride", "zero_noise",
-                                       "equilibria", "runs"),
+    "multigroup.simulate_multigroup": ("run", "prior", "stride", "equilibria",
+                                       "runs"),
     "multigroup.monte_carlo_multigroup": ("radius", "prior"),
     "primitives.build_power": ("market_share",),
     "primitives.check_assumptions": ("n_h", "n_beta"),
@@ -345,7 +344,7 @@ def test_options_are_the_pinned_inventory():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "")
     assert found == OPTIONS
-    assert sum(map(len, found.values())) == 44
+    assert sum(map(len, found.values())) == 41
     # the engine takes a model and nothing else: no switch to the general
     # path and no assessment cap that only such a switch would reach
     assert list(inspect.signature(BestResponseEngine).parameters) == ["model"]

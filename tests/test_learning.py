@@ -19,7 +19,7 @@ from berklab.truncnorm import trunc_pdf
 
 from helpers import (lq_ode_eigenvalue, power_ode_eigenvalue,
                      random_lq_instance, three_equilibria_model,
-                     unique_equilibrium_model)
+                     unique_equilibrium_model, zero_noise)
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,8 @@ class TestSimulate:
 
     def test_zero_noise_without_misspecification_is_stationary(self, lq_unit):
         tm = transform(lq_unit.with_delta_mu(0.0))
-        traj = simulate(tm, horizon=50, seed=0, stride=1, zero_noise=True)
+        with zero_noise():
+            traj = simulate(tm, horizon=50, seed=0, stride=1)
         assert np.all(np.abs(traj.m - tm.g1(2.0)) < 1e-12)
 
     def test_batch_and_incremental_forms_agree(self, tm3):
@@ -231,10 +232,6 @@ class TestSimulate:
         traj = simulate(tm3, horizon=20_000, seed=42)
         assert traj.steady_states[traj.nearest_index].kind == "sink"
         assert traj.nearest_distance < 0.05
-
-    def test_clip_noise_flag_runs(self, tm3):
-        traj = simulate(tm3, horizon=100, seed=9, stride=10, clip_noise=True)
-        assert traj.terminal.n == 100
 
     def test_rejects_zero_horizon(self, tm3):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ counts are fallback periods), and ``evaluator_step`` on a simulated terminal
 state must give the engine's next assessment.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from berklab.learning import (CHUNK, _RETEST_PERIODS, TruncNormalPrior, _assessm
 from berklab.truncnorm import interior, trunc_mean
 
 from helpers import (TWO_GROUPS, interior_edge, nudged, run_engine_reference,
-                     three_equilibria_model)
+                     three_equilibria_model, zero_noise)
 
 FIELDS = ("m", "s", "rec_n", "rec_m", "rec_xi", "rec_h", "rec_x")
 CORNER = -2.0555555555555562  # the corner sink of the three-equilibria model
@@ -51,7 +52,7 @@ def group_args(tm, groups):
        prior_on=st.sampled_from(("none", "one", "all")),
        mean=st.sampled_from((CORNER, 0.5, 3.35, 6.0, 9.5)),
        sd=st.sampled_from((0.01, 0.3)),
-       noise=st.sampled_from(("plain", "clip", "zero")),
+       noise=st.sampled_from(("plain", "zero")),
        stride=st.sampled_from((1, 7)), horizon=st.integers(1, 120),
        seed=st.integers(0, 2**32), first_run=st.integers(0, 16))
 def test_step_is_bit_identical_to_the_reference(tm3, runs, groups, prior_on,
@@ -62,11 +63,11 @@ def test_step_is_bit_identical_to_the_reference(tm3, runs, groups, prior_on,
         p = TruncNormalPrior(mean, sd)
         prior = [p] + [p if prior_on == "all" else None] * (groups - 1)
     kwargs = dict(runs=runs, horizon=horizon, seed=seed, prior=prior,
-                  zero_noise=noise == "zero", clip_noise=noise == "clip",
                   record_stride=stride, first_run=first_run)
     args = group_args(tm3, groups)
-    assert_same_run(_run_engine(tm3, *args, **kwargs),
-                    run_engine_reference(tm3, *args, **kwargs))
+    with zero_noise() if noise == "zero" else contextlib.nullcontext():
+        assert_same_run(_run_engine(tm3, *args, **kwargs),
+                        run_engine_reference(tm3, *args, **kwargs))
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,18 +122,17 @@ def test_priors_at_the_edges_of_the_interior_path(tm3, ulps):
     assert interior(*means, sigma, lo, hi) is (ulps >= 0)
     kwargs = dict(runs=3, horizon=40, seed=17, record_stride=1,
                   prior=[TruncNormalPrior(m, sd) for m in means])
-    for noise in ("plain", "zero"):
-        kwargs["zero_noise"] = noise == "zero"
-        assert_same_run(_run_engine(tm3, *TWO_GROUPS, **kwargs),
-                        run_engine_reference(tm3, *TWO_GROUPS, **kwargs))
+    for noise in (contextlib.nullcontext, zero_noise):
+        with noise():
+            assert_same_run(_run_engine(tm3, *TWO_GROUPS, **kwargs),
+                            run_engine_reference(tm3, *TWO_GROUPS, **kwargs))
 
 
 @pytest.mark.parametrize("runs", (1, 2))
 def test_buffers_carry_over_into_the_next_noise_block(tm3, runs):
-    # the noise is drawn in blocks of CHUNK periods, while the state and the
-    # clipped noise live in buffers that persist from one block to the next
-    kwargs = dict(runs=runs, horizon=CHUNK + 5, seed=23, clip_noise=True,
-                  record_stride=CHUNK)
+    # the noise is drawn in blocks of CHUNK periods, while the state lives in
+    # buffers that persist from one block to the next
+    kwargs = dict(runs=runs, horizon=CHUNK + 5, seed=23, record_stride=CHUNK)
     args = _single_group_args(tm3)
     got = _run_engine(tm3, *args, **kwargs)
     assert got.rec_n.tolist() == [1, CHUNK, CHUNK + 5]

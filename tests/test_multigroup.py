@@ -20,7 +20,7 @@ from berklab.multigroup import DENSE_LIMIT
 
 from helpers import (lq_assessment, lq_joint_best_fit, lq_sighted_oracle,
                      random_lq_instance, three_equilibria_model,
-                     undamped_sighted_iteration)
+                     undamped_sighted_iteration, zero_noise)
 
 
 @pytest.fixture
@@ -327,8 +327,8 @@ class TestLearningMultigroup:
     def test_zero_noise_stationary_at_truth(self, pop_small, lq_unit):
         pop = GroupPopulation(model=lq_unit, alphas=(0.5, 0.5),
                               deltas=(0.0, 0.0), beta_stars=(2.0, 2.0))
-        traj = simulate_multigroup(pop, horizon=40, seed=0, stride=1,
-                                   zero_noise=True)
+        with zero_noise():
+            traj = simulate_multigroup(pop, horizon=40, seed=0, stride=1)
         assert np.all(np.abs(traj.m - 4.0) < 1e-12)
 
     def test_shared_assessment_path_in_bounds(self, pop_small):

@@ -87,3 +87,19 @@ def test_no_dot_product_forms_a_population_mean():
                     or (isinstance(node, ast.Name) and node.id == "dot")):
                 sites.add(f"{name}:{node.lineno}")
     assert sites == set()
+
+
+def test_the_learning_step_takes_its_noise_as_drawn():
+    # each period's noise comes from ``learning.noise_stream`` unaltered: no
+    # parameter, keyword or name in the package zeroes or clips it, and a
+    # test that needs a deterministic path substitutes the stream instead
+    names = {"zero_noise", "clip_noise"}
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if ((isinstance(node, ast.arg) and node.arg in names)
+                    or (isinstance(node, ast.keyword) and node.arg in names)
+                    or (isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute) and node.attr in names)):
+                sites.add(f"{path.name}:{node.lineno}")
+    assert sites == set()

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import truncnorm as scipy_truncnorm
 
@@ -69,10 +71,20 @@ class TestTruncMean:
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.floats(-100.0, 100.0), log_sigma=st.floats(-6.0, 2.0))
+@given(m=st.floats(-100.0, 100.0),
+       log_sigma=st.one_of(st.just(-math.inf), st.floats(-6.0, 2.0)))
+@example(m=LO, log_sigma=-math.inf)
+@example(m=HI, log_sigma=-math.inf)
 def test_mean_stays_in_support(m, log_sigma):
-    nu = trunc_mean(m, 10.0 ** log_sigma, LO, HI)
+    sigma = 10.0 ** log_sigma
+    nu = trunc_mean(m, sigma, LO, HI)
     assert LO <= nu <= HI and np.isfinite(nu)
+    if sigma == 0.0:
+        # a point mass: the mean is the mode clipped, with no warning, on
+        # either side of the support, at its edges and inside it
+        assert nu == min(max(m, LO), HI)
+        modes = np.array([m, 0.5, 1.0, -3.0, 12.0, LO, HI])
+        assert np.array_equal(trunc_mean(modes, 0.0, LO, HI), np.clip(modes, LO, HI))
 
 
 class TestPdfAndMass:
