@@ -593,10 +593,10 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
 def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
               record_stride) -> _RunResult:
     """``_run_engine``'s loop for several runs.  It allocates almost
-    nothing: the state (m, s) and the per-period (runs, groups) and (runs,)
-    quantities live in buffers allocated once per call and written with
-    ``out=``, its ufuncs are bound to locals once, and each period reads
-    its noise as drawn, a view of its block."""
+    nothing: the state (m, s), the noise block and the per-period
+    (runs, groups) and (runs,) quantities live in buffers allocated once per
+    call and written with ``out=``, its ufuncs are bound to locals once, and
+    each period reads its noise as drawn, a view of its block."""
     runs, groups = m.shape
     # per-period buffers, each written only by operations that do not also
     # read it (in-place ufuncs cost more on tiny arrays); the columns are
@@ -610,10 +610,13 @@ def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
     # per call is a sizeable share of an operation on (runs, groups) arrays
     add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
     g2 = tm.g2
+    # refilled chunk by chunk: a fresh block per chunk would be allocated
+    # while the last one is still alive
+    buf = np.empty((min(CHUNK, horizon), runs, groups))
     n = 0
     for start in range(0, horizon, CHUNK):
         block = min(CHUNK, horizon - start)
-        eps = np.empty((block, runs, groups))
+        eps = buf[:block]
         for k in range(runs):
             for j in range(groups):
                 eps[:, k, j] = gens[k][j].standard_normal(block)

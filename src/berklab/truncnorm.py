@@ -5,6 +5,12 @@ an untruncated normal whose mode can drift far outside the support, so the
 mean and mass formulas are written in terms of the scaled complementary
 error function to avoid cancellation in the far-tail regime.  ``interior``
 says where the mean is the mode itself, so that learning may skip it.
+
+scipy.special, the home of erfc and erfcx, is imported by the first tail
+evaluation (``_by_branch``, which every ``trunc_mean``, ``log_mass`` and
+``trunc_pdf`` call passes through), so importing berklab does not load it:
+the LQ closed forms never evaluate a tail, and learning loads it on its
+first period that fails the interior test.
 """
 
 from __future__ import annotations
@@ -12,11 +18,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_FLOOR = 1e-300  # least mass log_mass takes the log of
+erfc = erfcx = None  # scipy.special's, bound by the first tail evaluation
 
 
 # Past INTERIOR_SIGMAS standard deviations inside the support the mean sits
@@ -68,6 +74,9 @@ def _by_branch(mm, scale, lo: float, hi: float, far, near):
     the mode, which the clip puts on the nearer edge, and the log mass is
     -inf.  A zero scale gives infinite arguments, or a NaN u (0 / 0) for a
     mode on lo, which goes far: either ratio then reads 0, the mean the mode."""
+    global erfc, erfcx
+    if erfc is None:
+        from scipy.special import erfc, erfcx
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         u, w = (lo - mm) / scale, (hi - mm) / scale
         is_near = u < 0.0
@@ -112,12 +121,18 @@ def _log_mass_near(u, w):
 
 
 def log_mass(m, sigma, lo: float, hi: float):
-    """log P(lo <= X <= hi) for X ~ normal(m, sigma^2); vectorized in m."""
+    """log P(lo <= X <= hi) for X ~ normal(m, sigma^2); vectorized in m.
+    A zero sigma is a point mass: 0 on [lo, hi], -inf outside.  The tail
+    forms miss both edges (a mode on lo gives a NaN u, and one on hi may
+    reflect to just below lo), so those elements take the rule itself."""
     m = np.asarray(m, dtype=float)
     sigma = np.broadcast_to(np.asarray(sigma, dtype=float), m.shape)
     mid = 0.5 * (lo + hi)
     mm = np.where(m > mid, lo + hi - m, m)
     out = _by_branch(mm, sigma * _SQRT2, lo, hi, _log_mass_far, _log_mass_near)
+    point = sigma == 0.0
+    if point.any():
+        out = np.where(point, np.where((m >= lo) & (m <= hi), 0.0, -np.inf), out)
     return out if out.ndim else float(out)
 
 

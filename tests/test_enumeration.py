@@ -310,3 +310,43 @@ print(*codes, "scipy.optimize" in sys.modules)
     assert [Path(p).name for p in configs] == ["three_equilibria.ini",
                                                "two_groups.ini"]
     assert _run_fresh(code) == "0 0 0 2 0 0 0 0 0 0 0 0 2 0 False".split()
+
+
+def test_lq_work_leaves_scipy_special_unloaded():
+    # truncnorm imports scipy.special on the first tail evaluation, which
+    # no LQ closed form and no command but learn and multigroup makes
+    configs = sorted(str(p) for p in (Path(__file__).resolve().parents[1]
+                                      / "configs").glob("*.ini"))
+    commands = [["solve"], ["phase"], ["compare", "--param", "kappa"],
+                ["disparity"], ["check"]]
+    runs = [[name, config, *flags] for config in configs
+            for name, *flags in commands]
+    code = f"""
+import contextlib, io, sys, tempfile
+import berklab
+berklab.find_equilibria(berklab.build_lq(berklab.LQParams(1, 1, 1, 1),
+                                         0.0, 2.0, 0.5, 0.3, 3.0))
+print("scipy.special" in sys.modules)
+from berklab.cli import main
+with tempfile.TemporaryDirectory() as out:
+    with contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv + ["--out-dir", f"{{out}}/{{i}}"])
+                 for i, argv in enumerate({runs!r})]
+print(*codes, "scipy.special" in sys.modules)
+"""
+    # two_groups refuses disparity (exit 2)
+    assert _run_fresh(code) == "False 0 0 0 0 0 0 0 0 2 0 False".split()
+
+
+def test_the_first_tail_evaluation_binds_scipys_own_functions():
+    # no wrapper: after one fallback trunc_mean, truncnorm's erfc and erfcx
+    # are scipy.special's ufuncs themselves
+    code = """
+import scipy.special
+from berklab import truncnorm
+unbound = truncnorm.erfc is None and truncnorm.erfcx is None
+truncnorm.trunc_mean(0.5, 1.0, 0.09, 9.0)
+print(unbound, truncnorm.erfc is scipy.special.erfc,
+      truncnorm.erfcx is scipy.special.erfcx)
+"""
+    assert _run_fresh(code) == ["True", "True", "True"]

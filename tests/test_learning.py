@@ -13,7 +13,7 @@ from berklab import (BestResponseEngine, Factorization, LearningState,
                      monte_carlo_convergence, phase_field,
                      posterior_exact_density, posterior_params, simulate,
                      transform)
-from berklab.learning import noise_stream
+from berklab.learning import CHUNK, noise_stream
 from berklab.primitives import LQParams
 from berklab.truncnorm import trunc_pdf
 
@@ -236,6 +236,20 @@ class TestSimulate:
     def test_rejects_zero_horizon(self, tm3):
         with pytest.raises(ValueError):
             simulate(tm3, horizon=0, seed=0)
+
+    def test_lockstep_holds_one_noise_block(self, tm3):
+        # three chunks of noise pass through one (CHUNK, runs, 1) block: a
+        # fresh block per chunk would hold two at once (numpy reports its
+        # buffers to tracemalloc, so the peak is deterministic)
+        import tracemalloc
+        block_bytes = CHUNK * 200 * 8
+        tracemalloc.start()
+        try:
+            simulate(tm3, horizon=2 * CHUNK + 100, seed=1, runs=200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
 
 
 class TestLimitingOde:

@@ -110,3 +110,15 @@ class TestPdfAndMass:
     def test_log_mass_far_tail_finite(self):
         lm = log_mass(-300.0, 0.1, LO, HI)
         assert np.isfinite(lm) and lm < -1e5
+
+    @pytest.mark.parametrize("lo,hi", [(LO, HI), (-1.0, 2.0)])
+    def test_log_mass_of_a_point_mass(self, lo, hi):
+        # sd 0: log mass 0 on [lo, hi], both edges included, -inf outside
+        modes = np.array([lo, hi, 0.5 * (lo + hi), lo + 0.3 * (hi - lo),
+                          lo - 1.0, hi + 1.0])
+        expected = [0.0, 0.0, 0.0, 0.0, -np.inf, -np.inf]
+        assert log_mass(modes, np.zeros(6), lo, hi).tolist() == expected
+        assert [log_mass(x, 0.0, lo, hi) for x in modes] == expected
+        # a positive sd beside a zero one keeps its own bits
+        mixed = log_mass(np.array([lo, 1.0]), np.array([0.0, 0.7]), lo, hi)
+        assert mixed.tolist() == [0.0, log_mass(1.0, 0.7, lo, hi)]
