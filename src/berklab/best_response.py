@@ -6,8 +6,8 @@ numeric path in a single ``BestResponseEngine`` method; callers never
 branch on the model type.  General primitives (every model whose ``lq`` is
 None) are solved from their first-order conditions by
 bracketed Brent iteration through ``rootfind.solve_decreasing``: scipy's
-``brentq`` for a scalar point, one masked Brent pass for an array of
-points.  The evaluator's condition and ``r_partials`` use the
+``brentq.c`` loop on floats for a scalar point, one masked Brent pass for
+an array of points.  The evaluator's condition and ``r_partials`` use the
 implicit-function expression for the effort slope rather than differencing
 the solved effort map, so root tolerances do not stack.  The conditions
 read the exact derivatives a ``Smooth`` primitive carries, and five-point
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -71,8 +70,15 @@ def _population(betas, weights):
 def population_mean(columns, weights):
     """sum_j w_j c_j of one column per group (floats, or arrays of one shape)
     as the left fold w_0 c_0 + w_1 c_1 + ...: unlike a BLAS product's, its
-    order of summation does not depend on the batch."""
-    return functools.reduce(operator.add, map(operator.mul, weights, columns))
+    order of summation does not depend on the batch.  A column of weight
+    exactly 1.0 enters as it is (1.0 c is c bit for bit, NaN and -0.0
+    included), so one group's mean is its column, with no array made: the
+    result may be the caller's own column, and is read, never written."""
+    total = None
+    for w, c in zip(weights, columns):
+        term = c if w == 1.0 else w * c
+        total = term if total is None else total + term
+    return total
 
 
 def _elementwise(fn, *args, pair: bool = False):
@@ -229,8 +235,9 @@ class BestResponseEngine:
         return h * self._r_a(a, beta) - self._c_a(a)
 
     def _effort_numeric(self, h, beta):
-        """Effort at floats, by scipy's brentq, or at 1-d arrays, in one
-        masked solve over the points with h > 0 and beta > 0."""
+        """Effort at floats, by the float Brent loop from the bracket ends
+        this solve evaluates, or at 1-d arrays, in one masked solve over the
+        points with h > 0 and beta > 0."""
         scalar = not isinstance(h, np.ndarray)
         if scalar:
             if h <= 0.0 or beta <= 0.0:

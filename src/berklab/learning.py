@@ -29,7 +29,7 @@ from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
 from .truncnorm import interior, trunc_mean, trunc_pdf
 
-CHUNK = 8192
+CHUNK = 1024
 SEED_MASK = (1 << 64) - 1
 QUAD_NODES = 64
 QUAD_NODES_MAX = 512

@@ -3,17 +3,16 @@
 Brackets are expanded by doubling; roots are polished with Brent's method,
 which keeps the guaranteed-convergence property of plain bisection.
 
-A scalar problem goes through scipy's ``brentq``, which no other module
-calls.  scipy.optimize is imported by the first scalar solve, so importing
-berklab does not load it: that halves the package's import time, and the
-LQ closed forms never need it.  An array of independent problems goes
-through ``brentq_masked``, scipy's ``brentq.c`` iteration applied
-elementwise: each entry takes the steps and stops at the tolerance scipy's
-would, so where the function maps arrays with its scalar bits the roots
-carry scipy's bits.  Entries leave the working set as they converge, so
-the function is evaluated only on entries still iterating.  A float
-bracket given to ``brentq_masked`` goes to scipy's ``brentq`` instead,
-seeded with its known end values, so neither end is evaluated again.
+Both solvers transcribe scipy's ``brentq.c`` (Brent 1973, ch. 4), step for
+step, and start from end values already computed, so neither evaluates a
+bracket end twice.  ``_brent`` runs it on Python floats, for a scalar
+problem: the root it returns carries scipy's ``brentq`` bits, and no module
+of berklab imports scipy.optimize.  ``brentq_masked`` runs it elementwise on
+an array of independent problems: each entry takes the steps and stops at
+the tolerance scipy's would, so where the function maps arrays with its
+scalar bits the roots carry scipy's bits too.  Entries leave the working
+set as they converge, so the function is evaluated only on entries still
+iterating.
 
 Per-entry parameters of a solve travel as ``args``: the function is called
 as ``f(x, *args)``, on arrays with the subsets of the array-valued ``args``
@@ -25,6 +24,7 @@ at once, each by the rule its own position selects.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ REL_STEP2 = 1e-3  # relative step for second derivatives (five-point rule)
 XTOL, RTOL = 1e-14, 8.9e-16  # Brent's method: absolute and relative root tolerance
 MAX_ITER = 200  # Brent iterations per root
 EDGE_TOL = 1e-13  # |f| at a bracket end that counts as a root there
-brentq = None  # scipy.optimize.brentq, bound by the first scalar solve
 
 
 def _take(args, sel):
@@ -107,11 +106,12 @@ def solve_decreasing(f: Callable, lo, hi, expand: bool = False,
                      max_hi: float = 1e12, args: tuple = ()):
     """Root of f with f(lo) >= 0 >= f(hi); optionally grows hi by doubling.
 
-    Scalars give a float from scipy's ``brentq``; when ``lo``, ``hi`` or any
-    of ``args`` is an array, every broadcast entry is solved by the same
-    rules at once (``brentq_masked``).  Raises NumericalError when no sign
-    change can be bracketed, which for first-order conditions signals a
-    violated concavity/limit assumption.
+    Scalars give a float from ``_brent``; when ``lo``, ``hi`` or any of
+    ``args`` is an array, every broadcast entry is solved by the same rules
+    at once (``brentq_masked``).  Either solver starts from the end values
+    computed here.  Raises NumericalError when no sign change can be
+    bracketed, which for first-order conditions signals a violated
+    concavity/limit assumption, or when the iteration does not converge.
     """
     if not (isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray)
             or any(isinstance(a, np.ndarray) for a in args)):
@@ -120,19 +120,19 @@ def solve_decreasing(f: Callable, lo, hi, expand: bool = False,
             if abs(f_lo) < EDGE_TOL:
                 return lo
             raise NumericalError(f"no bracket: objective already decreasing at {lo!r}")
+        f_hi = f(hi, *args)
         if expand:
-            while f(hi, *args) > 0.0:
+            while f_hi > 0.0:
                 hi *= 2.0
                 if hi > max_hi:
                     raise NumericalError("bracket expansion exceeded limit; "
                                          "first-order condition has no root")
-        else:
-            f_hi = f(hi, *args)
-            if f_hi > 0.0:
-                if abs(f_hi) < EDGE_TOL:
-                    return hi
-                raise NumericalError(f"no bracket: no sign change on [{lo}, {hi}]")
-        return _scipy_brentq(f, lo, hi, args)
+                f_hi = f(hi, *args)
+        elif f_hi > 0.0:
+            if abs(f_hi) < EDGE_TOL:
+                return hi
+            raise NumericalError(f"no bracket: no sign change on [{lo}, {hi}]")
+        return _brent(f, lo, hi, f_lo, f_hi, args)
 
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                           for v in (lo, hi, *args)))
@@ -171,13 +171,69 @@ def solve_decreasing(f: Callable, lo, hi, expand: bool = False,
     return out
 
 
-def _scipy_brentq(f: Callable, xa, xb, args: tuple, **kwargs):
-    """scipy's ``brentq`` at the module's tolerances, bound on first use."""
-    global brentq
-    if brentq is None:
-        from scipy.optimize import brentq
-    return brentq(f, xa, xb, args=args, xtol=XTOL, rtol=RTOL, maxiter=MAX_ITER,
-                  **kwargs)
+def _brent(f: Callable, xa, xb, fa, fb, args: tuple = ()) -> float:
+    """Root of f on the float bracket [xa, xb], given fa = f(xa) and fb =
+    f(xb): scipy's ``brentq.c`` loop on Python floats, at ``XTOL``, ``RTOL``
+    and ``MAX_ITER``.
+
+    Every value of f is taken as ``float()`` takes it, as the C loop's
+    ``PyFloat_AsDouble`` does, so the root has scipy's bits and f is called
+    only at the iterates (scipy's ``function_calls`` less the two ends).
+    ValueError for a NaN value or ends of one sign, NumericalError when the
+    iteration does not converge.
+    """
+    xpre, xcur, fpre, fcur = float(xa), float(xb), float(fa), float(fb)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("function value at a bracket end is nan; "
+                         "solver cannot continue")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAX_ITER):
+        # the bracket is [xcur, xblk]; keep |f(xcur)| <= |f(xblk)|.  No value
+        # is NaN, so a sign bit differs exactly where one side is below zero
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (XTOL + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant interpolation
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic extrapolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # inf or NaN in C, either of which bisects
+                stry = math.inf
+            cap, room = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (cap if cap < room else room):  # C's MIN
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur, *args))
+        if math.isnan(fcur):
+            raise ValueError("function value is nan; solver cannot continue")
+    raise NumericalError(f"Brent iteration did not converge in {MAX_ITER} steps "
+                         f"on [{xa!r}, {xb!r}]")
 
 
 def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()):
@@ -189,24 +245,13 @@ def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()):
     iterating.  ValueError for an entry whose f is nan, or whose bracket
     has no sign change (as scipy); NumericalError when an entry does not
     converge within ``MAX_ITER`` iterations (tolerances ``XTOL``, ``RTOL``).
-    Float brackets give a float from scipy's ``brentq`` itself, whose first
-    two calls of f are answered by fa and fb.
+    Float brackets give a float from ``_brent``, the same loop on floats.
     """
+    if not isinstance(xa, np.ndarray):
+        return _brent(f, xa, xb, fa, fb, args)
     if np.any(np.isnan(fa) | np.isnan(fb)):
         raise ValueError("function value at a bracket end is nan; "
                          "solver cannot continue")
-    if not isinstance(xa, np.ndarray):
-        ends = [fb, fa]
-
-        def seeded(x, *a):
-            return ends.pop() if ends else f(x, *a)
-
-        root, res = _scipy_brentq(seeded, xa, xb, args, full_output=True,
-                                  disp=False)
-        if not res.converged:
-            raise NumericalError("Brent iteration did not converge in "
-                                 f"{MAX_ITER} steps on [{xa!r}, {xb!r}]")
-        return root
     out = np.empty(xa.shape)
     at_a = fa == 0.0
     at_b = ~at_a & (fb == 0.0)

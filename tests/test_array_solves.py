@@ -1,13 +1,13 @@
 """Array-native effort solves: the masked Brent pass and its consumers.
 
-A scalar root goes through scipy's ``brentq``; an array of roots goes
-through ``rootfind.brentq_masked``, the same iteration applied elementwise.
-The two must agree bit for bit wherever the function maps arrays with its
-scalar bits, so every array path of the engine carries the scalar path's
-bits.  The certificates of ``transform`` and ``_foc_table`` solve their
-grids in one array pass each.  ``best_fit`` and ``certified_roots`` reach
-scipy's solver only through ``rootfind`` and keep the bits of calling it
-directly.
+A scalar root goes through ``rootfind._brent``, scipy's ``brentq.c`` loop on
+floats; an array of roots goes through ``rootfind.brentq_masked``, the same
+iteration applied elementwise.  Both must return scipy's ``brentq`` bits,
+the masked pass wherever the function maps arrays with its scalar bits, so
+every array path of the engine carries the scalar path's bits.  The
+certificates of ``transform`` and ``_foc_table`` solve their grids in one
+array pass each.  ``best_fit`` and ``certified_roots`` solve only through
+``rootfind`` and keep the bits of calling scipy's solver directly.
 """
 
 import dataclasses
@@ -113,6 +113,49 @@ def test_brent_errors_are_the_same_for_float_and_array_brackets(ends, error,
     assert not isinstance(caught.value, RuntimeError)
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.integers(0, 1), expand=st.booleans(), root=st.floats(1e-3, 30.0),
+       slope=st.floats(0.1, 5.0), wrap=st.sampled_from([float, np.float64, np.asarray]))
+def test_scalar_solve_is_scipys_brentq_from_its_own_bracket(kind, expand, root,
+                                                            slope, wrap):
+    # the float Brent loop starts from the end values the bracket search
+    # computed (with expand, the last doubling's f(hi)): scipy's root, a
+    # float whatever scalar f returns, and f called at the bracket ends and
+    # then only at scipy's iterates
+    if not expand:
+        root /= 32.0
+    args = (slope * root + 0.25 * root * root * root, slope, 0.25)
+    seen = []
+
+    def f(x, *a):
+        seen.append(x)
+        return wrap(_decreasing(kind, x, *a))
+
+    def plain(x, *a):
+        return _decreasing(kind, x, *a)
+
+    hi, ends = 1.0, 2  # f(lo), then f(hi) once per doubling and once more
+    while expand and plain(hi, *args) > 0.0:
+        hi, ends = 2.0 * hi, ends + 1
+    assume(plain(0.0, *args) > 0.0 and plain(hi, *args) < 0.0)
+    got = solve_decreasing(f, 0.0, 1.0, expand=expand, args=args)
+    want, res = brentq(plain, 0.0, hi, args=args, xtol=XTOL, rtol=RTOL,
+                       maxiter=MAX_ITER, full_output=True)
+    assert type(got) is float
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    assert len(seen) == ends + res.function_calls - 2
+
+
+@pytest.mark.parametrize("ends", [(-1e300, 1e300),
+                                  (np.array([-1e300]), np.array([1e300]))])
+def test_a_solve_that_does_not_converge_raises_numerical_error(ends):
+    # bisection on _step needs about a thousand halvings, past MAX_ITER: a
+    # float bracket fails as an array one does, not with scipy's RuntimeError
+    with pytest.raises(berklab.NumericalError) as caught:
+        solve_decreasing(_step, *ends)
+    assert not isinstance(caught.value, RuntimeError)
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.integers(0, 1), expand=st.booleans(),
        roots=st.lists(st.floats(-0.5, 30.0), min_size=1, max_size=10),
@@ -186,6 +229,16 @@ def test_a_float_is_one_entry_of_the_array_rule(x, p):
         assert set(seen) == {float} and type(got) is float
         want = rule(f, np.array([x]), lo=0.0, hi=1.0)
         assert np.array([got]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", [fd1, fd2])
+@pytest.mark.parametrize("edges", [{}, {"lo": 0.0, "hi": 1.0}])
+def test_a_nan_float_steps_as_a_nan_entry(rule, edges):
+    # the step REL_STEP max(1, |x|) is NaN at a NaN x, as np.maximum gives
+    # it (Python's max would take 1.0), so a constant f differences to NaN
+    got = rule(lambda t: 1.0, math.nan, **edges)
+    want = rule(lambda t: np.ones_like(t), np.array([math.nan]), **edges)
+    assert type(got) is float and math.isnan(got) and np.isnan(want).all()
 
 
 @pytest.mark.parametrize("x,evaluations", [
@@ -285,16 +338,17 @@ def test_power_arrays_match_scalars_and_the_closed_form(gamma):
 
 
 def _count_scalar_effort_solves(monkeypatch):
-    """Calls of scipy's brentq on the agent's effort condition: the scalar
-    entry point of an effort solve."""
+    """Calls of the float Brent loop on the agent's effort condition: the
+    scalar entry point of an effort solve."""
     calls = []
+    brent = berklab.rootfind._brent
 
-    def counted(f, *args, **kwargs):
+    def counted(f, *args):
         if getattr(f, "__func__", None) is BestResponseEngine._effort_foc:
             calls.append(1)
-        return brentq(f, *args, **kwargs)
+        return brent(f, *args)
 
-    monkeypatch.setattr(berklab.rootfind, "brentq", counted)
+    monkeypatch.setattr(berklab.rootfind, "_brent", counted)
     return calls
 
 

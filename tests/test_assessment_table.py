@@ -136,12 +136,12 @@ def test_one_table_per_simulation(monkeypatch, tm_power):
 @pytest.mark.parametrize("case", ("power", "three_equilibria", "two_groups"))
 def test_runs_do_not_depend_on_the_batch(tm_power, case):
     # a run alone steps on floats and a batch on arrays: run k alone is row k
-    # of the batch bit for bit, on the general path and, past a block of
-    # noise, on the certainty-equivalent path with one group and with two
+    # of the batch bit for bit, on the general path and, across eight blocks
+    # of noise, on the certainty-equivalent path with one group and with two
     if case == "power":
         tm, args, horizon = tm_power, _single_group_args(tm_power), 3
     else:
-        tm, horizon = transform(three_equilibria_model()), CHUNK + 5
+        tm, horizon = transform(three_equilibria_model()), 8 * CHUNK + 5
         args = _single_group_args(tm) if case == "three_equilibria" else TWO_GROUPS
     batch = _run_engine(tm, *args, runs=3, horizon=horizon, seed=8)
     ahead = _run_engine(tm, *args, runs=2, horizon=horizon, seed=8,

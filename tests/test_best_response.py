@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from berklab import (BerklabError, BestResponseEngine, InvariantViolation,
                      LQParams, NumericalError, build_lq, build_power,
                      first_order_comparison)
-from berklab.best_response import ARRAY_SOLVE_MIN
+from berklab.best_response import ARRAY_SOLVE_MIN, population_mean
 from berklab.rootfind import XTOL
 
 from helpers import (_power_assessment, general_engine, lq_assessment,
@@ -116,6 +116,19 @@ class TestAssessment:
                     eng.assessment(beta)
             with pytest.raises(NumericalError, match="nan"):
                 eng.first_order_assessment(math.nan)
+
+
+def test_population_mean_is_the_left_fold():
+    # (w0 c0 + w1 c1) + w2 c2 on floats and arrays; a column of weight 1.0
+    # is the mean itself, with its NaN and -0.0
+    cols = [np.array([0.1, -2.0]), np.array([3.0, 0.7]), np.array([-1.5, 0.2])]
+    w = [0.2, 0.5, 0.3]
+    want = (w[0] * cols[0] + w[1] * cols[1]) + w[2] * cols[2]
+    assert population_mean(cols, w).tobytes() == want.tobytes()
+    assert population_mean([c[0] for c in cols], w) == want[0]
+    col = np.array([math.nan, -0.0, 2.5])
+    assert population_mean([col], [1.0]) is col
+    assert math.copysign(1.0, population_mean([-0.0], [1.0])) == -1.0
 
 
 class TestAssessmentMultigroup:

@@ -212,7 +212,7 @@ def test_assumption_check_needs_points_to_compare():
 
 def test_one_enumerator_for_every_fixed_point():
     # no uniform-grid scan survives in the enumeration modules, the
-    # Chebyshev kernels have one home, and scipy.optimize one importer
+    # Chebyshev kernels have one home, and scipy.optimize no importer
     src = Path(berklab.__file__).parent
     for module in ("equilibrium.py", "analysis.py"):
         text = (src / module).read_text()
@@ -254,13 +254,19 @@ def test_one_enumerator_for_every_fixed_point():
     assert any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id == "brentq_masked" for n in ast.walk(roots))
 
-    # scipy's root finders are reached through rootfind alone
+    # rootfind carries its own Brent loops, so no module loads scipy's
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom):
+            return [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        return []
+
     importers = sorted(
         name for name, tree in trees.items() for node in ast.walk(tree)
-        if (isinstance(node, ast.ImportFrom) and node.module == "scipy.optimize")
-        or (isinstance(node, ast.Import)
-            and any(a.name.startswith("scipy.optimize") for a in node.names)))
-    assert importers == ["rootfind.py"]
+        if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+               for n in imported(node)))
+    assert importers == []
 
 
 def _run_fresh(code: str) -> list[str]:
@@ -279,8 +285,8 @@ def _run_fresh(code: str) -> list[str]:
 
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    # rootfind imports scipy.optimize on the first scalar solve, which the
-    # LQ closed forms never make
+    # no module imports scipy.optimize, and the LQ closed forms make no
+    # scalar solve
     code = ("import sys, berklab; "
             "berklab.find_equilibria(berklab.build_lq(berklab.LQParams(1, 1, 1, 1), "
             "0.0, 2.0, 0.5, 0.3, 3.0)); print('scipy.optimize' in sys.modules)")
@@ -288,9 +294,9 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
 
 
 def test_lq_commands_leave_scipy_optimize_unloaded():
-    # every command on both shipped (LQ) configs, refusals included: a float
-    # bracket is the numeric best fit's alone, so no LQ path loads scipy's
-    # solvers (that would cost a multigroup run about 22 MB)
+    # every command on both shipped (LQ) configs, refusals included: no
+    # path loads scipy's solvers (that would cost a multigroup run about
+    # 22 MB)
     configs = sorted(str(p) for p in (Path(__file__).resolve().parents[1]
                                       / "configs").glob("*.ini"))
     commands = [["solve"], ["phase"], ["learn"], ["multigroup"],
@@ -310,6 +316,23 @@ print(*codes, "scipy.optimize" in sys.modules)
     assert [Path(p).name for p in configs] == ["three_equilibria.ini",
                                                "two_groups.ini"]
     assert _run_fresh(code) == "0 0 0 2 0 0 0 0 0 0 0 0 2 0 False".split()
+
+
+def test_the_general_path_leaves_scipy_optimize_unloaded():
+    # scalar effort, assessment and best-fit solves run rootfind's own Brent
+    # loop, so the general path does not pay scipy.optimize's import (about
+    # 0.14 s and 23 MB)
+    code = """
+import sys
+import berklab
+model = berklab.build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
+berklab.transform(model)
+berklab.BestResponseEngine(model).assessment(1.3)
+berklab.find_equilibria(model, grid_points=128)
+berklab.monte_carlo_convergence(model, runs=2, horizon=2, seed=0)
+print("scipy.optimize" in sys.modules)
+"""
+    assert _run_fresh(code) == ["False"]
 
 
 def test_lq_work_leaves_scipy_special_unloaded():
