@@ -19,10 +19,8 @@ from .best_response import BestResponseEngine
 from .chebyshev import certified_roots
 from .equilibrium import DEDUP_TOL, DEFAULT_GRID, EquilibriumSet, find_equilibria
 from .errors import InvariantViolation
-from .primitives import ModelPrimitives, build_lq
+from .primitives import LQ_PARAMETERS, PERTURBABLE, ModelPrimitives, build_lq
 
-LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")
-PERTURBABLE = ("delta_mu",) + LQ_PARAMETERS
 SHIFT_GRID = 33  # productivities at which comparative_statics compares assessments
 COMPARE_SLACK = 1e-12  # slack on an inequality between two computed quantities
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import NumericalError
 from .rootfind import brentq_masked
@@ -113,6 +112,8 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     (zero counts as positive) are polished together by ``brentq_masked``,
     starting from those end values.
     """
+    from numpy.polynomial import chebyshev as C  # no LQ closed form comes here
+
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def at(theta):  # the edges exactly: their values decide the corners

@@ -5,7 +5,8 @@ Every command reads one config file, writes CSV/JSON artifacts plus a run
 manifest into the output directory, and is byte-deterministic given
 (config, flags, seed).  Numeric output carries 9 significant digits.
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 invariant
-violation.
+violation.  A command imports the learning, multigroup and analysis modules
+only when it runs them.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (PERTURBABLE, comparative_statics, disparity_report,
-                       perturb_model)
 from .config import RunConfig, load_config
-from .equilibrium import find_equilibria, psi_tilde
+from .equilibrium import DEFAULT_RADIUS, find_equilibria, psi_tilde
 from .errors import ConfigError, InvariantViolation, NumericalError
-from .learning import (DEFAULT_RADIUS, TruncNormalPrior,
-                       monte_carlo_convergence, phase_field, transform)
-from .multigroup import (color_blind_equilibria, color_sighted_equilibria,
-                         color_sighted_equilibrium, eigen_check, simulate_multigroup)
-from .primitives import check_assumptions
+from .primitives import PERTURBABLE, check_assumptions
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "BERKLAB_OUT_DIR"
@@ -126,6 +121,8 @@ def cmd_solve(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_phase(args, cfg: RunConfig, writer: _Writer) -> int:
+    from .learning import phase_field
+
     _require_positive(args, "grid")
     field = phase_field(cfg.model(), grid=args.grid)
     rows = []
@@ -145,7 +142,10 @@ def cmd_phase(args, cfg: RunConfig, writer: _Writer) -> int:
     return 0
 
 
-def _prior_from_args(args) -> TruncNormalPrior | None:
+def _prior_from_args(args):
+    """The prior of ``--prior-center``/``--prior-sd``, or None for neither."""
+    from .learning import TruncNormalPrior
+
     if args.prior_sd is None and args.prior_center is None:
         return None
     if args.prior_sd is None or args.prior_center is None:
@@ -165,6 +165,8 @@ def _require_positive(args, *names):
 
 
 def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
+    from .learning import monte_carlo_convergence, transform
+
     _require_positive(args, "horizon", "runs", "stride")
     if not args.radius >= 0.0:
         raise ConfigError("radius must be >= 0")
@@ -193,6 +195,10 @@ def cmd_learn(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
+    from .multigroup import (color_blind_equilibria, color_sighted_equilibria,
+                             color_sighted_equilibrium, eigen_check,
+                             simulate_multigroup)
+
     if args.horizon < 0:
         raise ConfigError("horizon must be >= 0")
     _require_positive(args, "stride")
@@ -232,6 +238,8 @@ def cmd_multigroup(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_compare(args, cfg: RunConfig, writer: _Writer) -> int:
+    from .analysis import comparative_statics, perturb_model
+
     _require_positive(args, "sweep_points")
     if not (args.step > 0.0 and args.sweep_span >= 0.0):  # "increase" is +step
         raise ConfigError("need --step > 0 and --sweep-span >= 0, got "
@@ -278,6 +286,8 @@ def cmd_compare(args, cfg: RunConfig, writer: _Writer) -> int:
 
 
 def cmd_disparity(args, cfg: RunConfig, writer: _Writer) -> int:
+    from .analysis import disparity_report
+
     model = cfg.model()
     delta_m = args.delta_m
     delta_w = args.delta_w

@@ -13,11 +13,13 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ConfigError
-from .multigroup import GroupPopulation
 from .primitives import LQParams, ModelPrimitives, build_lq
+
+if TYPE_CHECKING:  # multigroup loads with the first population() call
+    from .multigroup import GroupPopulation
 
 SECTION_KEYS = {
     "lq": {"c", "kappa", "lambda_e", "lambda_a", "delta"},
@@ -75,6 +77,7 @@ class RunConfig:
     def population(self) -> GroupPopulation:
         if self.group_alphas is None:
             raise ConfigError("a [groups] section is required for this command")
+        from .multigroup import GroupPopulation
         try:
             return GroupPopulation(model=self.model(),
                                    alphas=self.group_alphas,
@@ -94,6 +97,11 @@ def _parse_float(text: str, raw: str, section: str, key: str) -> float:
         line = _line_of(text, section, key)
         raise ConfigError(f"line {line}: [{section}] {key} = {raw!r} is not "
                           f"{'a number' if value is None else 'finite'}")
+    # the closed forms square levers, and a float's ** raises OverflowError
+    if not math.isfinite(value * value):
+        line = _line_of(text, section, key)
+        raise ConfigError(f"line {line}: [{section}] {key} = {raw!r} is too "
+                          "large: its square overflows a float")
     return value
 
 

@@ -28,6 +28,7 @@ SCE_KL_TOL = 1e-12
 DEDUP_TOL = 1e-9
 TANGENCY_SLOPE_TOL = 1e-3
 DEFAULT_GRID = 4096  # cap on Chebyshev proxy points for general primitives
+DEFAULT_RADIUS = 0.05  # learning: distance that counts a run as at a steady state
 
 
 @dataclass(frozen=True)

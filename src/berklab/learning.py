@@ -23,7 +23,7 @@ import numpy as np
 
 from .best_response import BestResponseEngine, array_form, population_mean
 from .chebyshev import _cheb_basis, certified_series
-from .equilibrium import DEFAULT_GRID, find_equilibria
+from .equilibrium import DEFAULT_GRID, DEFAULT_RADIUS, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
@@ -35,7 +35,6 @@ QUAD_NODES = 64
 QUAD_NODES_MAX = 512
 QUAD_RTOL = 1e-8
 WINDOW_SIGMAS = 8.0
-DEFAULT_RADIUS = 0.05
 TABLE_POINTS = 65  # finest nested Chebyshev-Lobatto grid, per axis
 RECON_TOL = 1e-10  # factorization reconstruction error transform accepts
 RECON_GRID = 64  # points per axis on which transform certifies it

@@ -21,16 +21,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import COMPARE_SLACK, LQ_PARAMETERS, _with_lq_value
+from .analysis import COMPARE_SLACK, _with_lq_value
 from .best_response import BestResponseEngine, _population
 from .chebyshev import certified_roots
-from .equilibrium import (DEDUP_TOL, DEFAULT_GRID, SCE_KL_TOL, EquilibriumSet,
-                          find_equilibria)
+from .equilibrium import (DEDUP_TOL, DEFAULT_GRID, DEFAULT_RADIUS, SCE_KL_TOL,
+                          EquilibriumSet, find_equilibria)
 from .errors import NumericalError
-from .learning import (DEFAULT_RADIUS, ConvergenceReport, Trajectory,
-                       TruncNormalPrior, _as_transformed, _convergence_report,
-                       _record_stride, _run_engine, _trajectory)
-from .primitives import ModelPrimitives
+from .learning import (ConvergenceReport, Trajectory, TruncNormalPrior,
+                       _as_transformed, _convergence_report, _record_stride,
+                       _run_engine, _trajectory)
+from .primitives import LQ_PARAMETERS, ModelPrimitives
 from .rootfind import brentq_masked
 
 DENSE_LIMIT = 32  # largest J whose spectrum eigen_check solves densely

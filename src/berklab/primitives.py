@@ -31,6 +31,8 @@ Fn2 = Callable[[float, float], float]
 
 BOUNDARY_TOL = 1e-9
 CONVEX_POINTS = 64  # points of each convexity check in check_assumptions
+LQ_PARAMETERS = ("lambda_e", "delta", "c", "kappa")  # raw LQ levers
+PERTURBABLE = ("delta_mu",) + LQ_PARAMETERS  # what comparative statics moves
 
 
 @dataclass(frozen=True)

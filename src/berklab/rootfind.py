@@ -36,6 +36,14 @@ REL_STEP2 = 1e-3  # relative step for second derivatives (five-point rule)
 XTOL, RTOL = 1e-14, 8.9e-16  # Brent's method: absolute and relative root tolerance
 MAX_ITER = 200  # Brent iterations per root
 EDGE_TOL = 1e-13  # |f| at a bracket end that counts as a root there
+# most open entries that brentq_masked solves one at a time in _brent: the
+# crossover of its dearest caller (CPU time on one core, each caller's own
+# brackets from build_power(2.5) and LQ multigroup runs, tiled to n entries:
+# at n = 1, 2, 3 the loop costs 0.74, 0.99 and 1.12 of a masked pass in the
+# polish of certified_roots, whose f solves each entry; the crossover lies at
+# 5-6 entries for _FocTable.roots, 10-11 for the effort condition of
+# solve_decreasing and 12-13 for the kinks of multigroup)
+SMALL_BATCH = 2
 
 
 def _take(args, sel):
@@ -245,7 +253,10 @@ def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()):
     iterating.  ValueError for an entry whose f is nan, or whose bracket
     has no sign change (as scipy); NumericalError when an entry does not
     converge within ``MAX_ITER`` iterations (tolerances ``XTOL``, ``RTOL``).
-    Float brackets give a float from ``_brent``, the same loop on floats.
+    Float brackets give a float from ``_brent``, the same loop on floats,
+    and so do up to ``SMALL_BATCH`` open entries, one after another, where
+    the masked loop's cost per iteration outweighs one call of f on them
+    all: f still sees arrays, of one entry and that entry's rows of ``args``.
     """
     if not isinstance(xa, np.ndarray):
         return _brent(f, xa, xb, fa, fb, args)
@@ -261,10 +272,16 @@ def brentq_masked(f: Callable, xa, xb, fa, fb, args: tuple = ()):
     if np.any(np.signbit(fpre) == np.signbit(fcur)):
         raise ValueError("f(a) and f(b) must have different signs")
     args = _take(args, ids)
+    if ids.size <= SMALL_BATCH:
+        def one(x, *row):
+            return f(np.array([x]), *row)[0]
+
+        for k, i in enumerate(ids):
+            out[i] = _brent(one, xpre[k], xcur[k], fpre[k], fcur[k],
+                            _take(args, slice(k, k + 1)))
+        return out
     xblk, fblk = np.zeros(ids.size), np.zeros(ids.size)
     spre, scur = np.zeros(ids.size), np.zeros(ids.size)
-    if not ids.size:
-        return out
     for _ in range(MAX_ITER):
         # the bracket is [xcur, xblk]; keep |f(xcur)| <= |f(xblk)|
         flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))

@@ -26,8 +26,8 @@ from berklab import (BestResponseEngine, Smooth, build_power, find_equilibria,
                      transform)
 from berklab.best_response import ARRAY_SOLVE_MIN, array_form
 from berklab.learning import _foc_table
-from berklab.rootfind import (MAX_ITER, REL_STEP, REL_STEP2, RTOL, XTOL,
-                              brentq_masked, fd1, fd2, solve_decreasing)
+from berklab.rootfind import (MAX_ITER, REL_STEP, REL_STEP2, RTOL, SMALL_BATCH,
+                              XTOL, brentq_masked, fd1, fd2, solve_decreasing)
 
 from helpers import general_engine, random_lq_instance, three_equilibria_model
 
@@ -154,6 +154,57 @@ def test_a_solve_that_does_not_converge_raises_numerical_error(ends):
     with pytest.raises(berklab.NumericalError) as caught:
         solve_decreasing(_step, *ends)
     assert not isinstance(caught.value, RuntimeError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.integers(0, 1),
+       cases=st.lists(problems.map(lambda cases: cases[0]),
+                      min_size=SMALL_BATCH + 1, max_size=SMALL_BATCH + 12))
+def test_the_masked_loop_and_one_entry_at_a_time_give_scipys_bits(kind, cases):
+    # past SMALL_BATCH open entries the masked loop runs; each entry alone
+    # goes through _brent on one-entry arrays: both carry scipy's bits
+    root, c1, c3, below, above = map(np.array, zip(*cases))
+    c0 = c1 * root + c3 * root * root * root
+    lo, hi = root - below, root + above
+    f_lo, f_hi = (_decreasing(kind, x, c0, c1, c3) for x in (lo, hi))
+    keep = (f_lo > 0.0) & (f_hi < 0.0)  # rounding can close a tiny bracket
+    assume(keep.sum() > SMALL_BATCH)
+    lo, hi, f_lo, f_hi = (v[keep] for v in (lo, hi, f_lo, f_hi))
+    args = (c0[keep], c1[keep], c3[keep])
+
+    def f(x, *a):
+        return _decreasing(kind, x, *a)
+
+    batch = brentq_masked(f, lo, hi, f_lo, f_hi, args)
+    alone = np.concatenate([brentq_masked(f, lo[k:k + 1], hi[k:k + 1], f_lo[k:k + 1],
+                                          f_hi[k:k + 1], tuple(a[k:k + 1] for a in args))
+                            for k in range(lo.size)])
+    want = np.array([brentq(f, a, b, args=tuple(p), xtol=XTOL, rtol=RTOL, maxiter=MAX_ITER)
+                     for a, b, *p in zip(lo, hi, *args)])
+    assert batch.tobytes() == want.tobytes() == alone.tobytes()
+
+
+def _nan_inside(x):
+    """1 - 2x, but nan on (0.45, 0.55), where the first step from [0, 1] lands."""
+    return np.where((x > 0.45) & (x < 0.55), np.nan, 1.0 - 2.0 * x)
+
+
+@pytest.mark.parametrize("f,ends,error", [
+    (_step, (0.0, 1.0, math.nan, -1.0), ValueError),
+    (_step, (0.0, 1.0, 1.0, 2.0), ValueError),
+    (_nan_inside, (0.0, 1.0, 1.0, -1.0), ValueError),
+    (_step, (-1e300, 1e300, 1.0, -1.0), berklab.NumericalError),
+])
+@pytest.mark.parametrize("size", [SMALL_BATCH, SMALL_BATCH + 1])
+def test_both_sides_of_the_small_batch_fail_alike(f, ends, error, size):
+    # one entry at a time up to SMALL_BATCH, the masked loop past it: a nan at
+    # an end or during the iteration, ends of one sign and MAX_ITER steps
+    # without convergence raise the same error on either path
+    with pytest.raises(error) as caught:
+        brentq_masked(f, *(np.full(size, v) for v in ends))
+    assert not isinstance(caught.value, RuntimeError)
+    if f is _nan_inside:
+        assert "function value is nan" in str(caught.value)
 
 
 @settings(max_examples=60, deadline=None)

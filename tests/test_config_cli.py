@@ -33,6 +33,9 @@ delta = 0.05 -0.05
 beta_star = 2.0 2.0
 """
 
+C_HUGE = [("c = 1.0", "c = 1e300")]
+BETA_HI_HUGE = [("beta_hi = 3.0", "beta_hi = 1e300")]
+
 
 def write(tmp_path: Path, text: str, name: str = "run.ini") -> str:
     path = tmp_path / name
@@ -135,6 +138,35 @@ class TestCliSolve:
                     .replace("lambda_a = 1.0", "lambda_a = 0.0"))
         assert main(["solve", cfg, "--out-dir", str(tmp_path / "o")]) == 4
         assert "not interior" in capsys.readouterr().err
+
+    # a finite lever whose square overflows: the closed forms square levers
+    # with a float's **, which raises OverflowError there
+    @pytest.mark.parametrize("edits,command,line", [
+        (C_HUGE, ["solve"], 2),
+        (C_HUGE, ["phase", "--grid", "8"], 2),
+        (C_HUGE, ["disparity"], 2),
+        (C_HUGE, ["compare", "--param", "delta_mu"], 2),
+        (C_HUGE, ["learn", "--horizon", "50"], 2),
+        (BETA_HI_HUGE, ["solve"], 15),
+        (BETA_HI_HUGE, ["disparity"], 15),
+        (BETA_HI_HUGE, ["compare", "--param", "delta_mu"], 15),
+        (BETA_HI_HUGE + [("beta_star = 2.0", "beta_star = 1e200")], ["solve"], 10),
+        ([("beta_star = 2.0 2.0", "beta_star = 2.0 -1e155")],
+         ["multigroup", "--horizon", "20"], 20),
+    ])
+    def test_a_lever_whose_square_overflows_exits_2_at_its_line(
+            self, tmp_path, capsys, edits, command, line):
+        text = GROUPS if command[0] == "multigroup" else THREE_EQ
+        for old, new in edits:
+            text = text.replace(old, new)
+        out = tmp_path / "o"
+        assert main([command[0], write(tmp_path, text), *command[1:],
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: line {line}: [" in err
+        assert "its square overflows a float" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_manifest_inventory_hashes(self, tmp_path):
         import hashlib

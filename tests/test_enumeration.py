@@ -373,3 +373,106 @@ print(unbound, truncnorm.erfc is scipy.special.erfc,
       truncnorm.erfcx is scipy.special.erfcx)
 """
     assert _run_fresh(code) == ["True", "True", "True"]
+
+
+# -- the package imports only what a call runs ------------------------------
+
+PUBLIC = {
+    "analysis": ["ComparativeStaticsResult", "DisparityReport",
+                 "FirstOrderComparison", "GapDecomposition", "comparative_statics",
+                 "disparity_report", "first_order_comparison", "gap_decomposition",
+                 "weak_set_order_leq"],
+    "best_response": ["BestResponseEngine"],
+    "equilibrium": ["EquilibriumPoint", "EquilibriumSet", "find_equilibria",
+                    "kl_divergence", "kl_minimizer", "kl_root", "market_belief",
+                    "psi_tilde"],
+    "errors": ["BerklabError", "ConfigError", "InvariantViolation", "NumericalError"],
+    "learning": ["ConvergenceReport", "LearningState", "OdeSystem", "SteadyState",
+                 "Trajectory", "TransformedModel", "TruncNormalPrior",
+                 "evaluator_step", "fisher_information", "limiting_ode",
+                 "monte_carlo_convergence", "phase_field", "posterior_exact_density",
+                 "posterior_params", "simulate", "transform"],
+    "multigroup": ["EigenReport", "GroupPopulation", "MultigroupEquilibrium",
+                   "color_blind_equilibria", "color_sighted_equilibria",
+                   "color_sighted_equilibrium", "eigen_check", "monte_carlo_multigroup",
+                   "sensitivity", "sherman_morrison_inverse", "simulate_multigroup"],
+    "primitives": ["AssumptionReport", "Factorization", "LQParams", "ModelPrimitives",
+                   "Smooth", "build_lq", "build_power", "check_assumptions"],
+}
+
+
+def test_every_public_name_is_its_defining_modules_own_object():
+    # the package keeps no copy: a name rebound in its module (as the
+    # benchmark's tracer does) is rebound for the package's readers too
+    import importlib
+
+    names = sorted(n for group in PUBLIC.values() for n in group)
+    assert len(names) == 57 and berklab.__all__ == names
+    for module, group in PUBLIC.items():
+        owner = importlib.import_module(f"berklab.{module}")
+        for name in group:
+            assert getattr(berklab, name) is vars(owner)[name], name
+            assert name not in vars(berklab), name
+    assert set(names) <= set(dir(berklab))
+    assert "__version__" in dir(berklab)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        berklab.no_such_name
+
+
+def _loaded(*names):
+    """Code that prints, for each module name, whether it is loaded."""
+    return f"print(*(m in sys.modules for m in {list(names)!r}))"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    code = ("import sys, berklab; "
+            "print(*sorted(m for m in sys.modules if m.startswith('berklab.')))")
+    assert _run_fresh(code) == []
+
+
+def test_the_lq_api_loads_neither_learning_nor_the_cli():
+    # build_lq needs primitives alone; the LQ statics run the closed forms
+    # and never the Chebyshev root finder that loads numpy.polynomial
+    code = f"""
+import sys, berklab
+model = berklab.build_lq(berklab.LQParams(1, 1, 1, 1), 0.0, 2.0, 0.5, 0.3, 3.0)
+print(*sorted(m for m in sys.modules if m.startswith("berklab.")))
+berklab.find_equilibria(model)
+berklab.comparative_statics(model, "kappa", 0.01)
+berklab.disparity_report(model, 0.5, -0.5)
+{_loaded("berklab.learning", "berklab.multigroup", "berklab.truncnorm",
+         "berklab.cli", "berklab.config", "numpy.polynomial")}
+"""
+    assert _run_fresh(code) == ["berklab.primitives"] + ["False"] * 6
+
+
+def _modules_after(*runs):
+    """(exit code, berklab modules loaded so far) after each CLI run on
+    three_equilibria.ini, the runs made in turn in one fresh interpreter."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "three_equilibria.ini")
+    code = f"""
+import contextlib, io, sys, tempfile
+from berklab.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()):
+    for i, (name, *flags) in enumerate({list(runs)!r}):
+        code = main([name, {config!r}, *flags, "--out-dir", f"{{out}}/{{i}}"])
+        print(code, *sorted(m[8:] for m in sys.modules if m.startswith("berklab.")),
+              sep=",")
+"""
+    return [(int(code), set(mods)) for code, *mods in
+            (word.split(",") for word in _run_fresh(code))]
+
+
+def test_the_lq_commands_load_neither_learning_nor_multigroup():
+    solve, *others = _modules_after(["solve"], ["check"],
+                                    ["compare", "--param", "kappa"], ["disparity"])
+    assert solve == (0, {"best_response", "chebyshev", "cli", "config",
+                         "equilibrium", "errors", "primitives", "rootfind"})
+    assert [code for code, _ in others] == [0, 0, 0]
+    assert others[-1][1] == solve[1] | {"analysis"}
+
+
+def test_learn_loads_neither_multigroup_nor_analysis():
+    [(code, modules)] = _modules_after(["learn", "--horizon", "200"])
+    assert code == 0 and "learning" in modules
+    assert not modules & {"multigroup", "analysis"}

@@ -151,10 +151,11 @@ class TestLearnCommand:
 
     def test_multigroup_solves_the_sighted_equilibrium_once(self, tmp_path,
                                                             monkeypatch):
+        # cmd_multigroup reads both names from berklab.multigroup at call time
         solves = count_calls(monkeypatch, "color_sighted_equilibrium",
-                             berklab.multigroup, berklab.cli)
+                             berklab.multigroup)
         sets = count_calls(monkeypatch, "color_sighted_equilibria",
-                           berklab.multigroup, berklab.cli)
+                           berklab.multigroup)
         # the selected member and the set come from one enumeration
         scans = count_calls(monkeypatch, "_enumerate",
                             berklab.multigroup._SharedAssessment)

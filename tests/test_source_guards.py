@@ -103,3 +103,50 @@ def test_the_learning_step_takes_its_noise_as_drawn():
                     or (isinstance(node, ast.Attribute) and node.attr in names)):
                 sites.add(f"{path.name}:{node.lineno}")
     assert sites == set()
+
+
+def _load_time_imports(tree):
+    """The import statements a module runs as it loads: none inside a
+    function, nor under ``if TYPE_CHECKING:``."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def _imported(node):
+    """Every dotted name an import statement may load, relative ones with
+    their leading dots: ``from .a import b`` gives ``.a`` and ``.a.b``."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    base = "." * node.level + (node.module or "")
+    sep = "." if node.module else ""
+    return {base} | {f"{base}{sep}{alias.name}" for alias in node.names}
+
+
+def test_light_modules_import_no_heavy_module_as_they_load():
+    # the package root binds no name from a submodule, and the modules that
+    # every LQ command runs import learning, multigroup, analysis and
+    # numpy.polynomial only inside the functions that use them, so a
+    # command loads only what it runs
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert [n.lineno for n in ast.walk(init)
+            if isinstance(n, ast.ImportFrom) and n.level] == []
+    heavy = (".learning", ".multigroup", ".analysis", "berklab.learning",
+             "berklab.multigroup", "berklab.analysis", "numpy.polynomial")
+    sites = set()
+    for name in ("cli", "config", "equilibrium", "best_response", "chebyshev",
+                 "primitives"):
+        for node in _load_time_imports(ast.parse((SRC / f"{name}.py").read_text())):
+            if any(t == h or t.startswith(h + ".") for t in _imported(node)
+                   for h in heavy):
+                sites.add(f"{name}.py:{node.lineno}")
+    assert sites == set()
