@@ -24,16 +24,14 @@ _EXPORTS = {
                  "weak_set_order_leq"),
     "best_response": ("BestResponseEngine",),
     "equilibrium": ("EquilibriumPoint", "EquilibriumSet", "find_equilibria",
-                    "kl_divergence", "kl_minimizer", "kl_root", "market_belief",
-                    "psi_tilde"),
+                    "kl_divergence", "psi_tilde"),
     "errors": ("BerklabError", "ConfigError", "InvariantViolation",
                "NumericalError"),
     "learning": ("ConvergenceReport", "LearningState", "OdeSystem",
                  "SteadyState", "Trajectory", "TransformedModel",
                  "TruncNormalPrior", "evaluator_step", "fisher_information",
                  "limiting_ode", "monte_carlo_convergence", "phase_field",
-                 "posterior_exact_density", "posterior_params", "simulate",
-                 "transform"),
+                 "posterior_params", "simulate", "transform"),
     "multigroup": ("EigenReport", "GroupPopulation", "MultigroupEquilibrium",
                    "color_blind_equilibria", "color_sighted_equilibria",
                    "color_sighted_equilibrium", "eigen_check",

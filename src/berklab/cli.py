@@ -309,7 +309,7 @@ def cmd_disparity(args, cfg: RunConfig, writer: _Writer) -> int:
 def cmd_check(args, cfg: RunConfig, writer: _Writer) -> int:
     model = cfg.model()
     try:
-        report = check_assumptions(model, n_h=args.grid, n_beta=args.grid)
+        report = check_assumptions(model, grid=args.grid)
     except ValueError as exc:
         raise ConfigError(f"--grid {args.grid}: {exc}") from exc
     writer.json("assumptions.json", {

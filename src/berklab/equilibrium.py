@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .best_response import BestResponseEngine
 from .errors import NumericalError
 from .primitives import ModelPrimitives
@@ -84,22 +82,6 @@ def kl_divergence(model: ModelPrimitives, h: float, beta: float,
                                               model.delta_mu)
 
 
-def kl_root(model: ModelPrimitives, h: float) -> float | None:
-    """Unconstrained best-fit productivity at assessment h; None if no root.
-
-    Solves R(h, x) = R(h, beta_star) - delta_mu on [0, inf).  Searching
-    below the support relies on the primitives being defined there.
-    """
-    root = BestResponseEngine(model).best_fit(h, model.beta_star, model.delta_mu,
-                                              clamp=False)
-    return None if np.isnan(root) else float(root)
-
-
-def kl_minimizer(model: ModelPrimitives, h: float) -> float:
-    """Divergence-minimizing productivity on the support, given assessment h."""
-    return float(BestResponseEngine(model).best_fit(h, model.beta_star, model.delta_mu))
-
-
 def psi_tilde(model: ModelPrimitives, beta,
               engine: BestResponseEngine | None = None):
     """Belief map: best-fit productivity under the optimal assessment at beta.
@@ -109,12 +91,6 @@ def psi_tilde(model: ModelPrimitives, beta,
     """
     eng = _engine(model, engine)
     return eng.best_fit(eng.assessment(beta), model.beta_star, model.delta_mu)
-
-
-def market_belief(model: ModelPrimitives, h_eq: float, delta_m: float) -> float:
-    """Belief of an observer with misspecification delta_m at the fixed
-    equilibrium assessment h_eq (heterogeneous-prior scenario)."""
-    return float(BestResponseEngine(model).best_fit(h_eq, model.beta_star, delta_m))
 
 
 def _make_point(model, eng, beta_hat: float, stability: str,

@@ -38,7 +38,6 @@ WINDOW_SIGMAS = 8.0
 TABLE_POINTS = 65  # finest nested Chebyshev-Lobatto grid, per axis
 RECON_TOL = 1e-10  # factorization reconstruction error transform accepts
 RECON_GRID = 64  # points per axis on which transform certifies it
-EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
 EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
 _MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
 _WINDOW_PAD = 1e-12  # share of the support a far-mode quadrature window adds
@@ -92,7 +91,9 @@ def transform(model: ModelPrimitives) -> TransformedModel:
     Refuses to proceed when the reconstruction error exceeds ``RECON_TOL``:
     without the structure, posteriors lose their truncated-normal form and
     the simulation would silently be wrong.  An effective effort with an
-    additive term in h alone is refused the same way.
+    additive term in h alone is refused the same way, and so is a Fisher
+    information I(h) = g2(h)^2 h that is not positive at h_lo or not finite
+    at h_hi, where a learning path's beliefs would not be finite.
     """
     fac = model.factorization
     if fac is None:
@@ -107,12 +108,20 @@ def transform(model: ModelPrimitives) -> TransformedModel:
     g1, g2 = array_form(fac.g1, betas), array_form(fac.g2, hs)
     g1_betas = g1(betas)
     g1_inv = array_form(fac.g1_inv, g1_betas)
-    rec = g1_betas * g2(hs)[:, None]
+    g2_hs = g2(hs)
+    rec = g1_betas * g2_hs[:, None]
     err = float(np.max(np.abs(rec - eng.effective_effort(hs[:, None], betas))))
     if err > RECON_TOL:
         raise NumericalError(
             f"factorization reconstruction error {err:.3e} exceeds {RECON_TOL:.1e}; "
             "the multiplicative structure does not hold for these primitives")
+    g2_lo, g2_hi = float(g2_hs[0]), float(g2_hs[-1])  # floats: no overflow warning
+    info_lo, info_hi = g2_lo * g2_lo * h_lo, g2_hi * g2_hi * h_hi
+    if not (info_lo > 0.0 and math.isfinite(info_hi)):
+        raise NumericalError(
+            f"Fisher information I(h) = g2(h)^2 h is {info_lo:.3g} at h_lo = "
+            f"{h_lo:.3g} and {info_hi:.3g} at h_hi = {h_hi:.3g}; learning needs "
+            "it positive and finite")
     # LQ assessment depends on a belief only through E[beta^2], which is the
     # posterior mean of g1 exactly when g1 is beta^2
     square = bool(np.max(np.abs(g1_betas - betas * betas)) <= RECON_TOL)
@@ -159,38 +168,6 @@ def posterior_params(tm: TransformedModel, history) -> tuple[float, float]:
         raise ValueError("history carries no information")
     num = float(((xs - tm.model.mu_hat) * hs * g2h).sum())
     return num / total, 1.0 / total
-
-
-def posterior_exact_density(tm: TransformedModel, history, points):
-    """Posterior density over transformed productivity by direct Bayes.
-
-    Evaluates the Gaussian-product kernel in log space and normalizes with
-    Gauss-Legendre quadrature over the support; assumes a uniform prior,
-    for which this is exact.  An empty history returns the uniform density.
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    lo, hi = tm.m_lo, tm.m_hi
-    if len(history) == 0:
-        out = np.full(pts.shape, 1.0 / (hi - lo))
-        return out if np.ndim(points) else float(out[0])
-    hs = np.asarray([h for h, _ in history], dtype=float)
-    xs = np.asarray([x for _, x in history], dtype=float)
-    g2h = tm.g2(hs)
-    resid0 = xs - tm.model.mu_hat
-
-    def log_kernel(b):
-        diff = resid0[None, :] - np.outer(b, g2h)
-        return -0.5 * (diff * diff * hs[None, :]).sum(axis=1)
-
-    nodes, weights = _gauss_legendre(EXACT_QUAD_NODES)
-    nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-    weights = 0.5 * (hi - lo) * weights
-    lk_nodes = log_kernel(nodes)
-    lk_pts = log_kernel(pts)
-    peak = max(float(lk_nodes.max()), float(lk_pts.max()))
-    z = float((weights * np.exp(lk_nodes - peak)).sum())
-    out = np.exp(lk_pts - peak) / z
-    return out if np.ndim(points) else float(out[0])
 
 
 # -- prior and state -------------------------------------------------------

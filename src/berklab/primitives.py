@@ -310,24 +310,23 @@ def _first_failure(*cases: tuple[np.ndarray, str]) -> CheckResult:
     return CheckResult(True)
 
 
-def check_assumptions(model: ModelPrimitives, n_h: int = 64,
-                      n_beta: int = 64) -> AssumptionReport:
-    """Numerically verify the regularity assumptions on a rectangular grid.
+def check_assumptions(model: ModelPrimitives, grid: int = 64) -> AssumptionReport:
+    """Numerically verify the regularity assumptions on a grid x grid mesh
+    of assessments in [0, 1] and productivities on the support.
 
     Violations are reported, not raised; the report carries the grid index
     of the first offending point per check.  ValueError unless every
-    comparison has points to compare: n_h, n_beta >= 2.
+    comparison has points to compare: grid >= 2.
     """
     from .best_response import BestResponseEngine
     from .errors import BerklabError
     from .rootfind import REL_STEP
 
-    if n_h < 2 or n_beta < 2:
-        raise ValueError("the checks need n_h >= 2 and n_beta >= 2 grid points, "
-                         f"got {n_h} and {n_beta}")
+    if grid < 2:
+        raise ValueError(f"the checks need grid >= 2 points per axis, got {grid}")
     engine = BestResponseEngine(model)
-    hs = np.linspace(0.0, 1.0, n_h)
-    betas = np.linspace(model.beta_lo, model.beta_hi, n_beta)
+    hs = np.linspace(0.0, 1.0, grid)
+    betas = np.linspace(model.beta_lo, model.beta_hi, grid)
 
     a_grid = engine.effort(hs[:, None], betas)
     r_grid = engine._r(a_grid, betas)
@@ -350,7 +349,7 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64,
     k_pts = np.linspace(0.0, 1.0, CONVEX_POINTS)
     checks = {
         "effort_zero_boundary": _first_failure(
-            (np.full((1, n_beta), -c_a > BOUNDARY_TOL), "a(0, beta) != 0"),
+            (np.full((1, grid), -c_a > BOUNDARY_TOL), "a(0, beta) != 0"),
             ((hs * r_a - c_a > BOUNDARY_TOL)[:, None], "a(h, 0) != 0")),
         "effort_increasing_in_assessment": _first_failure(
             (np.diff(a_grid, axis=0) <= 0.0, "")),
@@ -378,8 +377,8 @@ def check_assumptions(model: ModelPrimitives, n_h: int = 64,
     checks["assessment_cost_convex"] = _first_failure(
         (np.diff(engine._assess_cost(k_pts), 2) <= 0.0, ""))
     checks["effort_effect_zero"] = _first_failure(
-        (np.abs(engine._r(np.zeros(n_beta), betas)) > BOUNDARY_TOL,
+        (np.abs(engine._r(np.zeros(grid), betas)) > BOUNDARY_TOL,
          "r(0, beta) != 0"),
         (np.abs(engine._r(a_pts, np.zeros_like(a_pts))) > BOUNDARY_TOL, "r(a, 0) != 0"))
 
-    return AssumptionReport(checks=checks, grid_shape=(n_h, n_beta))
+    return AssumptionReport(checks=checks, grid_shape=(grid, grid))

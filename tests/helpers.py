@@ -85,6 +85,41 @@ def log_mass_two_branch(m, sigma, lo: float, hi: float) -> np.ndarray:
     return np.where(u >= 0.0, far, near)
 
 
+EXACT_QUAD_NODES = 256  # Gauss-Legendre nodes of posterior_exact_density
+
+
+def posterior_exact_density(tm: TransformedModel, history, points):
+    """Posterior density over transformed productivity by direct Bayes.
+
+    Evaluates the Gaussian-product kernel in log space and normalizes with
+    Gauss-Legendre quadrature over the support; assumes a uniform prior,
+    for which this is exact.  An empty history returns the uniform density.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    lo, hi = tm.m_lo, tm.m_hi
+    if len(history) == 0:
+        out = np.full(pts.shape, 1.0 / (hi - lo))
+        return out if np.ndim(points) else float(out[0])
+    hs = np.asarray([h for h, _ in history], dtype=float)
+    xs = np.asarray([x for _, x in history], dtype=float)
+    g2h = tm.g2(hs)
+    resid0 = xs - tm.model.mu_hat
+
+    def log_kernel(b):
+        diff = resid0[None, :] - np.outer(b, g2h)
+        return -0.5 * (diff * diff * hs[None, :]).sum(axis=1)
+
+    nodes, weights = np.polynomial.legendre.leggauss(EXACT_QUAD_NODES)
+    nodes = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    weights = 0.5 * (hi - lo) * weights
+    lk_nodes = log_kernel(nodes)
+    lk_pts = log_kernel(pts)
+    peak = max(float(lk_nodes.max()), float(lk_pts.max()))
+    z = float((weights * np.exp(lk_nodes - peak)).sum())
+    out = np.exp(lk_pts - peak) / z
+    return out if np.ndim(points) else float(out[0])
+
+
 def general_engine(model: ModelPrimitives) -> BestResponseEngine:
     """The engine on ``model`` without its LQ parameters: the general
     (root-finding) path that a user's own primitives take, which tests

@@ -17,11 +17,12 @@ from berklab import (BestResponseEngine, GroupPopulation, LQParams,
                      comparative_statics, disparity_report, eigen_check,
                      find_equilibria, first_order_comparison,
                      gap_decomposition, limiting_ode,
-                     monte_carlo_convergence, posterior_exact_density,
-                     posterior_params, sensitivity, transform)
+                     monte_carlo_convergence, posterior_params, sensitivity,
+                     transform)
 from berklab.truncnorm import trunc_pdf
 
-from helpers import (general_engine, lq_oracle_equilibria, random_lq_instance,
+from helpers import (general_engine, lq_oracle_equilibria,
+                     posterior_exact_density, random_lq_instance,
                      three_equilibria_model, unique_equilibrium_model)
 
 SEED = 20260809

@@ -321,7 +321,7 @@ OPTIONS = {
                                        "runs"),
     "multigroup.monte_carlo_multigroup": ("radius", "prior"),
     "primitives.build_power": ("market_share",),
-    "primitives.check_assumptions": ("n_h", "n_beta"),
+    "primitives.check_assumptions": ("grid",),
     "rootfind.fd1": ("lo", "hi", "rel_step"),
     "rootfind.fd2": ("lo", "hi"),
     "rootfind.solve_decreasing": ("expand", "max_hi", "args"),
@@ -357,7 +357,7 @@ def test_options_are_the_pinned_inventory():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "")
     assert found == OPTIONS
-    assert sum(map(len, found.values())) == 41
+    assert sum(map(len, found.values())) == 40
     # the engine takes a model and nothing else: no switch to the general
     # path and no assessment cap that only such a switch would reach
     assert list(inspect.signature(BestResponseEngine).parameters) == ["model"]

@@ -222,6 +222,26 @@ class TestCliLearn:
         assert rows and all(math.isfinite(float(v))
                             for row in rows for v in row.split(","))
 
+    @pytest.mark.parametrize("command", [["learn", "--horizon", "50", "--runs", "2"],
+                                         ["phase", "--grid", "8"]])
+    @pytest.mark.parametrize("edit", [
+        ("c = 1.0", "c = 1e100"), ("c = 1.0", "c = 1.3e154"),
+        ("kappa = 1.0", "kappa = 1e150"), ("lambda_e = 1.0", "lambda_e = 1e-150"),
+        ("lambda_a = 1.0", "lambda_a = 1e150"),
+    ])
+    def test_no_fisher_information_exits_3(self, tmp_path, capsys, edit, command):
+        # each lever squares to a float, but I(h) = g2(h)^2 h underflows to 0
+        # over the whole assessment range: the run would learn nothing and
+        # write non-finite beliefs (or -Infinity, not JSON)
+        out = tmp_path / "o"
+        assert main([command[0], write(tmp_path, THREE_EQ.replace(*edit)),
+                     *command[1:], "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: Fisher information" in err
+        assert "Traceback" not in err
+        assert not (out / "convergence.json").exists()
+        assert not (out / "phase_field.csv").exists()
+
     def test_convergence_report_contents(self, tmp_path):
         cfg = write(tmp_path, THREE_EQ)
         out = tmp_path / "out"
@@ -351,7 +371,7 @@ class TestCliOthers:
         cfg = write(tmp_path, THREE_EQ)
         out = tmp_path / "out"
         assert main(["check", cfg, "--out-dir", str(out), "--grid", grid]) == 2
-        assert "n_h >= 2" in capsys.readouterr().err
+        assert "grid >= 2" in capsys.readouterr().err
         assert not (out / "assumptions.json").exists()
 
     def test_format_restriction(self, tmp_path):

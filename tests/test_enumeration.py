@@ -204,10 +204,10 @@ def test_nullcline_type_follows_the_input():
 
 def test_assumption_check_needs_points_to_compare():
     model = three_equilibria_model()
-    for kwargs in ({"n_h": 1}, {"n_beta": 1}):
-        with pytest.raises(ValueError, match="n_h >= 2"):
-            berklab.check_assumptions(model, **{"n_h": 4, "n_beta": 4, **kwargs})
-    assert berklab.check_assumptions(model, n_h=2, n_beta=2).all_passed
+    for grid in (0, 1):
+        with pytest.raises(ValueError, match="grid >= 2"):
+            berklab.check_assumptions(model, grid=grid)
+    assert berklab.check_assumptions(model, grid=2).all_passed
 
 
 def test_one_enumerator_for_every_fixed_point():
@@ -384,14 +384,13 @@ PUBLIC = {
                  "weak_set_order_leq"],
     "best_response": ["BestResponseEngine"],
     "equilibrium": ["EquilibriumPoint", "EquilibriumSet", "find_equilibria",
-                    "kl_divergence", "kl_minimizer", "kl_root", "market_belief",
-                    "psi_tilde"],
+                    "kl_divergence", "psi_tilde"],
     "errors": ["BerklabError", "ConfigError", "InvariantViolation", "NumericalError"],
     "learning": ["ConvergenceReport", "LearningState", "OdeSystem", "SteadyState",
                  "Trajectory", "TransformedModel", "TruncNormalPrior",
                  "evaluator_step", "fisher_information", "limiting_ode",
-                 "monte_carlo_convergence", "phase_field", "posterior_exact_density",
-                 "posterior_params", "simulate", "transform"],
+                 "monte_carlo_convergence", "phase_field", "posterior_params",
+                 "simulate", "transform"],
     "multigroup": ["EigenReport", "GroupPopulation", "MultigroupEquilibrium",
                    "color_blind_equilibria", "color_sighted_equilibria",
                    "color_sighted_equilibrium", "eigen_check", "monte_carlo_multigroup",
@@ -407,7 +406,7 @@ def test_every_public_name_is_its_defining_modules_own_object():
     import importlib
 
     names = sorted(n for group in PUBLIC.values() for n in group)
-    assert len(names) == 57 and berklab.__all__ == names
+    assert len(names) == 53 and berklab.__all__ == names
     for module, group in PUBLIC.items():
         owner = importlib.import_module(f"berklab.{module}")
         for name in group:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from berklab import (BestResponseEngine, InvariantViolation, LQParams,
-                     build_lq, find_equilibria, kl_divergence, kl_minimizer,
-                     kl_root, market_belief, psi_tilde)
+                     build_lq, find_equilibria, kl_divergence, psi_tilde)
 
 from helpers import (dense_scan_equilibria, general_engine,
                      lq_oracle_equilibria, random_lq_instance)
@@ -31,16 +30,19 @@ class TestKLMinimizer:
     def test_truth_under_no_misspecification(self, lq_unit):
         m = lq_unit.with_delta_mu(0.0)
         for h in (0.2, 0.5, 0.9):
-            assert kl_minimizer(m, h) == pytest.approx(m.beta_star)
+            fit = BestResponseEngine(m).best_fit(h, m.beta_star, m.delta_mu)
+            assert fit == pytest.approx(m.beta_star)
 
     def test_closed_form_inversion(self, lq_unit):
         # solve h x^2 = h beta_star^2 - delta_mu c => sqrt(4 + 0.625)
-        got = kl_minimizer(lq_unit, 0.8)
+        got = BestResponseEngine(lq_unit).best_fit(0.8, lq_unit.beta_star,
+                                                  lq_unit.delta_mu)
         assert got == pytest.approx(math.sqrt(4.625), abs=1e-12)
 
     def test_corner_when_fit_is_out_of_reach(self, lq_unit):
         m = lq_unit.with_delta_mu(10.0)
-        assert kl_minimizer(m, 0.5) == m.beta_lo
+        fit = BestResponseEngine(m).best_fit(0.5, m.beta_star, m.delta_mu)
+        assert fit == m.beta_lo
 
     def test_matches_grid_argmin(self, lq_unit, rng):
         for _ in range(10):
@@ -50,12 +52,14 @@ class TestKLMinimizer:
             grid = np.linspace(m.beta_lo, m.beta_hi, 200_001)
             vals = np.abs(dm + (h / 1.0) * (grid ** 2 - m.beta_star ** 2))
             expected = grid[np.argmin(vals)]
-            assert kl_minimizer(m, h) == pytest.approx(float(expected),
-                                                       abs=1e-4)
+            fit = BestResponseEngine(m).best_fit(h, m.beta_star, dm)
+            assert fit == pytest.approx(float(expected), abs=1e-4)
 
     def test_unconstrained_root_can_be_absent(self, lq_unit):
-        assert kl_root(lq_unit.with_delta_mu(10.0), 0.5) is None
-        root = kl_root(lq_unit, 0.8)
+        # without the clamp a fit out of reach has no root: nan, not a corner
+        eng = BestResponseEngine(lq_unit)
+        assert math.isnan(eng.best_fit(0.5, lq_unit.beta_star, 10.0, clamp=False))
+        root = eng.best_fit(0.8, lq_unit.beta_star, lq_unit.delta_mu, clamp=False)
         assert root == pytest.approx(math.sqrt(4.625))
 
 
@@ -173,16 +177,17 @@ class TestMarketBelief:
     def test_same_misspecification_same_belief(self, lq_unit):
         eqs = find_equilibria(lq_unit)
         h_eq = eqs.points[0].h_hat
-        assert market_belief(lq_unit, h_eq, lq_unit.delta_mu) == \
+        assert BestResponseEngine(lq_unit).best_fit(
+            h_eq, lq_unit.beta_star, lq_unit.delta_mu) == \
             pytest.approx(eqs.points[0].beta_hat, abs=1e-9)
 
     def test_correct_observer_recovers_truth(self, lq_unit):
-        assert market_belief(lq_unit, 0.7, 0.0) == \
-            pytest.approx(lq_unit.beta_star)
+        fit = BestResponseEngine(lq_unit).best_fit(0.7, lq_unit.beta_star, 0.0)
+        assert fit == pytest.approx(lq_unit.beta_star)
 
     def test_closed_form(self, lq_unit):
-        assert market_belief(lq_unit, 0.8, -0.5) == \
-            pytest.approx(math.sqrt(4.625))
+        fit = BestResponseEngine(lq_unit).best_fit(0.8, lq_unit.beta_star, -0.5)
+        assert fit == pytest.approx(math.sqrt(4.625))
 
 
 def test_belief_map_rejects_non_interior_assessment_on_both_paths():

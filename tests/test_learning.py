@@ -11,15 +11,15 @@ from berklab import (BestResponseEngine, Factorization, LearningState,
                      build_power, evaluator_step, find_equilibria,
                      fisher_information, limiting_ode,
                      monte_carlo_convergence, phase_field,
-                     posterior_exact_density, posterior_params, simulate,
-                     transform)
+                     posterior_params, simulate, transform)
 from berklab.learning import CHUNK, noise_stream
 from berklab.primitives import LQParams
 from berklab.truncnorm import trunc_pdf
 
-from helpers import (lq_ode_eigenvalue, power_ode_eigenvalue,
-                     random_lq_instance, three_equilibria_model,
-                     unique_equilibrium_model, zero_noise)
+from helpers import (lq_ode_eigenvalue, posterior_exact_density,
+                     power_ode_eigenvalue, random_lq_instance,
+                     three_equilibria_model, unique_equilibrium_model,
+                     zero_noise)
 
 
 @pytest.fixture(scope="module")

@@ -75,17 +75,18 @@ class TestBuildLQ:
 
 class TestCheckAssumptions:
     def test_lq_passes_everywhere(self, lq_unit):
-        report = check_assumptions(lq_unit, n_h=32, n_beta=32)
+        report = check_assumptions(lq_unit, grid=32)
         assert report.all_passed, report.first_failure()
 
     def test_lq_passes_at_other_resolutions(self, lq_unit):
-        assert check_assumptions(lq_unit, n_h=16, n_beta=48).all_passed
+        for grid in (16, 48):
+            assert check_assumptions(lq_unit, grid=grid).all_passed, grid
 
     def test_power_cost_has_increasing_differences(self):
         # c(a) = a^4/4 satisfies c''' in [0, (c'')^2/c'], so the
         # effective-effort cross differences stay positive
         m = build_power(4.0, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.1, 0.5, 3.0)
-        report = check_assumptions(m, n_h=12, n_beta=12)
+        report = check_assumptions(m, grid=12)
         assert report.checks["effective_effort_increasing_differences"].passed
         assert report.all_passed, report.first_failure()
 
@@ -93,13 +94,13 @@ class TestCheckAssumptions:
         # c'' = (a^2.5 / 2.5)'' is unbounded at 0, where a second-order
         # one-sided difference reads the agent's condition as +3.3e-7
         m = build_power(2.5, 1.0, 4.0, 1.0, 0.5, 0.0, 2.0, -0.12, 0.5, 3.0)
-        report = check_assumptions(m, n_h=12, n_beta=12)
+        report = check_assumptions(m, grid=12)
         assert report.all_passed, report.first_failure()
 
     def test_constant_assessment_cost_fails_convexity(self, lq_unit):
         flat = dataclasses.replace(lq_unit, assess_cost=lambda h: 1.0,
                                    lq=None, factorization=None)
-        report = check_assumptions(flat, n_h=12, n_beta=12)
+        report = check_assumptions(flat, grid=12)
         assert not report.checks["assessment_cost_convex"].passed
         assert report.checks["assessment_cost_convex"].location == (0,)
         assert not report.all_passed
@@ -114,7 +115,7 @@ class TestCheckAssumptions:
         peaked = dataclasses.replace(
             lq_unit, r=lambda a, b: a * np.minimum(b, 3.0 - b),
             lq=None, factorization=None)
-        report = check_assumptions(peaked, n_h=5, n_beta=5)
+        report = check_assumptions(peaked, grid=5)
         for name in ("effort_increasing_in_productivity",
                      "effective_effort_increasing_in_productivity"):
             assert report.checks[name].location == (1, 2), name
@@ -131,7 +132,7 @@ class TestCheckAssumptions:
                                                  detail):
         model = primitives(dataclasses.replace(unique_equilibrium_model(-0.5),
                                                lq=None))
-        res = check_assumptions(model, n_h=8, n_beta=8).checks[
+        res = check_assumptions(model, grid=8).checks[
             "effort_zero_boundary"]
         assert (res.passed, res.location, res.detail) == (False, location, detail)
 
@@ -142,7 +143,7 @@ class TestCheckAssumptions:
     def test_nonvanishing_effect_names_its_point(self, lq_unit, r, location,
                                                  detail):
         model = dataclasses.replace(lq_unit, r=r, lq=None, factorization=None)
-        res = check_assumptions(model, n_h=6, n_beta=6).checks[
+        res = check_assumptions(model, grid=6).checks[
             "effort_effect_zero"]
         assert (res.passed, res.location, res.detail) == (False, location, detail)
 
