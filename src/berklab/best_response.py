@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .chebyshev import Roots, certified_roots
+from .chebyshev import Roots, certified_roots, root_slopes
 from .errors import InvariantViolation, NumericalError
 from .primitives import ModelPrimitives, Smooth
 from .rootfind import brentq_masked, fd1, fd2, solve_decreasing
@@ -380,7 +380,9 @@ class BestResponseEngine:
         where the belief map crosses the diagonal (stable where G rises),
         with the map's slope at each.  LQ models solve the fixed-point
         quadratic in x = beta^2; others run ``certified_roots`` on G with at
-        most ``max_points`` points, the slope being 1 - G'/R_beta."""
+        most ``max_points`` points, the slope being 1 - G'/R_beta with G' from
+        ``root_slopes``: a small R_beta magnifies the error of the series'
+        own derivative."""
         m = self.model
         if not self._closed:
             def gap(beta):  # R(h, beta) read at the assessment solve's own effort
@@ -390,7 +392,8 @@ class BestResponseEngine:
 
             found = certified_roots(gap, m.beta_lo, m.beta_hi, max_points)
             _, r_b = self.r_partials(self.assessment(found.roots), found.roots)
-            return found._replace(slopes=1.0 - found.slopes / r_b)
+            g_b = root_slopes(gap, found.roots, m.beta_lo, m.beta_hi)
+            return found._replace(slopes=1.0 - g_b / r_b)
         lq = m.lq
         # lambda1 x^2 - b x + c0 = 0, by the cancellation-free formula
         b = self._l1 * beta_star ** 2 - delta_mu * lq.c * self._l2

@@ -25,6 +25,7 @@ CERT_RTOL = 1e-8  # series error allowed at check angles, relative to max |f| sa
 # pi (2j + 1) / 17 is no dyadic fraction of pi, so on none of the nested grids
 CHECK_THETA = np.pi * np.arange(1, 17, 2) / 17.0
 NEAR_REAL = 1e-6  # |imaginary part| of a derivative root kept as a split
+SLOPE_STEP = 2.0 ** -10  # spacing of ``root_slopes``' stencil, relative to hi - lo
 
 
 def _lobatto(n: int):
@@ -138,3 +139,22 @@ def certified_roots(f, lo: float, hi: float, max_points: int) -> Roots:
     return Roots(roots=roots, rising=pos[cross + 1],
                  slopes=-C.chebval((mid - roots) / half, dcoef) / half,
                  near_tangent=splits[flat], f_lo=float(vals[0]), f_hi=float(vals[-1]))
+
+
+def root_slopes(f, roots, lo: float, hi: float) -> np.ndarray:
+    """f' at each of ``roots``: the derivative of the quartic through f at
+    five points ``SLOPE_STEP * (hi - lo)`` apart, centred on the root and
+    shifted to stay in [lo, hi], in one call of f.  A difference of the true
+    f: the certified series' own derivative carries its error times about
+    the degree squared, which a slope divided by a small factor shows."""
+    roots = np.asarray(roots, float)
+    if roots.size == 0:
+        return np.empty(0)
+    step = SLOPE_STEP * (hi - lo)
+    nodes = (np.clip(roots, lo + 2.0 * step, hi - 2.0 * step)[:, None]
+             + step * np.arange(-2.0, 3.0))
+    t = (nodes - roots[:, None]) / step  # in steps from the root
+    # weights w with sum_k w_k t_k^j = [j == 1] for j = 0..4
+    w = np.linalg.solve(t[:, None, :] ** np.arange(5.0)[:, None],
+                        np.eye(5)[[1] * roots.size, :, None])[..., 0]
+    return (w * f(nodes.ravel()).reshape(nodes.shape)).sum(axis=1) / step

@@ -123,6 +123,8 @@ def saddle_node_distance(lq, beta_star, delta_mu):
          delta_mu=-1.171875)  # G(beta_hi) is 1.3e-3 of |delta_mu|
 @example(c=1.0, kappa_mult=2.0, lambda_e=1.0, lambda_a=9.60675598266873e-158,
          delta_mu=0.0)  # lambda2^2 underflows in the saddle-node quadratic
+@example(c=1.0, kappa_mult=2.0, lambda_e=1.0, lambda_a=1.0,
+         delta_mu=0.0546875)  # R_beta = 0.015 at the low root magnifies G' 66-fold
 def test_interior_fixed_points_match_numeric_property(c, kappa_mult, lambda_e,
                                                       lambda_a, delta_mu):
     # the admissible family of the engine property test: h(beta_hi) < 1
