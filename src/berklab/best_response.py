@@ -221,6 +221,7 @@ class BestResponseEngine:
         if self._closed:
             # the LQ scales, read once (lambda1 and lambda2 are properties)
             self._l1, self._l2, self._kc = lq.lambda1, lq.lambda2, lq.kappa * lq.c
+            self._c = lq.c
 
     # -- agent ----------------------------------------------------------
 
@@ -325,11 +326,16 @@ class BestResponseEngine:
         if self._closed:
             # beta_star * beta_star, not ** 2: a float's ** 2 calls pow, which
             # can round differently from an array's ** 2 (a square)
-            val = beta_star * beta_star - delta_mu * m.lq.c / h
-            if isinstance(val, float):  # min and max keep a NaN val, as numpy's
+            if type(h) is float and type(beta_star) is float and type(delta_mu) is float:
+                val = beta_star * beta_star - delta_mu * m.lq.c / h
+                # min and max keep a NaN val, as numpy's
                 if clamp:
                     return min(math.sqrt(max(val, m.beta_lo ** 2)), m.beta_hi)
                 return math.sqrt(val) if val >= 0.0 else math.nan
+            # past the float range (a huge c over a tiny h) a term is inf, as
+            # on floats: the limit, which the clamp puts on an edge
+            with np.errstate(over="ignore"):
+                val = beta_star * beta_star - delta_mu * m.lq.c / h
             if clamp:
                 out = np.minimum(np.sqrt(np.maximum(val, m.beta_lo ** 2)), m.beta_hi)
             else:
@@ -404,7 +410,9 @@ class BestResponseEngine:
             q = 0.5 * (b + math.copysign(math.sqrt(disc), b))
             xs = [x for x in sorted({q / self._l1, c0 / q})
                   if m.beta_lo ** 2 < x < m.beta_hi ** 2]
-        slopes = np.array([c0 / (self._l1 * x * x) for x in xs])
+        # a root below about 1e-154 squares to 0: its slope is infinite
+        slopes = np.array([c0 / d if (d := self._l1 * x * x) else math.copysign(math.inf, c0)
+                           for x in xs])
         f_lo, f_hi = (float(self._fit_gap(self.assessment(e), e, beta_star, delta_mu))
                       for e in (m.beta_lo, m.beta_hi))
         return Roots(np.array([math.sqrt(x) for x in xs]), slopes < 1.0, slopes,
@@ -463,6 +471,12 @@ class BestResponseEngine:
         groups = betas.tolist() if betas.ndim == 1 else betas.T
         return self._assessment_numeric(weights.tolist(), groups)
 
+    def _lq_g2(self, h):
+        """The LQ factor g2(h) = h / c of R(h, beta) = beta^2 g2(h): one
+        exactly rounded division, so a float and an array entry get the same
+        bits.  LQ models only."""
+        return h / self._c
+
     def certainty_equivalent(self, s):
         """LQ optimal assessment for a belief with mean s of beta^2, in
         closed form: the LQ evaluator condition is linear in beta^2.
@@ -512,7 +526,10 @@ class BestResponseEngine:
         if self._closed:
             lq = self.model.lq
             s = float(population_mean(betas ** 2, weights.tolist()))
-            denom = (self._l2 * s + self._kc) ** 2
+            try:
+                denom = (self._l2 * s + self._kc) ** 2
+            except OverflowError:  # a float's ** raises where the square is inf
+                denom = math.inf
             return self._l1 * lq.kappa * lq.c * 2.0 * weights * betas / denom
         own = np.eye(betas.size, dtype=bool)
 

@@ -77,10 +77,13 @@ class _Writer:
     def csv(self, name: str, header: list[str], rows):
         if self.fmt == "json":
             return
+        # a float (most cells: rows come from tolist) formats inline, with
+        # _fmt's text and no call
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, (float, np.floating))
-                                  else str(v) for v in row))
+        lines.extend(",".join([f"{v:.9g}" if type(v) is float
+                               else _fmt(v) if isinstance(v, np.floating) else str(v)
+                               for v in row])
+                     for row in rows)
         self._record(name, ("\n".join(lines) + "\n").encode())
 
     def manifest(self, command: str, cfg: RunConfig, params: dict):

@@ -27,7 +27,7 @@ from .equilibrium import DEFAULT_GRID, DEFAULT_RADIUS, find_equilibria
 from .errors import NumericalError
 from .primitives import ModelPrimitives
 from .rootfind import brentq_masked
-from .truncnorm import interior, trunc_mean, trunc_pdf
+from .truncnorm import _interior_reach, trunc_mean, trunc_pdf
 
 CHUNK = 1024
 SEED_MASK = (1 << 64) - 1
@@ -42,6 +42,7 @@ EULER_MAX_STEP = 0.05  # time-step cap of OdeSystem.integrate
 _MIN_PRECISION = 1e-300  # floor on a posterior precision before 1 / sqrt
 _WINDOW_PAD = 1e-12  # share of the support a far-mode quadrature window adds
 _RETEST_PERIODS = 32  # periods a failed interior test of the CE rule holds
+_HOLD_ULPS = 32  # rounding slack of a held interior verdict, ulps per period
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,13 @@ def transform(model: ModelPrimitives) -> TransformedModel:
             "it positive and finite")
     # LQ assessment depends on a belief only through E[beta^2], which is the
     # posterior mean of g1 exactly when g1 is beta^2
-    square = bool(np.max(np.abs(g1_betas - betas * betas)) <= RECON_TOL)
+    ce_exact = (model.lq is not None
+                and bool(np.max(np.abs(g1_betas - betas * betas)) <= RECON_TOL))
     return TransformedModel(
-        model=model, g1=g1, g2=g2, g1_inv=g1_inv,
+        # g2 is then h / c, whose floats have an array's bits
+        model=model, g1=g1, g2=eng._lq_g2 if ce_exact else g2, g1_inv=g1_inv,
         m_lo=float(fac.g1(model.beta_lo)), m_hi=float(fac.g1(model.beta_hi)),
-        h_lo=h_lo, h_hi=h_hi,
-        ce_exact=model.lq is not None and square,
+        h_lo=h_lo, h_hi=h_hi, ce_exact=ce_exact,
         recon_error=err, engine=eng)
 
 
@@ -240,35 +242,84 @@ def _interior_test(tm: TransformedModel, least: Callable, most: Callable):
     reduce a state to its least and greatest entry.
 
     Returns ``test(m, s)``, true when ``truncnorm.interior`` holds for the
-    modes' range and the largest sd a lower bound on ``s`` allows (every
-    posterior mean is then its mode, the bits ``trunc_mean`` would return).
-    The bound is refreshed with ``least(s)`` only when the test fails (``s``
-    never decreases, so a stale bound stays a bound).  A failed test costs
-    up to a tenth of a fallback period (0.08-0.11 for 200 runs, 0.03 for
-    one, from a corner start on one core), so it holds for ``_RETEST_PERIODS``
-    periods, which fall back untested: states whose modes stay outside the
-    interior (a corner-sink start) pay one test per ``_RETEST_PERIODS``.
+    modes' range and the largest sd that ``least(s)`` allows (every
+    posterior mean is then its mode, the bits ``trunc_mean`` would return),
+    and ``test.new_block(move)``.  One counter holds each verdict:
+    - A failed test costs up to a tenth of a fallback period (0.08-0.11
+      for 200 runs, 0.03 for one, from a corner start on one core), so it
+      holds for ``_RETEST_PERIODS`` periods, which fall back untested:
+      states whose modes stay outside the interior (a corner-sink start)
+      pay one test per ``_RETEST_PERIODS``.
+    - A passed test holds for the largest k periods over which the modes'
+      range, widened by k D, still passes (``truncnorm._interior_reach``).
+      D bounds one period's move of any mode while the modes stay inside:
+      F ``move`` plus ``_HOLD_ULPS`` ulps of the largest |mode| there, for
+      F = I(h_hi) / (s_floor + I(h_hi)), s_floor = ``least(s)`` at the
+      test (s never decreases) and ``move`` the bound ``_move_bound``
+      gives the noise block's periods.  ``new_block`` hands the next
+      block's ``move`` over and ends a passed hold, so that no hold crosses
+      a block; without a ``move`` a passed test holds for no period.
+    A held period is one whose own test would pass, so ``trunc_mean`` runs
+    on the periods it would run on with a test every period.
     """
     lo, hi = tm.m_lo, tm.m_hi
-    # a lower bound on every entry of s, the largest sd it allows, and the
-    # periods left before the next test
-    s_floor, sigma_max, untested = -math.inf, math.inf, 0
+    g2_hi = float(tm.g2(tm.h_hi))
+    info_hi = g2_hi * g2_hi * tm.h_hi
+    # an ulp of x is at most ulp(1) |x|
+    slack = _HOLD_ULPS * math.ulp(1.0) * max(abs(lo), abs(0.5 * (lo + hi)))
+    # the verdict, the periods it holds for untested, and the block's move
+    verdict, held, move = False, 0, None
 
     def test(m, s) -> bool:
-        nonlocal s_floor, sigma_max, untested
-        if untested:
-            untested -= 1
-            return False
-        m_min, m_max = least(m), most(m)
-        if interior(m_min, m_max, sigma_max, lo, hi):
-            return True
+        nonlocal verdict, held
+        if held:
+            held -= 1
+            return verdict
         s_floor = float(least(s))
         sigma_max = 1.0 / math.sqrt(s_floor) if s_floor >= _MIN_PRECISION else math.inf
-        if interior(m_min, m_max, sigma_max, lo, hi):
-            return True
-        untested = _RETEST_PERIODS - 1
-        return False
+        reach = _interior_reach(least(m), most(m), sigma_max, lo, hi)
+        verdict = reach >= 0.0
+        if not verdict:
+            held = _RETEST_PERIODS - 1
+        elif move is not None:
+            step = info_hi / (s_floor + info_hi) * move + slack
+            # the largest k with k step < reach, at most a block
+            held = int(min(reach / step, CHUNK))
+            if held and held * step >= reach:
+                held -= 1
+        return verdict
+
+    def new_block(block_move: float) -> None:
+        nonlocal held, move
+        move = block_move
+        if verdict:
+            held = 0
+    test.new_block = new_block
     return test
+
+
+def _move_bound(tm: TransformedModel, bstar, mu_star, mu_hat) -> Callable:
+    """``move(noise)``: a bound on one period's move of any mode in [m_lo,
+    midpoint] of the certainty-equivalent step, per unit of the weight
+    I(h) / (s + I(h)) <= F that the step gives its outcome, for the groups'
+    g1(beta*), mu* and mu_hat and ``noise``, each group's largest |e| in the
+    block.  With x = mu*_j + b_j g2(h) + e / sqrt(h), the step moves m_j by
+    that weight times (x - mu_hat_j) / g2(h) - m_j = b_j - m_j - delta_j /
+    g2(h) + e / (g2(h) sqrt(h)), and h in [h_lo, h_hi], where g2 = h / c
+    and I = g2^2 h increase.  Each group's bound is inflated by
+    ``_HOLD_ULPS`` ulps of every term the step rounds, the levels mu and
+    b_j g2(h) included."""
+    lo, mid = tm.m_lo, 0.5 * (tm.m_lo + tm.m_hi)
+    g2_lo, g2_hi = float(tm.g2(tm.h_lo)), float(tm.g2(tm.h_hi))
+    rounding = _HOLD_ULPS * math.ulp(1.0)
+    fixed = [max(abs(b - lo), abs(b - mid))
+             + (abs(mh - ms) + rounding * (abs(ms) + abs(mh) + abs(b) * g2_hi)) / g2_lo
+             for b, ms, mh in zip(bstar, mu_star, mu_hat)]
+    per_noise = 1.0 / (g2_lo * math.sqrt(tm.h_lo))
+
+    def move(noise) -> float:
+        return (1.0 + rounding) * max(a + per_noise * e for a, e in zip(fixed, noise))
+    return move
 
 
 def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
@@ -278,7 +329,8 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     once per simulation; the general branch tabulates the evaluator's
     marginal value once here, and the certainty-equivalent branch calls
     ``_posterior_means`` only on periods that fail its interior test
-    (``_interior_test``).
+    (``_interior_test``), whose ``new_block`` the rule carries as its own
+    (None on the general branch).
 
     For ``runs`` > 1 the rule maps ``m`` and ``s`` of shape (runs, groups)
     to the (runs,) assessments, in an array the next call overwrites.  For
@@ -289,6 +341,7 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
     """
     one = runs == 1
     weights = alphas.tolist()
+    test = None
     if tm.ce_exact:
         ce = tm.engine.certainty_equivalent
         if one:
@@ -322,13 +375,14 @@ def _assessment_rule(tm: TransformedModel, alphas: np.ndarray, runs: int):
 
         def rule(m, s):
             return min(max(optimum(m, s), h_lo), h_hi)
-        return rule
-    h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)  # 0-d: no conversion per call
-    floor, h = np.empty(runs), np.empty(runs)
-    minimum, maximum = np.minimum, np.maximum
+    else:
+        h_lo, h_hi = np.array(tm.h_lo), np.array(tm.h_hi)  # 0-d: no conversion per call
+        floor, h = np.empty(runs), np.empty(runs)
+        minimum, maximum = np.minimum, np.maximum
 
-    def rule(m, s):  # np.clip(optimum(m, s), h_lo, h_hi), into the buffers
-        return minimum(maximum(optimum(m, s), h_lo, out=floor), h_hi, out=h)
+        def rule(m, s):  # np.clip(optimum(m, s), h_lo, h_hi), into the buffers
+            return minimum(maximum(optimum(m, s), h_lo, out=floor), h_hi, out=h)
+    rule.new_block = None if test is None else test.new_block
     return rule
 
 
@@ -530,8 +584,11 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
     a run has the same bits alone and in any batch.
     s never decreases (it gains I(h) = g2(h)^2 h >= 0), which the
     certainty-equivalent rule relies on: it calls ``trunc_mean`` only on
-    periods whose modes and precisions fail its interior test (see
-    ``_interior_test``).
+    periods whose modes and precisions fail its interior test, and holds a
+    passed test over the periods in which no mode can leave the interior
+    (see ``_interior_test``).  For that rule, as each noise block is drawn,
+    both loops hand ``hold`` each group's largest |e| in the block, which
+    ``_move_bound`` turns into the block's bound on a period's move.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -555,24 +612,33 @@ def _run_engine(tm: TransformedModel, alphas: Sequence[float],
                 s[:, j] = pj.precision
     gens = [[noise_stream(seed, first_run + k, j) for j in range(groups)]
             for k in range(runs)]
+    bstar, mu_star, mu_hat = (row[0].tolist() for row in (bstar_t, mu_star_row, mu_hat_row))
+    hold = None
+    if assess.new_block is not None:
+        move = _move_bound(tm, bstar, mu_star, mu_hat)
+
+        def hold(noise_max):
+            assess.new_block(move(noise_max))
     if runs == 1:
-        return _one_run(tm, assess, bstar_t[0].tolist(), mu_star_row[0].tolist(),
-                        mu_hat_row[0].tolist(), m[0].tolist(), s[0].tolist(),
-                        gens[0], horizon, record_stride)
+        return _one_run(tm, assess, hold, bstar, mu_star, mu_hat, m[0].tolist(),
+                        s[0].tolist(), gens[0], horizon, record_stride)
     # the rows repeated over runs, so that they meet the (runs, groups) state
     # shape for shape (broadcasting costs more)
-    return _lockstep(tm, assess, *(np.repeat(row, runs, axis=0)
-                                   for row in (bstar_t, mu_star_row, mu_hat_row)),
+    return _lockstep(tm, assess, hold, *(np.repeat(row, runs, axis=0)
+                                         for row in (bstar_t, mu_star_row, mu_hat_row)),
                      m, s, gens, horizon, record_stride)
 
 
-def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
+def _lockstep(tm, assess, hold, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
               record_stride) -> _RunResult:
     """``_run_engine``'s loop for several runs.  It allocates almost
     nothing: the state (m, s), the noise block and the per-period
     (runs, groups) and (runs,) quantities live in buffers allocated once per
     call and written with ``out=``, its ufuncs are bound to locals once, and
-    each period reads its noise as drawn, a view of its block."""
+    each period reads its noise as drawn, a view of its block.  ``hold``
+    (None off the certainty-equivalent path) takes each block's largest |e|
+    per group, found by max and min reductions, which allocate no
+    block-sized temporary."""
     runs, groups = m.shape
     # per-period buffers, each written only by operations that do not also
     # read it (in-place ufuncs cost more on tiny arrays); the columns are
@@ -596,6 +662,9 @@ def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
         for k in range(runs):
             for j in range(groups):
                 eps[:, k, j] = gens[k][j].standard_normal(block)
+        if hold is not None:
+            # each group's largest |e|, by reductions with no block-sized temporary
+            hold(np.maximum(eps.max(axis=(0, 1)), -eps.min(axis=(0, 1))).tolist())
         for e in eps:
             n += 1
             h = assess(m, s)
@@ -627,31 +696,43 @@ def _lockstep(tm, assess, bstar_t, mu_star_row, mu_hat_row, m, s, gens, horizon,
                       rec_h=np.array(rec_h), rec_x=np.array(rec_x))
 
 
-def _one_run(tm, assess, bstar, mu_star, mu_hat, m, s, gens, horizon,
+def _one_run(tm, assess, hold, bstar, mu_star, mu_hat, m, s, gens, horizon,
              record_stride) -> _RunResult:
     """``_run_engine``'s loop for one run: the state and the loop
     invariants hold one Python float per group, each block of noise (one
     list per group) as drawn, and each period evaluates ``_lockstep``'s
     plain expressions group by group (an indexed loop costs less than
-    comprehensions).  g2 takes h
-    in a one-entry array: a model's g2 may take powers, which numpy's SIMD
-    loops and the C library round differently.  A period whose h is not
+    comprehensions).  On the certainty-equivalent path g2 is the engine's
+    h / c, which takes h as a float: one exactly rounded division has an
+    array's bits.  Elsewhere g2 takes h in a one-entry array: a model's g2
+    may take powers, which numpy's SIMD loops and the C library round
+    differently.  The loop hands ``hold`` each block's largest |e| per
+    group, as ``_lockstep`` does.  A period whose h is not
     positive (or is NaN) computes on numpy scalars, which give inf or NaN
     where ``math.sqrt`` and float division raise; so does one whose
     information vanishes, where s_next may be zero."""
     rec_n, rec_m, rec_xi, rec_h, rec_x = [], [], [], [], []
-    g2, sqrt = tm.g2, math.sqrt
-    h_buf = np.empty(1)
+    sqrt = math.sqrt
+    if tm.ce_exact:
+        g2 = tm.g2
+    else:
+        g2_array, h_buf = tm.g2, np.empty(1)
+
+        def g2(h):
+            h_buf[0] = h
+            return g2_array(h_buf).item()
     groups = range(len(m))
     n = 0
     for start in range(0, horizon, CHUNK):
         block = min(CHUNK, horizon - start)
-        columns = [gen.standard_normal(block).tolist() for gen in gens]
+        drawn = [gen.standard_normal(block) for gen in gens]
+        if hold is not None:
+            hold([float(max(col.max(), -col.min())) for col in drawn])
+        columns = [col.tolist() for col in drawn]
         for e in zip(*columns):
             n += 1
             h = assess(m, s)
-            h_buf[0] = h
-            g2h = g2(h_buf).item()
+            g2h = g2(h)
             if h > 0.0:
                 root_h = sqrt(h)
             else:

@@ -15,6 +15,7 @@ spectrum, not of the method that found it.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -174,10 +175,12 @@ class _SharedAssessment:
         every group is pinned at it (F = H(edge) - h there)."""
         eng, m = self.eng, self.eng.model
         lo, hi = eng.assessment_bounds()
+        if lo == hi:  # H is one float, so F(h) = lo - h, with its one root at lo
+            return ((lo, -1.0),)
         edge, truth, delta = (a.ravel() for a in np.broadcast_arrays(
             [m.beta_lo, m.beta_hi], self.truths[:, None], self.deltas[:, None]))
         g_lo, g_hi = (eng._fit_gap(h, edge, truth, delta) for h in (lo, hi))
-        cross = g_lo * g_hi < 0.0
+        cross = np.sign(g_lo) * np.sign(g_hi) < 0.0  # g_lo * g_hi may overflow
         kinks = brentq_masked(eng._fit_gap, np.full(cross.sum(), lo),
                               np.full(cross.sum(), hi), g_lo[cross], g_hi[cross],
                               args=(edge[cross], truth[cross], delta[cross]))
@@ -195,6 +198,11 @@ class _SharedAssessment:
         for h, slope in sorted(found):
             if not out or h - out[-1][0] >= DEDUP_TOL:
                 out.append((h, slope))
+        if not out:  # F(lo) >= 0 >= F(hi): F vanishes only at an end, uncertified
+            raise NumericalError(
+                f"no certified root of H(best fit) - h on [{lo:.9g}, {hi:.9g}]; "
+                f"it reads {float(self.excess(lo)):.3g} and "
+                f"{float(self.excess(hi)):.3g} at the ends")
         return tuple(out)
 
     def member(self, h: float, slope: float, iterations: int) -> MultigroupEquilibrium:
@@ -208,8 +216,13 @@ class _SharedAssessment:
         # g_j = (R_h(h, b*_j) - R_h(h, beta_j)) / R_b(h, beta_j) for a free
         # group; a pinned group's clamped best fit is locally constant in h
         rh, rb = eng.r_partials(h, betas)
-        g = np.where(_free_groups(eng, h, truths, deltas),
-                     (eng.r_partials(h, truths)[0] - rh) / rb, 0.0)
+        free = _free_groups(eng, h, truths, deltas)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = np.where(free, (eng.r_partials(h, truths)[0] - rh) / rb, 0.0)
+        if not np.all(np.isfinite(g)):  # a pinned group's quotient is dropped
+            raise NumericalError(
+                f"belief-map slope is not finite at h = {h:.3g}: R_beta = {rb} "
+                "leaves the float range for a group with an interior fit")
         gh = eng.assessment_gradient(betas, alphas)
         eigs = np.full(alphas.size, -1.0)
         eigs[0] = -1.0 + float(gh @ g)
@@ -344,7 +357,8 @@ def eigen_check(eq: MultigroupEquilibrium) -> EigenReport:
     if j <= DENSE_LIMIT:
         mat = -np.eye(j) + np.outer(eq.g, eq.grad_h)
         eigs = np.sort(np.linalg.eigvals(mat).real)
-    bound = float(np.linalg.norm(eq.g) * np.linalg.norm(eq.grad_h))
+    # hypot scales its terms: a sum of squares can overflow where the norm does not
+    bound = math.hypot(*eq.g.tolist()) * math.hypot(*eq.grad_h.tolist())
     dev = float(np.max(np.abs(eigs + 1.0)))
     return EigenReport(eigenvalues=eigs,
                        rank_one_shift=-1.0 + float(eq.grad_h @ eq.g),

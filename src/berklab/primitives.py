@@ -316,10 +316,11 @@ def check_assumptions(model: ModelPrimitives, grid: int = 64) -> AssumptionRepor
 
     Violations are reported, not raised; the report carries the grid index
     of the first offending point per check.  ValueError unless every
-    comparison has points to compare: grid >= 2.
+    comparison has points to compare: grid >= 2; NumericalError where
+    effort or effective effort on the grid is not finite.
     """
     from .best_response import BestResponseEngine
-    from .errors import BerklabError
+    from .errors import BerklabError, NumericalError
     from .rootfind import REL_STEP
 
     if grid < 2:
@@ -328,14 +329,21 @@ def check_assumptions(model: ModelPrimitives, grid: int = 64) -> AssumptionRepor
     hs = np.linspace(0.0, 1.0, grid)
     betas = np.linspace(model.beta_lo, model.beta_hi, grid)
 
-    a_grid = engine.effort(hs[:, None], betas)
-    r_grid = engine._r(a_grid, betas)
+    # extreme scales can carry the grids past the float range: effort there
+    # is a numerical failure, not a violation, and an assessment there (inf
+    # or NaN) is not interior
     assessment_failure = ""
-    try:
-        h_of_beta = engine.assessment(betas)
-    except BerklabError as exc:
-        h_of_beta = None
-        assessment_failure = str(exc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_grid = engine.effort(hs[:, None], betas)
+        r_grid = engine._r(a_grid, betas)
+        try:
+            h_of_beta = engine.assessment(betas)
+        except BerklabError as exc:
+            h_of_beta = None
+            assessment_failure = str(exc)
+    if not (np.all(np.isfinite(a_grid)) and np.all(np.isfinite(r_grid))):
+        raise NumericalError("effort or effective effort is not finite on the "
+                             "check grid")
 
     # the agent's condition h r_a - c' at zero effort, by secants over one fd1
     # step: fd1's edge rule reads c'(0) = -3.3e-7 on c = a^2.5 / 2.5

@@ -30,7 +30,8 @@ erfc = erfcx = None  # scipy.special's, bound by the first tail evaluation
 # sqrt(2/pi) exp(-12^2 / 2) over a denominator of at least 0.99).  Half an
 # ulp of the mode is at least 2^-54 |mode|, so whenever |mode| also exceeds
 # _ULP_GUARD * sigma the tail formula of ``trunc_mean`` rounds back to the
-# mode itself: ``interior`` states where, and only it reads the two values.
+# mode itself: ``interior`` states where, and only ``_interior_reach``, its
+# verdict and how far a range may widen and keep it, reads the two values.
 INTERIOR_SIGMAS = 12.0
 _ULP_GUARD = 1e-14
 
@@ -40,10 +41,26 @@ def interior(m_min: float, m_max: float, sigma_max: float, lo: float, hi: float)
     sd at most sigma_max is its own ``trunc_mean`` (see above), so a caller
     may skip the formula.  Rounding is monotone, so the bounds' own tests
     imply each element's; NaN bounds give False."""
-    if not (m_max <= 0.5 * (lo + hi) and m_min - lo > INTERIOR_SIGMAS * sigma_max):
-        return False
-    # the least |mode| on [m_min, m_max] (0 when it spans zero)
-    return lo >= 0.0 or max(m_min, -m_max) > _ULP_GUARD * sigma_max
+    return _interior_reach(m_min, m_max, sigma_max, lo, hi) >= 0.0
+
+
+def _interior_reach(m_min: float, m_max: float, sigma_max: float, lo: float,
+                    hi: float) -> float:
+    """The interior rule with its reach: -inf where ``interior`` is false,
+    else the least of the rule's three rooms, so that [m_min - w, m_max + w]
+    passes the rule for every w >= 0 below it, up to the rooms' own rounding
+    (a few ulps of the largest magnitude in play, which a caller leaves as
+    slack).  The rooms are m_max's below the midpoint, m_min - lo's above
+    INTERIOR_SIGMAS sds and, on supports reaching below zero, the least
+    |mode| on [m_min, m_max]'s (0 when it spans zero) above _ULP_GUARD sds;
+    each is one rounded difference, whose sign is the exact one, so the
+    verdict is the comparisons' own."""
+    to_mid = 0.5 * (lo + hi) - m_max
+    above_lo = m_min - lo - INTERIOR_SIGMAS * sigma_max
+    above_guard = math.inf if lo >= 0.0 else max(m_min, -m_max) - _ULP_GUARD * sigma_max
+    if to_mid >= 0.0 and above_lo > 0.0 and above_guard > 0.0:
+        return min(to_mid, above_lo, above_guard)
+    return -math.inf
 
 
 def trunc_mean(m, sigma, lo: float, hi: float):

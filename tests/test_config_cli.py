@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berklab import ConfigError
 from berklab.cli import main
@@ -387,3 +392,54 @@ class TestCliOthers:
         monkeypatch.setenv("BERKLAB_OUT_DIR", str(target))
         assert main(["solve", cfg]) == 0
         assert (target / "equilibria.json").exists()
+
+
+# every command with small grids and horizons, and the config values the
+# property test sets: zero, negative, extreme and ordinary
+COMMANDS = {
+    "solve": ["--grid", "8"],
+    "phase": ["--grid", "6"],
+    "learn": ["--runs", "2", "--horizon", "40"],
+    "multigroup": ["--horizon", "30"],
+    "compare": ["--param", "delta_mu", "--sweep-points", "3"],
+    "disparity": [],
+    "check": ["--grid", "6"],
+}
+CONFIG_KEYS = ("c", "kappa", "lambda_e", "lambda_a", "delta", "mu_star",
+               "beta_star", "mu_hat", "beta_lo", "beta_hi")
+CONFIG_VALUES = (0.0, -1.0, 1e-300, 1e300, 1e-8, 0.5, 2.0, 3.0, 100.0, 1e150)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(COMMANDS)),
+       edits=st.dictionaries(st.sampled_from(CONFIG_KEYS),
+                             st.sampled_from(CONFIG_VALUES), min_size=1, max_size=2))
+@example(command="solve", edits={"c": 1e150, "kappa": 1e150})
+@example(command="solve", edits={"c": 1e300})
+@example(command="solve", edits={"beta_hi": 1e300})
+@example(command="disparity", edits={"beta_hi": 1e300})
+@example(command="compare", edits={"mu_hat": 1e-300, "beta_lo": 1e-300})
+@example(command="check", edits={"c": 1e-300, "beta_hi": 1e150})
+@example(command="check", edits={"lambda_e": 1e150, "beta_hi": 1e150})
+@example(command="multigroup", edits={"lambda_a": 1e150})
+@example(command="multigroup", edits={"c": 1e150, "kappa": 1e150})
+@example(command="multigroup", edits={"c": 1e-300, "lambda_e": 1e-300})
+@example(command="multigroup", edits={"lambda_e": 1e-300, "beta_lo": 1e-8})
+@example(command="multigroup", edits={"lambda_e": 1e-300, "beta_hi": 1e150})
+@example(command="multigroup", edits={"lambda_a": 3.0, "beta_hi": 1e150})
+def test_every_command_ends_in_an_exit_code(command, edits):
+    # in-process: an uncaught exception or a RuntimeWarning (an error under
+    # this suite's filter) fails the test instead of exiting 1; the examples
+    # are configs that once ended in a traceback or a warning
+    text = GROUPS if command == "multigroup" else THREE_EQ
+    for key, value in edits.items():
+        old = next(row for row in text.splitlines() if row.startswith(f"{key} ="))
+        text = text.replace(old, f"{key} = {value!r}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(Path(tmp), text)
+        with contextlib.redirect_stderr(err):
+            code = main([command, cfg, *COMMANDS[command], "--out-dir",
+                         str(Path(tmp) / "o")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -6,12 +6,15 @@ stored value must keep the bits of ``helpers.run_engine_reference``, which
 evaluates the same step with one fresh temporary per operation.  The
 certainty-equivalent rule calls ``learning.trunc_mean`` only on the periods
 whose ``truncnorm.interior`` test fails (so the tracer's ``trunc_mean``
-counts are fallback periods), and ``evaluator_step`` on a simulated terminal
-state must give the engine's next assessment.
+counts are fallback periods), holding a passed test only over periods whose
+own test would pass, and ``evaluator_step`` on a simulated terminal state
+must give the engine's next assessment.
 """
 
 import contextlib
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,15 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import berklab.learning
-from berklab import build_power, evaluator_step, simulate, transform
+from berklab import (BestResponseEngine, LQParams, build_lq, build_power, evaluator_step,
+                     simulate, transform)
+from berklab.config import load_config
 from berklab.learning import (CHUNK, _RETEST_PERIODS, TruncNormalPrior, _assessment_rule,
                               _run_engine, _single_group_args)
-from berklab.truncnorm import interior, trunc_mean
+from berklab.truncnorm import _interior_reach, interior, trunc_mean
 
 from helpers import (TWO_GROUPS, interior_edge, nudged, run_engine_reference,
                      three_equilibria_model, zero_noise)
 
 FIELDS = ("m", "s", "rec_n", "rec_m", "rec_xi", "rec_h", "rec_x")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CORNER = -2.0555555555555562  # the corner sink of the three-equilibria model
 
 
@@ -128,6 +134,35 @@ def test_priors_at_the_edges_of_the_interior_path(tm3, ulps):
                             run_engine_reference(tm3, *TWO_GROUPS, **kwargs))
 
 
+@pytest.mark.parametrize("ulps", (-1, 0, 2))
+@pytest.mark.parametrize("groups", (1, 2))
+@pytest.mark.parametrize("runs", (1, 3))
+def test_held_verdicts_across_noise_blocks_keep_the_reference_bits(tm3, monkeypatch,
+                                                                  runs, groups, ulps):
+    # group 0 starts at the least mode of the interior path moved by ulps,
+    # group 1 at the midpoint, so the first tests pass or fail on the last
+    # bit; the passed tests that follow hold over most periods, and the
+    # holds end where the second noise block is drawn
+    sd, lo, hi = 0.2, tm3.m_lo, tm3.m_hi
+    sigma = 1.0 / math.sqrt(TruncNormalPrior(0.0, sd).precision)
+    means = (nudged(interior_edge(lo, sigma), ulps), nudged(0.5 * (lo + hi), -ulps))
+    args = group_args(tm3, groups)
+    kwargs = dict(runs=runs, horizon=CHUNK + 300, seed=29, record_stride=1,
+                  prior=[TruncNormalPrior(m, sd) for m in means[:groups]])
+    got = []
+    held, _ = held_and_unheld(monkeypatch,
+                              lambda: got.append(_run_engine(tm3, *args, **kwargs)),
+                              runs * groups)
+    tests = real_tests(held)
+    assert tests[0] == 1 and sum(tests) < len(tests) // 2
+    # a passed verdict holds no further than its noise block: the second
+    # block's first period tests again
+    assert tests[CHUNK] == 1 and not held[CHUNK][1]
+    monkeypatch.undo()
+    assert_same_run(got[0], got[1])
+    assert_same_run(got[0], run_engine_reference(tm3, *args, **kwargs))
+
+
 @pytest.mark.parametrize("runs", (1, 2))
 def test_buffers_carry_over_into_the_next_noise_block(tm3, runs):
     # the noise is drawn in blocks of CHUNK periods, while the state lives in
@@ -149,13 +184,14 @@ def test_general_primitives_step_matches_the_reference(runs):
 
 
 def period_log(monkeypatch):
-    """Per period of the certainty-equivalent rule: the verdicts of its
-    ``interior`` tests and the sizes of its ``trunc_mean`` calls."""
+    """Per period of the certainty-equivalent rule: the number of its real
+    interior tests (``truncnorm._interior_reach`` calls; a held period makes
+    none) and the sizes of its ``trunc_mean`` calls."""
     periods, tests, means = [], [], []
 
     def tested(*args):
-        tests.append(interior(*args))
-        return tests[-1]
+        tests.append(args)
+        return _interior_reach(*args)
 
     def counted(*args):
         means.append(np.size(args[0]))
@@ -166,36 +202,61 @@ def period_log(monkeypatch):
 
         def period(m, s):
             h = rule(m, s)
-            periods.append((tests.copy(), means.copy()))
+            periods.append((len(tests), means.copy()))
             tests.clear()
             means.clear()
             return h
+        period.new_block = rule.new_block
         return period
 
-    monkeypatch.setattr(berklab.learning, "interior", tested)
+    monkeypatch.setattr(berklab.learning, "_interior_reach", tested)
     monkeypatch.setattr(berklab.learning, "trunc_mean", counted)
     monkeypatch.setattr(berklab.learning, "_assessment_rule", logged_rule)
     return periods
 
 
 def fallback_periods(periods, size):
-    """The 1-based periods that call ``trunc_mean``, after checking that each
-    is one whose latest interior test failed, with one call of ``size``
-    modes, and that a failed test holds for ``_RETEST_PERIODS`` periods."""
-    out, verdict, untested = [], None, 0
+    """The 1-based periods that call ``trunc_mean``, after checking that
+    each period makes at most one real test and at most one ``trunc_mean``
+    call, of ``size`` modes, and that a failed test holds for
+    ``_RETEST_PERIODS`` periods, the first of them its own."""
+    out, failed = [], 0
     for n, (tests, means) in enumerate(periods, start=1):
-        if untested:
-            assert tests == []
-            untested -= 1
-        else:
-            # a failed test is retried once, with a refreshed bound on s
-            assert tests in ([True], [False, True], [False, False])
-            verdict = tests[-1]
-            untested = 0 if verdict else _RETEST_PERIODS - 1
-        assert means == ([] if verdict else [size])
+        assert tests <= 1 and means in ([], [size])
+        if failed:
+            assert means and not tests
+            failed -= 1
+        elif means:
+            assert tests == 1
+            failed = _RETEST_PERIODS - 1
         if means:
             out.append(n)
     return out
+
+
+def unheld(monkeypatch):
+    """Switch the holds of passed interior tests off: every block reports an
+    unbounded move, so a passed test holds for no period."""
+    monkeypatch.setattr(berklab.learning, "_move_bound",
+                        lambda *args: lambda noise: math.inf)
+
+
+def held_and_unheld(monkeypatch, run, size):
+    """``period_log`` of ``run()`` as it is and with its holds switched off,
+    after checking that both call ``trunc_mean`` on the same periods."""
+    periods = period_log(monkeypatch)
+    run()
+    held = periods.copy()
+    periods.clear()
+    with monkeypatch.context() as patch:
+        unheld(patch)
+        run()
+    assert fallback_periods(held, size) == fallback_periods(periods, size)
+    return held, periods
+
+
+def real_tests(periods):
+    return [tests for tests, _ in periods]
 
 
 @pytest.mark.parametrize("groups", (1, 2))
@@ -203,21 +264,71 @@ def fallback_periods(periods, size):
 def test_trunc_mean_is_called_only_where_the_interior_test_fails(tm3, monkeypatch,
                                                                 groups, runs):
     # a uniform start falls back while its posteriors are wide, then settles
-    # for good; a corner-sink start keeps its modes below the support and
-    # falls back every period
-    periods = period_log(monkeypatch)
-    _run_engine(tm3, *group_args(tm3, groups), runs=runs[0], horizon=300, seed=2)
-    first = fallback_periods(periods, runs[0] * groups)
+    # for good and holds its passed tests; a corner-sink start keeps its
+    # modes below the support and falls back every period.  Either way
+    # trunc_mean runs on the periods of the same run tested every period
+    args = group_args(tm3, groups)
+    held, unheld_log = held_and_unheld(
+        monkeypatch, lambda: _run_engine(tm3, *args, runs=runs[0],
+                                         horizon=CHUNK + 300, seed=2),
+        runs[0] * groups)
+    first = fallback_periods(held, runs[0] * groups)
     assert 0 < len(first) < 100 and first == list(range(1, len(first) + 1))
-    periods.clear()
-    simulate(tm3, horizon=250, seed=3, runs=runs[1])
-    first = fallback_periods(periods, runs[1])
+    assert sum(real_tests(held)) < sum(real_tests(unheld_log))
+    held, _ = held_and_unheld(
+        monkeypatch, lambda: simulate(tm3, horizon=250, seed=3, runs=runs[1]), runs[1])
+    first = fallback_periods(held, runs[1])
     assert 0 < len(first) < 100 and first == list(range(1, len(first) + 1))
-    periods.clear()
     prior = [TruncNormalPrior(CORNER, 0.01)] * groups
-    _run_engine(tm3, *group_args(tm3, groups), runs=runs[2], horizon=200, seed=4,
-                prior=prior)
-    assert fallback_periods(periods, runs[2] * groups) == list(range(1, 201))
+    held, _ = held_and_unheld(
+        monkeypatch, lambda: _run_engine(tm3, *args, runs=runs[2], horizon=200,
+                                         seed=4, prior=prior),
+        runs[2] * groups)
+    assert fallback_periods(held, runs[2] * groups) == list(range(1, 201))
+
+
+def test_a_passed_interior_test_holds_for_most_periods(monkeypatch):
+    # the amortization as a count: one run of the two-group config over 1e4
+    # periods makes a real interior test on fewer than one period in ten
+    pop = load_config(CONFIGS / "two_groups.ini").population()
+    tm = transform(pop.model)
+    periods = period_log(monkeypatch)
+    _run_engine(tm, pop.alphas, pop.beta_stars, pop.deltas, pop.mu_stars,
+                runs=1, horizon=10_000, seed=61)
+    assert len(periods) == 10_000
+    assert sum(real_tests(periods)) < 1000
+
+
+@pytest.mark.parametrize("runs,groups", ((64, 1), (32, 2)))
+def test_the_block_noise_maximum_allocates_no_block_sized_temporary(tm3, runs, groups):
+    # the lockstep loop's per-block largest |e| comes from max and min
+    # reductions of the noise buffer; np.abs(eps) would copy the block, and
+    # the peak would pass twice the block's bytes
+    args = group_args(tm3, groups)
+    _run_engine(tm3, *args, runs=runs, horizon=50, seed=1)  # imports, caches
+    block_bytes = CHUNK * runs * groups * 8
+    tracemalloc.start()
+    try:
+        _run_engine(tm3, *args, runs=runs, horizon=CHUNK + 1, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block_bytes < peak < 1.5 * block_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(0.0, 1e3, allow_subnormal=True), c=st.floats(1e-3, 1e3))
+def test_the_certainty_equivalent_g2_has_the_builders_bits_on_floats(tm3, h, c):
+    # on the certainty-equivalent path transform takes g2 from the engine,
+    # one exactly rounded division: on a float and on a one-entry array it
+    # gives the bits of the builder's own g2
+    assert tm3.ce_exact and tm3.g2 == tm3.engine._lq_g2
+    params = LQParams(c=c, kappa=1.0, lambda_e=1.0, lambda_a=1.0)
+    model = build_lq(params, 0.0, 2.0, 0.5, 0.3, 3.0)
+    g2 = BestResponseEngine(model)._lq_g2
+    want = model.factorization.g2(np.array([h]))
+    assert type(g2(h)) is float
+    assert g2(h).hex() == float(want[0]).hex() == float(g2(np.array([h]))[0]).hex()
 
 
 def test_evaluator_step_on_a_terminal_state_gives_the_next_assessment(tm3):

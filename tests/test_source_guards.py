@@ -70,16 +70,17 @@ def test_public_names_no_package_code_reaches_are_pinned():
 
 
 def test_only_truncnorm_reads_the_interior_rule():
-    # the interior rule's constants have one owner, ``truncnorm.interior``:
-    # other modules ask it instead of restating its test, learning, which
-    # asks it every period, writes neither value as a literal, and no other
-    # function of truncnorm (``trunc_mean`` in particular) reads them
+    # the interior rule's constants have one owner, ``truncnorm._interior_reach``
+    # (``interior`` is its verdict): other modules ask it instead of
+    # restating its test, learning, which asks it for its holds, writes
+    # neither value as a literal, and no other function of truncnorm
+    # (``trunc_mean`` in particular) reads them
     from berklab.truncnorm import _ULP_GUARD, INTERIOR_SIGMAS
     names = {"INTERIOR_SIGMAS", "_ULP_GUARD"}
     sites = set()
     tree = ast.parse((SRC / "truncnorm.py").read_text())
     owner = next(fn for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "interior")
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_interior_reach")
     owned = set(map(id, ast.walk(owner)))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Name) and node.id in names

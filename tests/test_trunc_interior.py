@@ -5,19 +5,22 @@ their own means, and the tail formula evaluates only the branch (erfcx or
 erfc) that applies to each element; the result must be the two-branch
 formula's, bit for bit, on arrays that mix such modes with modes near,
 beyond or far outside either edge.  ``log_mass`` evaluates one branch per
-element the same way.  The scalar test ``interior``, the one statement of
-the interior rule, may hold only where every mode of its range, at every sd
-up to its bound, is its own mean under both.
+element the same way.  The scalar test ``interior``, the sign of
+``_interior_reach``, the one statement of the interior rule, may hold only
+where every mode of its range, at every sd up to its bound, is its own mean
+under both, and the reach says how far the range may widen and still hold.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berklab.truncnorm import _ULP_GUARD, INTERIOR_SIGMAS, interior, log_mass, trunc_mean
+from berklab.truncnorm import (_ULP_GUARD, INTERIOR_SIGMAS, _interior_reach, interior, log_mass,
+                               trunc_mean)
 
 from helpers import interior_edge, log_mass_two_branch, nudged, trunc_mean_two_branch
 
@@ -167,6 +170,27 @@ def test_interior_range_means_are_their_modes(case, points):
     sigma = np.concatenate([[sigma_max] * 4, sigma_max * share])
     assert same_bits(trunc_mean(m, sigma, lo, hi), m)
     assert same_bits(trunc_mean_two_branch(m, sigma, lo, hi), m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=interior_ranges(), share=st.floats(0.0, 1.0, exclude_max=True))
+def test_interior_reach_widens_the_range_exactly(case, share):
+    # interior is the reach's sign, and widening the range by less than the
+    # reach, less the rounding of its rooms (a few ulps of the largest
+    # magnitude in play), keeps each of the rule's conditions in exact
+    # arithmetic
+    m_min, m_max, sigma_max, lo, hi = case
+    reach = _interior_reach(m_min, m_max, sigma_max, lo, hi)
+    assert (reach >= 0.0) is interior(m_min, m_max, sigma_max, lo, hi)
+    if reach < 0.0:
+        assert reach == -math.inf
+        return
+    rounding = Fraction(4 * max(abs(lo), abs(hi), abs(m_min), abs(m_max))) / 2**52
+    w = max(Fraction(reach) * Fraction(share) - rounding, Fraction(0))
+    low, high = Fraction(m_min) - w, Fraction(m_max) + w
+    assert high <= Fraction(0.5 * (lo + hi))
+    assert low - Fraction(lo) > Fraction(INTERIOR_SIGMAS * sigma_max)
+    assert lo >= 0.0 or max(low, -high) > Fraction(_ULP_GUARD * sigma_max)
 
 
 @pytest.mark.parametrize("lo,hi", SUPPORTS)
